@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve-mfe, solve-irl, simulate, estimate, verify, pipeline.
-Exit codes: 0 success, 1 solver non-convergence, 2 input or validation
-error. Every run writes a manifest next to its outputs, and all floats are
-serialized in fixed scientific notation so reruns are byte-identical.
+Exit codes: 0 success, 1 solver failure (non-convergence, a non-descent
+Newton direction, a stalled line search, or divergence), 2 input or
+validation error. Every run writes a manifest next to its outputs, on
+failure too, and all floats are serialized in fixed scientific notation so
+reruns are byte-identical.
 """
 
 import argparse
@@ -15,7 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation, gnep, irl, mdp, model
-from .errors import MfgError, NotConverged
+from .errors import (
+    LineSearchStall, MfgError, NonDescent, NonFinite, NotConverged,
+)
+
+# Errors that mean the solver ran and failed, not that its input was bad.
+SOLVER_FAILURES = (NotConverged, NonDescent, LineSearchStall, NonFinite)
 
 BUILTIN_DEFAULTS = {
     "malware2": {"n_states": 2, "theta": (0.2, 1.0, 0.4), "q": 0.9, "beta": 0.8},
@@ -149,6 +156,13 @@ class ManifestWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         write_json(self.out_dir / "manifest.json", self.payload)
 
+    def fail(self, exc, label, **convergence):
+        """Record a solver failure and report it; returns exit code 1."""
+        self.finish({"converged": False, **convergence,
+                     "error": type(exc).__name__})
+        print(f"{label}: {exc}", file=sys.stderr)
+        return 1
+
 
 def gnep_config_from_args(args):
     return gnep.GnepConfig(
@@ -178,9 +192,10 @@ def cmd_solve_mfe(args):
         eq, report = exc.result
         write_json(out, equilibrium_payload(eq, report))
         manifest.add_output(out)
-        manifest.finish({"converged": False, "h_norm": report.h_norm_history[-1]})
-        print(f"solve-mfe: not converged: {exc}", file=sys.stderr)
-        return 1
+        return manifest.fail(exc, "solve-mfe: not converged",
+                             h_norm=report.h_norm_history[-1])
+    except SOLVER_FAILURES as exc:
+        return manifest.fail(exc, "solve-mfe")
     write_json(out, equilibrium_payload(eq, report))
     manifest.add_output(out)
     manifest.finish({"converged": True, "h_norm": report.h_norm_history[-1],
@@ -220,10 +235,8 @@ def cmd_solve_irl(args):
     config = irl_config_from_args(args)
     try:
         dual, nu, pi, trace = irl.solve_irl(problem, config)
-    except NotConverged as exc:
-        manifest.finish({"converged": False})
-        print(f"solve-irl: not converged: {exc}", file=sys.stderr)
-        return 1
+    except SOLVER_FAILURES as exc:
+        return manifest.fail(exc, "solve-irl")
     residuals = irl.verify_irl(problem, nu)
     write_json(out, irl_payload(dual, nu, pi, residuals, trace))
     manifest.add_output(out)
@@ -335,10 +348,8 @@ def cmd_pipeline(args):
     config = gnep_config_from_args(args)
     try:
         eq, report = gnep.solve_gnep(spec, config)
-    except NotConverged as exc:
-        manifest.finish({"stage": "solve-mfe", "converged": False})
-        print(f"pipeline[solve-mfe]: {exc}", file=sys.stderr)
-        return 1
+    except SOLVER_FAILURES as exc:
+        return manifest.fail(exc, "pipeline[solve-mfe]", stage="solve-mfe")
     eq_path = out_dir / "equilibrium.json"
     write_json(eq_path, equilibrium_payload(eq, report))
     manifest.add_output(eq_path)
@@ -364,10 +375,8 @@ def cmd_pipeline(args):
     irl_config = irl_config_from_args(args)
     try:
         dual, nu, pi, trace = irl.solve_irl(problem, irl_config)
-    except NotConverged as exc:
-        manifest.finish({"stage": "solve-irl", "converged": False})
-        print(f"pipeline[solve-irl]: {exc}", file=sys.stderr)
-        return 1
+    except SOLVER_FAILURES as exc:
+        return manifest.fail(exc, "pipeline[solve-irl]", stage="solve-irl")
     residuals = irl.verify_irl(problem, nu)
     irl_path = out_dir / "irl.json"
     write_json(irl_path, irl_payload(dual, nu, pi, residuals, trace))
@@ -485,7 +494,7 @@ def dispatch(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NotConverged as exc:
+    except SOLVER_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MfgError as exc:

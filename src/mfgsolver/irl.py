@@ -6,11 +6,14 @@ convex dual in (theta, lambda, xi). Constant-step gradient descent on that
 dual recovers the Boltzmann occupation measure and its policy.
 """
 
+import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import daxpy, idamax
 
 from .errors import NonFinite, NotConverged, ValidationError
 from .mdp import disintegrate, OccupationMeasure
@@ -50,6 +53,33 @@ class IrlProblem:
     @cached_property
     def kernel(self):
         return transition_kernel(self.spec, self.mu_E)
+
+    @cached_property
+    def _matrices(self):
+        """The dual in matrix form, shared by every dual evaluation.
+
+        Over the stacked vector v = (theta, lambda, xi), the exponent of the
+        Boltzmann measure is affine, k = c0 + B v on the flattened
+        state-action pairs; the gradient is G nu - b; and the linear part of
+        the objective is <v, linear> = <theta, f_expert> + <lambda, mu_E>.
+        Returns (c0, B, G, b, linear).
+        """
+        spec = self.spec
+        X, A = spec.n_states, spec.n_actions
+        f_flat = self.features.reshape(X * A, spec.feature_dim)
+        p_flat = self.kernel.reshape(X, X * A)
+        one_minus_beta = 1.0 - spec.beta
+        marginal = np.repeat(np.eye(X), A, axis=0)  # [xa, x] state indicator
+        c0 = np.repeat(np.log(self.mu_E), A)
+        B = np.hstack([
+            f_flat,
+            one_minus_beta * marginal,
+            one_minus_beta * (p_flat - self.mu_E[:, None]).T,
+        ])
+        G = np.vstack([f_flat.T / one_minus_beta, marginal.T, p_flat])
+        b = np.concatenate([self.f_expert, self.mu_E, self.mu_E])
+        linear = np.concatenate([self.f_expert, self.mu_E, np.zeros(X)])
+        return c0, B, G, b, linear
 
 
 @dataclass(frozen=True)
@@ -108,15 +138,9 @@ def k_table(problem, d):
     k(x,a) = log mu_E(x) + <theta, f(x,a,mu_E)>
              + (1-beta) [lambda_x + sum_z xi_z (p(z|x,a,mu_E) - mu_E(z))]
     """
+    c0, B, _, _, _ = problem._matrices
     spec = problem.spec
-    f = problem.features
-    p = problem.kernel  # [z, x, a]
-    shift = np.einsum("zxa,z->xa", p - problem.mu_E[:, None, None], d.xi)
-    return (
-        np.log(problem.mu_E)[:, None]
-        + f @ d.theta
-        + (1.0 - spec.beta) * (d.lam[:, None] + shift)
-    )
+    return (c0 + B @ d.as_vector()).reshape(spec.n_states, spec.n_actions)
 
 
 def boltzmann(problem, d):
@@ -129,11 +153,10 @@ def boltzmann(problem, d):
 
 def dual_objective(problem, d):
     """g = (1/(1-beta)) log sum exp(k) - <theta, f_expert> - <lambda, mu_E>."""
-    k = k_table(problem, d)
+    linear = problem._matrices[4]
     return (
-        log_sum_exp(k.ravel()) / (1.0 - problem.spec.beta)
-        - float(d.theta @ problem.f_expert)
-        - float(d.lam @ problem.mu_E)
+        log_sum_exp(k_table(problem, d)) / (1.0 - problem.spec.beta)
+        - float(d.as_vector() @ linear)
     )
 
 
@@ -143,16 +166,10 @@ def dual_gradient(problem, d):
     All three are expectation-matching residuals under the current
     Boltzmann measure.
     """
-    nu = boltzmann(problem, d).nu
-    f = problem.features
-    p = problem.kernel
-    grad_theta = (
-        np.einsum("xaj,xa->j", f, nu) / (1.0 - problem.spec.beta)
-        - problem.f_expert
-    )
-    grad_lam = nu.sum(axis=1) - problem.mu_E
-    grad_xi = np.einsum("zxa,xa->z", p, nu) - problem.mu_E
-    return grad_theta, grad_lam, grad_xi
+    _, _, G, b, _ = problem._matrices
+    grad = G @ boltzmann(problem, d).nu.ravel() - b
+    k, X = problem.spec.feature_dim, problem.spec.n_states
+    return grad[:k], grad[k : k + X], grad[k + X :]
 
 
 def smoothness_constants(problem):
@@ -195,6 +212,15 @@ def solve_irl(problem, config=None):
     settle_tol is set, the occupation measure has stopped moving). Returns
     (DualPoint, OccupationMeasure, Policy, trace) where trace rows are
     (g value, sup-norm of gradient) per iteration.
+
+    Each step is one matrix-vector product each way. The constants are
+    folded into two matrices built once: Bext = [[B, c0], [linear, 0]]
+    maps (v, 1) to the exponent k and <v, linear>, and Gext = [[G - b 1'],
+    [1']] maps e = exp(k - c) to (s grad, s) with s = sum(e), because nu
+    sums to one. Then log Z = c + log s. The log-sum-exp shift c is the
+    previous step's log Z, which is exact for any c; only when s leaves
+    [1e-100, 1e100] is the step shifted again at max(k). The trace is kept
+    in two arrays of doubles, 16 bytes per step.
     """
     config = config or IrlConfig()
     consts = smoothness_constants(problem)
@@ -209,55 +235,69 @@ def solve_irl(problem, config=None):
         )
     spec = problem.spec
     X, A = spec.n_states, spec.n_actions
-    f_flat = problem.features.reshape(X * A, spec.feature_dim)
-    p_flat = problem.kernel.reshape(X, X * A)
     one_minus_beta = 1.0 - spec.beta
-    marginal = np.repeat(np.eye(X), A, axis=0)  # [xa, x] state indicator
+    c0, B, G, b, linear = problem._matrices
+    m, n = B.shape
+    Bext = np.block([[B, c0[:, None]], [linear, 0.0]])
+    Gext = np.vstack([G - b[:, None], np.ones(m)])
 
-    # The exponent of the Boltzmann measure is affine in the dual vector,
-    # k = c0 + B v, and the gradient is G nu - b; precomputing the three
-    # matrices makes each iteration a pair of small matrix-vector products.
-    c0 = np.repeat(np.log(problem.mu_E), A)
-    B = np.hstack([
-        f_flat,
-        one_minus_beta * marginal,
-        one_minus_beta * (p_flat - problem.mu_E[:, None]).T,
-    ])
-    G = np.vstack([f_flat.T / one_minus_beta, marginal.T, p_flat])
-    b = np.concatenate([problem.f_expert, problem.mu_E, problem.mu_E])
-    linear = np.concatenate([
-        problem.f_expert, problem.mu_E, np.zeros(X)
-    ])  # <theta, f_expert> + <lambda, mu_E>
-
-    v = DualPoint.zero(problem).as_vector()
-    trace = []
-    prev_nu = None
-    for _ in range(config.max_iter + 1):
-        k = c0 + B @ v
-        log_z = log_sum_exp(k)
-        g = log_z / one_minus_beta - float(v @ linear)
-        if not np.isfinite(g):
-            raise NonFinite(f"dual objective diverged after {len(trace)} steps")
-        nu_flat = np.exp(k - log_z)
-        grad = G @ nu_flat - b
-        grad_norm = float(np.abs(grad).max())
-        trace.append((g, grad_norm))
-        settled = config.settle_tol is None or (
-            prev_nu is not None
-            and float(np.abs(nu_flat - prev_nu).max()) <= config.settle_tol
-        )
-        if grad_norm <= config.grad_tol and settled:
-            d = DualPoint.from_vector(problem, v)
-            nu = OccupationMeasure(
-                nu=nu_flat.reshape(X, A), beta=spec.beta, mu0=problem.mu_E
-            )
-            return d, nu, disintegrate(nu), np.array(trace)
-        prev_nu = nu_flat
-        v = v - step * grad
+    w = np.zeros(n + 1)       # (v, 1), v the dual vector from the zero start
+    w[n] = 1.0
+    v = w[:n]
+    kl = np.empty(m + 1)      # (k, <v, linear>)
+    k = kl[:m]
+    e = np.empty(m)
+    sg = np.empty(n + 1)      # (s grad, s)
+    s_grad = sg[:n]
+    grad_tol, settle = config.grad_tol, config.settle_tol
+    if settle is not None:
+        nu, prev_nu = np.empty(m), np.empty(m)
+    trace_g, trace_norm = array("d"), array("d")
+    c = math.inf              # forces a shift at max(k) on the first step
+    # exp(k - c) may overflow before the re-shift; NonFinite catches the rest.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(config.max_iter + 1):
+            Bext.dot(w, out=kl)
+            np.subtract(k, c, out=e)
+            np.exp(e, out=e)
+            Gext.dot(e, out=sg)
+            s = sg.item(n)
+            if not 1e-100 <= s <= 1e100:
+                c = float(k.max())
+                np.subtract(k, c, out=e)
+                np.exp(e, out=e)
+                Gext.dot(e, out=sg)
+                s = sg.item(n)
+            log_z = c + math.log(s)
+            g = log_z / one_minus_beta - kl.item(m)
+            if not math.isfinite(g):
+                raise NonFinite(f"dual objective diverged after {it} steps")
+            grad_norm = abs(s_grad.item(idamax(s_grad))) / s
+            trace_g.append(g)
+            trace_norm.append(grad_norm)
+            settled = True
+            if settle is not None:
+                np.divide(e, s, out=nu)
+                settled = it > 0 and np.abs(nu - prev_nu).max() <= settle
+                nu, prev_nu = prev_nu, nu
+            if grad_norm <= grad_tol and settled:
+                d = DualPoint.from_vector(problem, v)
+                occupation = OccupationMeasure(
+                    nu=(e / s).reshape(X, A), beta=spec.beta, mu0=problem.mu_E
+                )
+                trace = _trace(trace_g, trace_norm)
+                return d, occupation, disintegrate(occupation), trace
+            c = log_z
+            daxpy(s_grad, v, a=-step / s)  # v -= step * grad, in place
     raise NotConverged(
         f"gradient sup-norm {grad_norm:.3e} after {config.max_iter} iterations",
-        result=(DualPoint.from_vector(problem, v), np.array(trace)),
+        result=(DualPoint.from_vector(problem, v), _trace(trace_g, trace_norm)),
     )
+
+
+def _trace(trace_g, trace_norm):
+    """The (iterations + 1, 2) trace array from its two columns."""
+    return np.column_stack([np.frombuffer(trace_g), np.frombuffer(trace_norm)])
 
 
 def polish_dual(problem, start=None, gtol=1e-12, max_iter=50_000):

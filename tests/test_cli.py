@@ -53,6 +53,29 @@ class TestExitCodes:
         # The manifest is still written on failure.
         assert (tmp_path / "manifest.json").exists()
 
+    def test_non_descent_is_a_solver_failure(self, tmp_path, capsys):
+        # A random degree-one model, p(.|x,a,mu) = sum_z mu(z) K_z(.|x,a);
+        # the forward solver stops on a non-descent Newton direction here.
+        rng = np.random.default_rng(1)
+        X, A, k = 3, 2, 2
+        vertex = rng.random((X, X, A, X))
+        vertex /= vertex.sum(axis=0, keepdims=True)
+        spec = model.ModelSpec(
+            n_states=X, n_actions=A, feature_dim=k, beta=0.8,
+            P0=np.zeros((X, X, A)), P1=vertex, F0=rng.random((X, A, k)),
+            F1=rng.random((X, A, k, X)), theta=rng.uniform(0.1, 1.0, size=k),
+        )
+        path = tmp_path / "model.json"
+        path.write_text(model.dump_model(spec))
+        code = run(["solve-mfe", "--model", str(path),
+                    "--out", str(tmp_path / "eq.json")])
+        assert code == 1
+        assert "is not negative" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["convergence"]["converged"] is False
+        assert manifest["convergence"]["error"] == "NonDescent"
+        assert str(path) in manifest["inputs"]
+
 
 class TestSolveMfe:
     def test_writes_outputs(self, eq_file):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfgsolver import irl, mdp
+from mfgsolver import irl, mdp, model
 from mfgsolver.errors import NotConverged, ValidationError
 
 from test_mdp import MU_STAR, PI_STAR
@@ -11,6 +11,59 @@ from test_mdp import MU_STAR, PI_STAR
 def problem2(malware2, expert2):
     mu_E, f_E = expert2
     return irl.IrlProblem(spec=malware2, mu_E=mu_E, f_expert=f_E)
+
+
+@pytest.fixture(scope="module")
+def problem10(malware10, eq10):
+    """A4's inverse problem: exact expert data at the 10-state equilibrium."""
+    eq, _ = eq10
+    f_E = mdp.feature_expectation(malware10, eq.policy, eq.mean_field, eq.mean_field)
+    return irl.IrlProblem(spec=malware10, mu_E=eq.mean_field, f_expert=f_E)
+
+
+def reference_descent(spec, mu_E, f_E, step, n_steps):
+    """Constant-step gradient descent written from the paper's exponent
+
+        k(x,a) = log mu_E(x) + <theta, f(x,a)>
+                 + (1-beta) [lambda_x + sum_z xi_z (p(z|x,a) - mu_E(z))]
+
+    with a max-shifted log-sum-exp at every step. Evaluates n_steps + 1
+    points and steps from each, as solve_irl does before NotConverged.
+    Returns the (g, gradient sup-norm) trace, the final dual vector and the
+    log Z of every evaluated point.
+    """
+    f = model.feature_table(spec, mu_E)  # [x, a, j]
+    p = model.transition_kernel(spec, mu_E)  # [z, x, a]
+    c = 1.0 - spec.beta
+    theta = np.zeros(spec.feature_dim)
+    lam, xi = np.zeros(spec.n_states), np.zeros(spec.n_states)
+    trace, log_zs = [], []
+    for _ in range(n_steps + 1):
+        k = (np.log(mu_E)[:, None] + f @ theta
+             + c * (lam[:, None]
+                    + np.einsum("zxa,z->xa", p - mu_E[:, None, None], xi)))
+        k_max = k.max()
+        log_z = k_max + np.log(np.exp(k - k_max).sum())
+        nu = np.exp(k - log_z)
+        g = log_z / c - theta @ f_E - lam @ mu_E
+        grad_theta = np.einsum("xaj,xa->j", f, nu) / c - f_E
+        grad_lam = nu.sum(axis=1) - mu_E
+        grad_xi = np.einsum("zxa,xa->z", p, nu) - mu_E
+        grad = np.concatenate([grad_theta, grad_lam, grad_xi])
+        trace.append((g, np.abs(grad).max()))
+        log_zs.append(log_z)
+        theta = theta - step * grad_theta
+        lam = lam - step * grad_lam
+        xi = xi - step * grad_xi
+    return np.array(trace), np.concatenate([theta, lam, xi]), np.array(log_zs)
+
+
+def stopped_run(problem, config):
+    """Trace and final dual vector of a run that hits max_iter."""
+    with pytest.raises(NotConverged) as exc_info:
+        irl.solve_irl(problem, config)
+    d, trace = exc_info.value.result
+    return trace, d.as_vector()
 
 
 class TestProblemValidation:
@@ -139,6 +192,35 @@ class TestSolveIrl:
         d, trace = exc_info.value.result
         assert isinstance(d, irl.DualPoint)
         assert trace.shape == (11, 2)
+        assert trace.dtype == np.float64
+
+    def test_matches_reference_descent_a4(self, problem10):
+        # A4's configuration: 2,000 steps of 0.0025 from the zero start.
+        trace, v = stopped_run(
+            problem10, irl.IrlConfig(step=0.0025, grad_tol=0.0, max_iter=2_000)
+        )
+        spec = problem10.spec
+        ref_trace, ref_v, _ = reference_descent(
+            spec, problem10.mu_E, problem10.f_expert, 0.0025, 2_000
+        )
+        assert trace.shape == ref_trace.shape == (2_001, 2)
+        np.testing.assert_allclose(trace, ref_trace, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(v, ref_v, rtol=0.0, atol=1e-12)
+
+    def test_matches_reference_descent_with_reshift(self, problem2):
+        # At step 500, log Z moves by more than log(1e100) between most
+        # steps, the first among them. Shifting by the previous step's
+        # log Z then overflows, and those steps take the re-shift at max(k).
+        with pytest.warns(UserWarning):
+            trace, _ = stopped_run(
+                problem2, irl.IrlConfig(step=500.0, grad_tol=0.0, max_iter=20)
+            )
+        ref_trace, _, log_zs = reference_descent(
+            problem2.spec, problem2.mu_E, problem2.f_expert, 500.0, 20
+        )
+        jumps = np.abs(np.diff(log_zs)) > np.log(1e100)
+        assert jumps[0] and jumps.sum() > 10
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-9, atol=0.0)
 
     def test_large_step_warns(self, problem2):
         with pytest.warns(UserWarning):
