@@ -12,17 +12,21 @@ import argparse
 import hashlib
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import estimation, gnep, irl, mdp, model
 from .errors import (
-    LineSearchStall, MfgError, NonDescent, NonFinite, NotConverged,
+    LineSearchStall, MfgError, NonDescent, NonFinite, NotConverged, ParseError,
+    ValidationError,
 )
 
 # Errors that mean the solver ran and failed, not that its input was bad.
 SOLVER_FAILURES = (NotConverged, NonDescent, LineSearchStall, NonFinite)
+
+TRAJECTORY_HEADER = "trajectory_id,t,state,action"
 
 BUILTIN_DEFAULTS = {
     "malware2": {"n_states": 2, "theta": (0.2, 1.0, 0.4), "q": 0.9, "beta": 0.8},
@@ -264,33 +268,48 @@ def cmd_simulate(args):
     )
     trajectories = estimation.simulate(spec, pi, mu, mu, config)
     with out.open("w") as fh:
-        fh.write("trajectory_id,t,state,action\n")
+        fh.write(TRAJECTORY_HEADER + "\n")
         for i, traj in enumerate(trajectories):
-            for t, (x, a) in enumerate(zip(traj.states, traj.actions)):
-                fh.write(f"{i},{t},{x},{a}\n")
+            steps = np.column_stack([np.arange(len(traj)), traj.states, traj.actions])
+            fh.write((f"{i},%d,%d,%d\n" * len(traj)) % tuple(steps.ravel().tolist()))
     manifest.add_output(out)
     manifest.finish({"n_trajectories": len(trajectories), "horizon": config.horizon})
     return 0
 
 
-def _read_trajectories(path, seed=0):
-    rows = {}
+def _read_trajectories(path, spec, seed=0):
+    """Trajectories from a CSV written by `simulate`, in id order and, within
+    an id, in (t, state, action) order. Blank lines are skipped."""
     with Path(path).open() as fh:
-        header = fh.readline()
-        if header.strip() != "trajectory_id,t,state,action":
+        if fh.readline().strip() != TRAJECTORY_HEADER:
             raise MfgError(f"unexpected trajectory header in {path}")
-        for line in fh:
-            i, t, x, a = (int(v) for v in line.strip().split(","))
-            rows.setdefault(i, []).append((t, x, a))
-    trajectories = []
-    for i in sorted(rows):
-        steps = sorted(rows[i])
-        trajectories.append(estimation.Trajectory(
-            states=np.array([s[1] for s in steps]),
-            actions=np.array([s[2] for s in steps]),
-            seed=seed,
-        ))
-    return trajectories
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is empty data, reported by the estimators.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None,
+                                  ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"bad trajectory row in {path}: {exc}") from None
+    if rows.size == 0:
+        return []
+    if rows.shape[1] != 4:
+        raise ParseError(f"trajectory rows in {path} have {rows.shape[1]} fields, "
+                         "expected 4")
+    for column, name, size in ((2, "state", spec.n_states),
+                               (3, "action", spec.n_actions)):
+        bad = (rows[:, column] < 0) | (rows[:, column] >= size)
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            raise ValidationError(
+                f"{name} {rows[row, column]} in data row {row + 1} of {path} "
+                f"is outside 0..{size - 1}")
+    rows = rows[np.lexsort(rows.T[::-1])]
+    cuts = np.flatnonzero(np.diff(rows[:, 0])) + 1
+    states = np.split(np.ascontiguousarray(rows[:, 2]), cuts)
+    actions = np.split(np.ascontiguousarray(rows[:, 3]), cuts)
+    return [estimation.Trajectory(states=x, actions=a, seed=seed)
+            for x, a in zip(states, actions)]
 
 
 def cmd_estimate(args):
@@ -302,7 +321,7 @@ def cmd_estimate(args):
     if not traj_path.exists():
         raise MfgError(f"trajectory file not found: {traj_path}")
     manifest.add_input(traj_path)
-    trajectories = _read_trajectories(traj_path)
+    trajectories = _read_trajectories(traj_path, spec)
     mu_hat = estimation.estimate_mean_field(trajectories, spec.n_states)
     f_hat, tail = estimation.estimate_feature_expectation(
         spec, trajectories, mu_hat, spec.beta

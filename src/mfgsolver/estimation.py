@@ -5,11 +5,12 @@ from (seed, trajectory index), so the set of trajectories is independent
 of generation order and reproducible bit-for-bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyData
+from .errors import EmptyData, ValidationError
 from .model import check_simplex, feature_table, transition_kernel
 
 
@@ -34,20 +35,115 @@ class EstimatorConfig:
             raise ValueError("need at least one trajectory and one step")
 
 
+# Batches whose per-step table work, d * X * (X + A) entries, is at most
+# this many are walked through draw tables; larger batches amortise the
+# per-step numpy overhead of the lockstep loop. Below the bound the tables
+# were faster on every shape measured (X from 2 to 60); the crossover lay
+# between 2,600 and 6,000.
+TABLE_WORK = 2048
+
+
 def _sample_rows(cum_rows, u):
     """Vectorized categorical draw: one row of cumulative probabilities and
     one uniform per sample."""
     return (cum_rows < u[:, None]).sum(axis=1)
 
 
+def _draw_tables(pi_cum, kernel_cum, u, width):
+    """Draws for every possible current state.
+
+    act[x, i, t] is the action and nxt[x, i, t] the next state that
+    trajectory i draws at step t if it is in state x. nxt has `width`
+    columns; those from T - 1 on are zero padding, read only by steps past
+    the horizon.
+    """
+    X = pi_cum.shape[0]
+    d, T = u.shape[0], (u.shape[1] - 1) // 2
+    dtype = np.min_scalar_type(max(X - 1, pi_cum.shape[1]))
+    act = np.zeros((X, d, T), dtype)
+    for j in range(pi_cum.shape[1]):
+        act += pi_cum[:, j, None, None] < u[:, 1::2]
+    nxt = np.zeros((X, d, width), dtype)
+    u_next = u[:, 2:2 * T - 1:2]
+    for x in range(X):
+        counts = nxt[x, :, :T - 1]
+        for y in range(kernel_cum.shape[2]):
+            counts += kernel_cum[x, :, y][act[x, :, :T - 1]] < u_next
+    return act, nxt
+
+
+def _walk(x0, act, nxt, block_len):
+    """States and actions of every trajectory from its draw tables.
+
+    The horizon is cut into blocks of block_len steps. The per-step maps of
+    each block are composed for every start state, the block starts are
+    walked one block at a time, and the states inside each block are then
+    filled in for all blocks at once.
+    """
+    X, d, width = nxt.shape
+    T = act.shape[2]
+    n_blocks = width // block_len
+    step = nxt.reshape(X, d, n_blocks, block_len)
+    rows, blocks = np.arange(d)[:, None], np.arange(n_blocks)
+    # across[x, i, b]: the state block_len steps after state x at the
+    # start of block b.
+    across = np.broadcast_to(np.arange(X, dtype=nxt.dtype)[:, None, None],
+                             (X, d, n_blocks))
+    for k in range(block_len):
+        across = step[across, rows, blocks, k]
+    starts = np.empty((d, n_blocks), dtype=np.int64)
+    x, traj = x0, np.arange(d)
+    for b in range(n_blocks):
+        starts[:, b] = x
+        x = across[x, traj, b]
+    states = np.empty((d, n_blocks, block_len), dtype=np.int64)
+    x = starts
+    for k in range(block_len):
+        states[:, :, k] = x
+        x = step[x, rows, blocks, k]
+    states = states.reshape(d, width)[:, :T]
+    actions = act[states, rows, np.arange(T)].astype(np.int64)
+    return states, actions
+
+
+def _lockstep(x, pi_cum, kernel_cum, u):
+    d, T = u.shape[0], (u.shape[1] - 1) // 2
+    states = np.empty((d, T), dtype=np.int64)
+    actions = np.empty((d, T), dtype=np.int64)
+    for t in range(T):
+        a = _sample_rows(pi_cum[x], u[:, 1 + 2 * t])
+        states[:, t] = x
+        actions[:, t] = a
+        if t + 1 < T:
+            x = _sample_rows(kernel_cum[x, a], u[:, 2 + 2 * t])
+    return states, actions
+
+
 def simulate(spec, pi, mu, mu0, config):
     """Simulate trajectories of the frozen-mu chain under pi.
 
-    x(0) ~ mu0, a(t) ~ pi(.|x(t)), x(t+1) ~ p(.|x(t), a(t), mu). All
-    trajectories are stepped in lockstep but each consumes only its own
-    substream.
+    x(0) ~ mu0, a(t) ~ pi(.|x(t)), x(t+1) ~ p(.|x(t), a(t), mu). Each
+    trajectory consumes only its own substream: one uniform for x(0), then
+    one for the action and one for the next state at every step. A
+    category is drawn as the count of cumulative probabilities below its
+    uniform, leaving out the last, so a row that sums to 1 - eps still
+    draws a valid index.
+
+    Batches with many trajectories step all of them in lockstep. Small
+    batches, where the per-step overhead of that loop would dominate, draw
+    the action and the next state for every possible current state up
+    front, compose the per-step maps over blocks of about sqrt(T) steps,
+    and walk the block starts. Both paths read the same substreams with the
+    same comparisons, so a seed gives the same trajectories on either path.
     """
+    X, A = spec.n_states, spec.n_actions
+    # Validated row by row, but the caller's values are drawn from, not
+    # check_simplex's clipped copies.
     pi = np.asarray(pi, dtype=float)
+    if pi.shape != (X, A):
+        raise ValidationError(f"pi has shape {pi.shape}, expected {(X, A)}")
+    for x, row in enumerate(pi):
+        check_simplex(row, f"pi row {x}")
     mu0 = check_simplex(mu0, "mu0")
     p = transition_kernel(spec, mu)  # [y, x, a]
     d, T = config.n_trajectories, config.horizon
@@ -59,20 +155,19 @@ def simulate(spec, pi, mu, mu0, config):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
         u[i] = rng.random(2 * T + 1)
 
-    pi_cum = np.cumsum(pi, axis=1)
+    pi_cum = np.cumsum(pi, axis=1)[:, :-1]
     # kernel_cum[x, a] is the cumulative distribution of the next state.
-    kernel_cum = np.cumsum(np.transpose(p, (1, 2, 0)), axis=2)
-    mu0_cum = np.cumsum(mu0)
+    kernel_cum = np.cumsum(np.transpose(p, (1, 2, 0)), axis=2)[:, :, :-1]
+    x0 = _sample_rows(np.cumsum(mu0)[:-1], u[:, 0])
 
-    states = np.empty((d, T), dtype=np.int64)
-    actions = np.empty((d, T), dtype=np.int64)
-    x = (mu0_cum < u[:, 0][:, None]).sum(axis=1)
-    for t in range(T):
-        a = _sample_rows(pi_cum[x], u[:, 1 + 2 * t])
-        states[:, t] = x
-        actions[:, t] = a
-        if t + 1 < T:
-            x = _sample_rows(kernel_cum[x, a], u[:, 2 + 2 * t])
+    if d * X * (X + A) <= TABLE_WORK:
+        block_len = math.isqrt(T)
+        act, nxt = _draw_tables(pi_cum, kernel_cum, u,
+                                -(-T // block_len) * block_len)
+        del u
+        states, actions = _walk(x0, act, nxt, block_len)
+    else:
+        states, actions = _lockstep(x0, pi_cum, kernel_cum, u)
     return [
         Trajectory(states=states[i], actions=actions[i], seed=config.seed)
         for i in range(d)

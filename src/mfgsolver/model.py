@@ -29,7 +29,7 @@ def check_simplex(v, name="mu"):
         raise ValidationError(f"{name} must be a vector")
     if np.any(v < -KERNEL_CLAMP):
         raise ValidationError(f"{name} has negative entry {v.min():.3e}")
-    if abs(v.sum() - 1.0) > SIMPLEX_TOL:
+    if not abs(v.sum() - 1.0) <= SIMPLEX_TOL:  # also rejects NaN
         raise ValidationError(f"{name} sums to {v.sum():.12f}, expected 1")
     return np.clip(v, 0.0, None)
 

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from mfgsolver import cli, model
+from mfgsolver import cli, estimation, model
+from mfgsolver.errors import LineSearchStall, NonFinite
+
+
+MALWARE2 = model.builtin_malware(2, (0.2, 1.0, 0.4), q=0.9)
 
 
 def run(argv):
@@ -77,6 +81,35 @@ class TestExitCodes:
         assert str(path) in manifest["inputs"]
 
 
+class TestSolverFailures:
+    """Every solver failure exits 1 and leaves a manifest naming it."""
+
+    @pytest.mark.parametrize("error", [LineSearchStall, NonFinite])
+    @pytest.mark.parametrize("argv,solver,stage", [
+        (["solve-mfe", "--out", "{d}/eq.json"], "gnep.solve_gnep", None),
+        (["solve-irl", "--mean-field", "0.65,0.35",
+          "--feature-expectation", "1.75,0.6125,3.0175", "--out", "{d}/irl.json"],
+         "irl.solve_irl", None),
+        (["pipeline", "--out-dir", "{d}"], "gnep.solve_gnep", "solve-mfe"),
+        (["pipeline", "--out-dir", "{d}"], "irl.solve_irl", "solve-irl"),
+    ])
+    def test_exits_1_with_manifest(self, tmp_path, monkeypatch, capsys,
+                                   error, argv, solver, stage):
+        def fail(*args, **kwargs):
+            raise error("injected failure")
+
+        module, name = solver.split(".")
+        monkeypatch.setattr(getattr(cli, module), name, fail)
+        argv = [a.format(d=tmp_path) for a in argv]
+        code = run(argv[:1] + ["--model", "builtin:malware2"] + argv[1:])
+        assert code == 1
+        assert "injected failure" in capsys.readouterr().err
+        convergence = json.loads((tmp_path / "manifest.json").read_text())["convergence"]
+        assert convergence["converged"] is False
+        assert convergence["error"] == error.__name__
+        assert convergence.get("stage") == stage
+
+
 class TestSolveMfe:
     def test_writes_outputs(self, eq_file):
         doc = json.loads(eq_file.read_text())
@@ -134,6 +167,88 @@ class TestSimulateEstimate:
         assert run(["estimate", "--model", "builtin:malware2",
                     "--trajectories", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "est.json")]) == 2
+
+    @pytest.mark.parametrize("n_trajectories", [5, 1000])
+    def test_writer_matches_row_by_row_writer(self, eq_file, tmp_path,
+                                              n_trajectories):
+        # 5 trajectories walk the draw tables, 1,000 run lockstep.
+        traj = tmp_path / "traj.csv"
+        assert run(["simulate", "--model", "builtin:malware2",
+                    "--equilibrium", str(eq_file), "--n-trajectories",
+                    str(n_trajectories), "--horizon", "40", "--seed", "3",
+                    "--out", str(traj)]) == 0
+        doc = json.loads(eq_file.read_text())
+        mu, pi = np.asarray(doc["mean_field"]), np.asarray(doc["policy"])
+        trajectories = estimation.simulate(
+            MALWARE2, pi, mu, mu, estimation.EstimatorConfig(
+                n_trajectories=n_trajectories, horizon=40, seed=3))
+        reference = "trajectory_id,t,state,action\n"
+        for i, t in enumerate(trajectories):
+            for step, (x, a) in enumerate(zip(t.states, t.actions)):
+                reference += f"{i},{step},{x},{a}\n"
+        assert traj.read_bytes() == reference.encode()
+
+    def test_reader_matches_dict_reader(self, tmp_path):
+        # Unequal lengths, ids 7, 2 and 40 only, rows shuffled, and a
+        # repeated step, in descending order, that the (t, state, action)
+        # order settles.
+        rng = np.random.default_rng(5)
+        rows = [(i, t, int(rng.integers(2)), int(rng.integers(2)))
+                for i, T in ((7, 30), (2, 1), (40, 12)) for t in range(T)]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        rows += [(40, 3, 1, 1), (40, 3, 1, 0), (40, 3, 0, 1)]
+        path = tmp_path / "traj.csv"
+        path.write_text("trajectory_id,t,state,action\n"
+                        + "".join(f"{i},{t},{x},{a}\n" for i, t, x, a in rows))
+
+        by_id = {}
+        for i, t, x, a in rows:
+            by_id.setdefault(i, []).append((t, x, a))
+        read = cli._read_trajectories(path, MALWARE2, seed=9)
+        assert len(read) == len(by_id)
+        for traj, i in zip(read, sorted(by_id)):
+            steps = sorted(by_id[i])
+            assert traj.seed == 9
+            assert traj.states.dtype == np.int64 and traj.actions.dtype == np.int64
+            np.testing.assert_array_equal(traj.states, [s[1] for s in steps])
+            np.testing.assert_array_equal(traj.actions, [s[2] for s in steps])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("trajectory_id,t,state,action\n0,0,1,0\n\n0,1,0,1\n\n")
+        (traj,) = cli._read_trajectories(path, MALWARE2)
+        np.testing.assert_array_equal(traj.states, [1, 0])
+        np.testing.assert_array_equal(traj.actions, [0, 1])
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0,0,x,1\n", "bad trajectory row"),
+        ("0,0,1.5,1\n", "bad trajectory row"),
+        ("0,0,1\n", "3 fields"),
+        ("0,0,1,1\n0,1,1\n", "bad trajectory row"),
+        ("0,0,1,1,0\n", "5 fields"),
+        ("0,0,1,1\n0,1,2,0\n", "state 2 in data row 2"),
+        ("0,0,-1,0\n", "state -1"),
+        ("0,0,0,2\n", "action 2"),
+        ("0,0,0,-3\n", "action -3"),
+        ("", "no trajectories"),
+    ])
+    def test_bad_rows_are_input_errors(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "traj.csv"
+        path.write_text("trajectory_id,t,state,action\n" + rows)
+        assert run(["estimate", "--model", "builtin:malware2",
+                    "--trajectories", str(path),
+                    "--out", str(tmp_path / "est.json")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_policy_that_is_not_a_distribution(self, eq_file, tmp_path, capsys):
+        doc = json.loads(eq_file.read_text())
+        doc["policy"] = [[0.6, 0.0], [0.0, 1.0]]
+        bad = tmp_path / "eq.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["simulate", "--model", "builtin:malware2",
+                    "--equilibrium", str(bad), "--horizon", "5",
+                    "--out", str(tmp_path / "traj.csv")]) == 2
+        assert "pi row 0" in capsys.readouterr().err
 
 
 class TestSolveIrl:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mfgsolver import estimation, mdp
-from mfgsolver.errors import EmptyData
+from mfgsolver import estimation, mdp, model
+from mfgsolver.errors import EmptyData, ValidationError
+from mfgsolver.model import transition_kernel
 
 from test_mdp import MU_STAR, PI_STAR
 
@@ -46,6 +47,112 @@ class TestSimulate:
             estimation.EstimatorConfig(n_trajectories=0)
         with pytest.raises(ValueError):
             estimation.EstimatorConfig(horizon=0)
+
+
+def reference_simulate(spec, pi, mu, mu0, config):
+    """The lockstep loop, with no estimation helpers: the reference that
+    every path of simulate must reproduce bit for bit."""
+    p = transition_kernel(spec, mu)
+    d, T = config.n_trajectories, config.horizon
+    u = np.empty((d, 2 * T + 1))
+    for i in range(d):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
+        u[i] = rng.random(2 * T + 1)
+    pi_cum = np.cumsum(pi, axis=1)
+    kernel_cum = np.cumsum(np.transpose(p, (1, 2, 0)), axis=2)
+    states = np.empty((d, T), dtype=np.int64)
+    actions = np.empty((d, T), dtype=np.int64)
+    x = (np.cumsum(mu0) < u[:, 0][:, None]).sum(axis=1)
+    for t in range(T):
+        a = (pi_cum[x] < u[:, 1 + 2 * t][:, None]).sum(axis=1)
+        states[:, t] = x
+        actions[:, t] = a
+        if t + 1 < T:
+            x = (kernel_cum[x, a] < u[:, 2 + 2 * t][:, None]).sum(axis=1)
+    return states, actions
+
+
+def random_chain(rng, X, A):
+    """A degree-one model, p(.|x,a,mu) = sum_z mu(z) K_z(.|x,a), with a
+    policy whose even rows are deterministic, and a mean field."""
+    vertex = rng.random((X, X, A, X))
+    vertex /= vertex.sum(axis=0, keepdims=True)
+    spec = model.ModelSpec(
+        n_states=X, n_actions=A, feature_dim=1, beta=0.8,
+        P0=np.zeros((X, X, A)), P1=vertex, F0=rng.random((X, A, 1)),
+        F1=np.zeros((X, A, 1, X)),
+    )
+    pi = rng.random((X, A))
+    pi[::2] = np.eye(A)[rng.integers(0, A, size=len(pi[::2]))]
+    pi /= pi.sum(axis=1, keepdims=True)
+    mu = rng.random(X)
+    return spec, pi, mu / mu.sum()
+
+
+def assert_same_as_reference(spec, pi, mu, config, force_paths=False):
+    """simulate equals the reference under the path rule and, with
+    force_paths, with each path forced."""
+    states, actions = reference_simulate(spec, pi, mu, mu, config)
+    forced = [10**9, 0] if force_paths else []
+    for table_work in [None] + forced:
+        with pytest.MonkeyPatch.context() as mp:
+            if table_work is not None:
+                mp.setattr(estimation, "TABLE_WORK", table_work)
+            trajs = estimation.simulate(spec, pi, mu, mu, config)
+        assert len(trajs) == config.n_trajectories
+        assert all(t.states.dtype == np.int64 and t.actions.dtype == np.int64
+                   for t in trajs)
+        assert np.array_equal(np.stack([t.states for t in trajs]), states)
+        assert np.array_equal(np.stack([t.actions for t in trajs]), actions)
+
+
+class TestSimulateMatchesReference:
+    # T = 16 and 100 fill whole blocks of sqrt(T) steps; 15, 17 and 101
+    # sit one step either side.
+    HORIZONS = (1, 2, 15, 16, 17, 100, 101)
+
+    @pytest.mark.parametrize("X,A", [(2, 2), (2, 3), (3, 2), (4, 3), (6, 2),
+                                     (8, 3), (10, 2), (10, 3)])
+    def test_shapes(self, X, A):
+        rng = np.random.default_rng(100 * X + A)
+        spec, pi, mu = random_chain(rng, X, A)
+        for d in (1, 2, 10, 1000):
+            for T in self.HORIZONS:
+                config = estimation.EstimatorConfig(
+                    n_trajectories=d, horizon=T, seed=int(rng.integers(1000)))
+                assert_same_as_reference(spec, pi, mu, config, force_paths=True)
+
+    def test_rule_has_both_sides(self):
+        # The shapes above reach both paths without forcing one.
+        works = [d * X * (X + A) for X, A in [(2, 2), (10, 3)] for d in (1, 1000)]
+        assert min(works) <= estimation.TABLE_WORK < max(works)
+
+    def test_long_horizon(self, malware2):
+        # A9's mean-field shape, walked through the draw tables.
+        assert 10 * 2 * (2 + 2) <= estimation.TABLE_WORK
+        config = estimation.EstimatorConfig(n_trajectories=10, horizon=100_000, seed=3)
+        assert_same_as_reference(malware2, PI_STAR, MU_STAR, config)
+
+    def test_tiny_negative_policy_entry_is_kept(self, malware2):
+        # Within check_simplex's clamp: accepted, and drawn from as given.
+        pi = np.array([[1.0 + 1e-13, -1e-13], [0.3, 0.7]])
+        config = estimation.EstimatorConfig(n_trajectories=3, horizon=50, seed=4)
+        assert_same_as_reference(malware2, pi, MU_STAR, config)
+
+
+class TestSimulateValidatesPolicy:
+    config = estimation.EstimatorConfig(n_trajectories=2, horizon=5)
+
+    @pytest.mark.parametrize("pi", [
+        [[0.6, 0.0], [0.0, 1.0]],            # a row sums to 0.6
+        [[1.2, -0.2], [0.0, 1.0]],           # a negative entry
+        [[np.nan, 1.0], [0.0, 1.0]],         # not a number
+        [[0.5, 0.5]],                         # too few rows
+        [[0.5, 0.25, 0.25], [0.0, 0.0, 1.0]],  # too many actions
+    ])
+    def test_bad_policy_raises(self, malware2, pi):
+        with pytest.raises(ValidationError):
+            estimation.simulate(malware2, pi, MU_STAR, MU_STAR, self.config)
 
 
 class TestEstimateMeanField:

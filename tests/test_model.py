@@ -27,6 +27,10 @@ class TestCheckSimplex:
         with pytest.raises(ValidationError):
             check_simplex([0.5, 0.6])
 
+    def test_nan_raises(self):
+        with pytest.raises(ValidationError):
+            check_simplex([np.nan, 1.0])
+
     def test_matrix_raises(self):
         with pytest.raises(ValidationError):
             check_simplex(np.eye(2))
