@@ -131,7 +131,11 @@ def irl_payload(dual, nu, pi, residuals, trace):
 
 
 class ManifestWriter:
-    """Collects run metadata and writes manifest.json on exit, success or not."""
+    """Collects run metadata and writes manifest.json on exit, success or not.
+
+    Creates the output directory up front, so a subcommand can write its
+    outputs there before the manifest.
+    """
 
     def __init__(self, command, config, out_dir):
         config = {k: v for k, v in config.items()
@@ -145,6 +149,7 @@ class ManifestWriter:
             "convergence": {},
         }
         self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.start = time.monotonic()
 
     def add_input(self, path):
@@ -157,7 +162,6 @@ class ManifestWriter:
     def finish(self, convergence):
         self.payload["convergence"] = convergence
         self.payload["duration_seconds"] = time.monotonic() - self.start
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         write_json(self.out_dir / "manifest.json", self.payload)
 
     def fail(self, exc, label, **convergence):
@@ -166,6 +170,20 @@ class ManifestWriter:
                      "error": type(exc).__name__})
         print(f"{label}: {exc}", file=sys.stderr)
         return 1
+
+
+def forward_summary(report):
+    """The manifest's record of a forward solve: the final KKT norm, the
+    iteration count and the Newton directions per solve path."""
+    return {"h_norm": report.h_norm_history[-1], "iterations": report.iterations,
+            "directions": report.directions}
+
+
+def forward_failure(exc):
+    """forward_summary of the solve a forward-solver error interrupted, or
+    nothing when the error carries no KktReport."""
+    report = exc.result[1] if isinstance(exc, NotConverged) else getattr(exc, "report", None)
+    return forward_summary(report) if report is not None else {}
 
 
 def gnep_config_from_args(args):
@@ -196,14 +214,12 @@ def cmd_solve_mfe(args):
         eq, report = exc.result
         write_json(out, equilibrium_payload(eq, report))
         manifest.add_output(out)
-        return manifest.fail(exc, "solve-mfe: not converged",
-                             h_norm=report.h_norm_history[-1])
+        return manifest.fail(exc, "solve-mfe: not converged", **forward_summary(report))
     except SOLVER_FAILURES as exc:
-        return manifest.fail(exc, "solve-mfe")
+        return manifest.fail(exc, "solve-mfe", **forward_failure(exc))
     write_json(out, equilibrium_payload(eq, report))
     manifest.add_output(out)
-    manifest.finish({"converged": True, "h_norm": report.h_norm_history[-1],
-                     "iterations": report.iterations})
+    manifest.finish({"converged": True, **forward_summary(report)})
     return 0
 
 
@@ -359,7 +375,6 @@ def cmd_verify(args):
 
 def cmd_pipeline(args):
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec, path = load_model_arg(args)
     manifest = ManifestWriter("pipeline", vars(args).copy(), out_dir)
     manifest.add_input(path)
@@ -368,7 +383,8 @@ def cmd_pipeline(args):
     try:
         eq, report = gnep.solve_gnep(spec, config)
     except SOLVER_FAILURES as exc:
-        return manifest.fail(exc, "pipeline[solve-mfe]", stage="solve-mfe")
+        return manifest.fail(exc, "pipeline[solve-mfe]", stage="solve-mfe",
+                             **forward_failure(exc))
     eq_path = out_dir / "equilibrium.json"
     write_json(eq_path, equilibrium_payload(eq, report))
     manifest.add_output(eq_path)
@@ -403,8 +419,7 @@ def cmd_pipeline(args):
 
     manifest.finish({
         "converged": True,
-        "mfe": {"h_norm": report.h_norm_history[-1],
-                "iterations": report.iterations,
+        "mfe": {**forward_summary(report),
                 "optimality_gap": eq.optimality_gap,
                 "invariance_residual": eq.invariance_residual},
         "irl": {"iterations": len(trace) - 1,

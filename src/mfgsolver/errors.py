@@ -41,11 +41,20 @@ class BoundaryViolation(MfgError):
     """A barrier term was evaluated at a non-positive component."""
 
 
-class NonDescent(MfgError):
+class ReportedFailure(MfgError):
+    """A solver failure that can carry the solver's report up to the
+    failing iteration (None when raised outside a solve)."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
+
+
+class NonDescent(ReportedFailure):
     """The Newton direction is not a descent direction for the potential."""
 
 
-class LineSearchStall(MfgError):
+class LineSearchStall(ReportedFailure):
     """Backtracking exhausted its budget without an acceptable step."""
 
 

@@ -28,7 +28,7 @@ from .mdp import (
     value_iteration,
 )
 from .model import ModelSpec
-from .numerics import jacobian_fd
+from .numerics import jacobian_fd, truncated_lstsq
 
 MAX_BACKTRACK = 200
 
@@ -42,6 +42,12 @@ class GnepConfig:
     direction_rcond is the relative singular-value cutoff of the
     pseudoinverse applied to the KKT Jacobian; untruncated directions blow
     up whenever the path nears a point where strict complementarity fails.
+    The truncated direction is lstsq's up to rounding. A KKT system of
+    dimension numerics.LU_MIN_DIM or more gets it from one LU factorization:
+    the plain solve when no singular value lies near the cut, or the solve
+    with the one dropped singular triplet removed. It defers to lstsq's SVD
+    when a singular value lies within numerics.CUT_BAND of the cut, when
+    two or more fall below it, or when the triplet does not converge.
     """
 
     sigma: float = 0.1
@@ -63,6 +69,10 @@ class GnepConfig:
 
 @dataclass
 class KktReport:
+    """Per-iteration KKT norms and potentials, the outcome, the final
+    residual blocks, and how many Newton directions each path of
+    numerics.truncated_lstsq computed ("lu", "lu_cut1", "svd")."""
+
     h_norm_history: list = field(default_factory=list)
     psi_history: list = field(default_factory=list)
     converged: bool = False
@@ -70,6 +80,8 @@ class KktReport:
     residual_stationarity: float = np.nan
     residual_feasibility: float = np.nan
     residual_complementarity: float = np.nan
+    directions: dict = field(
+        default_factory=lambda: {"lu": 0, "lu_cut1": 0, "svd": 0})
 
 
 @dataclass(frozen=True)
@@ -283,7 +295,11 @@ def newton_direction(spec, z, sigma, config, dims=None, use_fd=False):
     of the positivity block. The solve applies a truncated Moore-Penrose
     pseudoinverse (relative singular-value cutoff config.direction_rcond):
     the Jacobian turns singular whenever strict complementarity fails along
-    the path, and a plain LU solve then produces runaway directions. Raises
+    the path, and a plain LU solve then produces runaway directions.
+    numerics.truncated_lstsq computes it from one LU factorization when
+    the system is large and at most one singular value falls clearly below
+    the cut, and from lstsq's SVD otherwise. Returns (d, slope, path),
+    path naming how d was computed ("lu", "lu_cut1" or "svd"). Raises
     NonDescent if <grad psi, d> >= 0.
     """
     dims = dims or Dimensions(spec)
@@ -295,12 +311,12 @@ def newton_direction(spec, z, sigma, config, dims=None, use_fd=False):
         JH = kkt_jacobian(spec, z, dims)
     a = _centering_vector(dims)
     rhs = sigma * (a @ Hz) * a - Hz
-    d, *_ = np.linalg.lstsq(JH, rhs, rcond=config.direction_rcond)
     grad_psi = JH.T @ potential_gradient(Hz, dims.n, K)
+    d, path = truncated_lstsq(JH, rhs, config.direction_rcond)
     slope = float(grad_psi @ d)
     if slope >= 0.0:
         raise NonDescent(f"directional derivative {slope:.3e} is not negative")
-    return d, slope
+    return d, slope, path
 
 
 def armijo_step(spec, z, d, slope, config, dims=None):
@@ -340,8 +356,10 @@ def initial_point(spec, dims=None):
 def solve_gnep(spec, config=None, use_fd_jacobian=False):
     """Run the potential-reduction iteration and extract the equilibrium.
 
-    Returns (Equilibrium, KktReport); raises NotConverged (with the report
-    attached) when the KKT norm does not reach config.tol in time.
+    Returns (Equilibrium, KktReport); raises NotConverged (with both
+    attached) when the KKT norm does not reach config.tol in time, and
+    NonDescent or LineSearchStall with the report up to the failing
+    iteration attached.
     """
     config = config or GnepConfig()
     dims = Dimensions(spec)
@@ -359,12 +377,13 @@ def solve_gnep(spec, config=None, use_fd_jacobian=False):
             report.converged = True
             break
         try:
-            d, slope = newton_direction(
+            d, slope, path = newton_direction(
                 spec, z, config.sigma, config, dims, use_fd=use_fd_jacobian
             )
+            report.directions[path] += 1
             _, z = armijo_step(spec, z, d, slope, config, dims)
         except (NonDescent, LineSearchStall) as exc:
-            raise type(exc)(f"iteration {it}: {exc}") from exc
+            raise type(exc)(f"iteration {it}: {exc}", report=report) from exc
     else:
         Hz = kkt_map(spec, z, dims)
         h_norm = float(np.linalg.norm(Hz))

@@ -78,6 +78,43 @@ def eq10(malware10):
     return eq, report
 
 
+def chain_model(n_states, theta=(0.2, 1.0, 0.2), beta=0.9):
+    """The builtin 10-state malware model generalised to n_states states
+    (the benchmark's forward-scale family): action 0 moves uniformly over
+    the current and all worse states, action 1 resets to state 0, labels
+    x/X, features (label, label*<labels, mu>, a), kernel in degree-one form."""
+    X, A = n_states, 2
+    kernel = np.zeros((X, X, A))
+    for x in range(X):
+        kernel[x:, x, 0] = 1.0 / (X - x)
+        kernel[0, x, 1] = 1.0
+    labels = np.arange(X) / X
+    F0 = np.zeros((X, A, 3))
+    F0[:, :, 0] = labels[:, None]
+    F0[:, 1, 2] = 1.0
+    F1 = np.zeros((X, A, 3, X))
+    F1[:, :, 1, :] = (labels[:, None] * labels[None, :])[:, None, :]
+    return m.ModelSpec(
+        n_states=X, n_actions=A, feature_dim=3, beta=beta,
+        P0=np.zeros((X, X, A)), P1=np.repeat(kernel[..., None], X, axis=3),
+        F0=F0, F1=F1, theta=theta, state_labels=labels, name=f"chain{X}",
+    )
+
+
+def non_descent_model():
+    """A seeded random degree-one model, p(.|x,a,mu) = sum_z mu(z) K_z(.|x,a),
+    on which the forward solver stops on a non-descent Newton direction."""
+    rng = np.random.default_rng(1)
+    X, A, k = 3, 2, 2
+    vertex = rng.random((X, X, A, X))
+    vertex /= vertex.sum(axis=0, keepdims=True)
+    return m.ModelSpec(
+        n_states=X, n_actions=A, feature_dim=k, beta=0.8,
+        P0=np.zeros((X, X, A)), P1=vertex, F0=rng.random((X, A, k)),
+        F1=rng.random((X, A, k, X)), theta=rng.uniform(0.1, 1.0, size=k),
+    )
+
+
 @pytest.fixture(scope="session")
 def expert2(malware2, eq2):
     """Exact expert data of the 2-state model at its equilibrium."""

@@ -6,6 +6,8 @@ import pytest
 from mfgsolver import cli, estimation, model
 from mfgsolver.errors import LineSearchStall, NonFinite
 
+from conftest import non_descent_model
+
 
 MALWARE2 = model.builtin_malware(2, (0.2, 1.0, 0.4), q=0.9)
 
@@ -58,27 +60,52 @@ class TestExitCodes:
         assert (tmp_path / "manifest.json").exists()
 
     def test_non_descent_is_a_solver_failure(self, tmp_path, capsys):
-        # A random degree-one model, p(.|x,a,mu) = sum_z mu(z) K_z(.|x,a);
-        # the forward solver stops on a non-descent Newton direction here.
-        rng = np.random.default_rng(1)
-        X, A, k = 3, 2, 2
-        vertex = rng.random((X, X, A, X))
-        vertex /= vertex.sum(axis=0, keepdims=True)
-        spec = model.ModelSpec(
-            n_states=X, n_actions=A, feature_dim=k, beta=0.8,
-            P0=np.zeros((X, X, A)), P1=vertex, F0=rng.random((X, A, k)),
-            F1=rng.random((X, A, k, X)), theta=rng.uniform(0.1, 1.0, size=k),
-        )
         path = tmp_path / "model.json"
-        path.write_text(model.dump_model(spec))
+        path.write_text(model.dump_model(non_descent_model()))
         code = run(["solve-mfe", "--model", str(path),
                     "--out", str(tmp_path / "eq.json")])
         assert code == 1
-        assert "is not negative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "is not negative" in err
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["convergence"]["converged"] is False
-        assert manifest["convergence"]["error"] == "NonDescent"
+        convergence = manifest["convergence"]
+        assert convergence["converged"] is False
+        assert convergence["error"] == "NonDescent"
         assert str(path) in manifest["inputs"]
+        # The failure records where the solve stopped.
+        assert f"iteration {convergence['iterations']}:" in err
+        assert convergence["h_norm"] > 1e-8
+        assert sum(convergence["directions"].values()) == convergence["iterations"]
+
+    def test_non_descent_in_pipeline(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(model.dump_model(non_descent_model()))
+        assert run(["pipeline", "--model", str(path), "--out-dir", str(tmp_path)]) == 1
+        convergence = json.loads((tmp_path / "manifest.json").read_text())["convergence"]
+        assert convergence["stage"] == "solve-mfe"
+        assert convergence["error"] == "NonDescent"
+        assert convergence["iterations"] > 0 and convergence["h_norm"] > 1e-8
+
+
+class TestMissingOutputDirectory:
+    """--out in a directory that does not exist yet creates it."""
+
+    def test_solve_mfe(self, tmp_path):
+        out = tmp_path / "new" / "deeper" / "eq.json"
+        assert run(["solve-mfe", "--model", "builtin:malware2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["iterations"] == 30
+        assert (out.parent / "manifest.json").exists()
+
+    def test_estimate(self, eq_file, tmp_path):
+        csv = tmp_path / "trajectories.csv"
+        assert run(["simulate", "--model", "builtin:malware2", "--equilibrium", str(eq_file),
+                    "--n-trajectories", "3", "--horizon", "20", "--out", str(csv)]) == 0
+        out = tmp_path / "new" / "estimate.json"
+        assert run(["estimate", "--model", "builtin:malware2",
+                    "--trajectories", str(csv), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["mean_field"]) == 2
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert str(out) in manifest["outputs"]
 
 
 class TestSolverFailures:
@@ -125,6 +152,14 @@ class TestSolveMfe:
                     "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert str(model_file) in manifest["inputs"]
+
+    def test_manifest_counts_directions(self, eq_file):
+        # malware2's KKT system is far below numerics.LU_MIN_DIM.
+        manifest = json.loads((eq_file.parent / "manifest.json").read_text())
+        doc = json.loads(eq_file.read_text())
+        assert manifest["convergence"]["directions"] == {
+            "lu": 0, "lu_cut1": 0, "svd": doc["iterations"]}
+        assert "directions" not in doc
 
     def test_byte_stable(self, tmp_path):
         outs = []
@@ -286,3 +321,5 @@ class TestPipeline:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["convergence"]["converged"] is True
         assert manifest["convergence"]["mfe"]["h_norm"] <= 1e-8
+        assert manifest["convergence"]["mfe"]["directions"] == {
+            "lu": 0, "lu_cut1": 0, "svd": manifest["convergence"]["mfe"]["iterations"]}

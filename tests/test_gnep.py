@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 
 import mfgsolver as m
-from mfgsolver import gnep
-from mfgsolver.errors import BoundaryViolation, MissingTheta, NotConverged
+from mfgsolver import gnep, mdp, numerics
+from mfgsolver.errors import BoundaryViolation, MissingTheta, NonDescent, NotConverged
 from mfgsolver.numerics import jacobian_fd
 
+from conftest import chain_model, non_descent_model
 from test_mdp import MU_STAR, PI_STAR
+
+
+def assert_a2(spec, eq):
+    """A2's gate: relative optimality gap <= 1e-5, invariance residual <= 1e-6."""
+    J = float(eq.mean_field @ mdp.policy_evaluation(spec, eq.policy, eq.mean_field))
+    assert eq.optimality_gap / abs(J) <= 1e-5
+    assert eq.invariance_residual <= 1e-6
 
 
 class TestConstraints:
@@ -101,6 +109,43 @@ class TestSolveGnep:
         _, report = eq2
         assert len(report.h_norm_history) == len(report.psi_history)
         assert report.h_norm_history[-1] <= 1e-8
+
+
+class TestDirectionPaths:
+    """How each Newton direction was computed, and that the LU path keeps
+    the iterate path of the SVD."""
+
+    def test_builtins_stay_on_lstsq(self, eq2, eq10):
+        assert eq2[1].directions == {"lu": 0, "lu_cut1": 0, "svd": 30}
+        assert eq10[1].directions == {"lu": 0, "lu_cut1": 0, "svd": 29}
+
+    @pytest.mark.parametrize("fixture,iterations", [("malware2", 30), ("malware10", 29)])
+    def test_lu_path_forced_on_builtins(self, request, monkeypatch, fixture, iterations):
+        spec = request.getfixturevalue(fixture)
+        monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
+        eq, report = m.solve_gnep(spec)
+        assert report.converged and report.iterations == iterations
+        assert_a2(spec, eq)
+        assert sum(report.directions.values()) == iterations
+        assert report.directions["lu"] > 0 and report.directions["lu_cut1"] > 0
+
+    def test_chain20(self):
+        spec = chain_model(20)
+        eq, report = m.solve_gnep(spec)
+        assert report.converged and report.iterations == 26
+        assert_a2(spec, eq)
+        assert report.directions["svd"] == 0
+        assert report.directions["lu"] + report.directions["lu_cut1"] == 26
+
+
+class TestFailureReport:
+    def test_non_descent_carries_report(self):
+        with pytest.raises(NonDescent) as exc_info:
+            m.solve_gnep(non_descent_model())
+        report = exc_info.value.report
+        assert f"iteration {report.iterations}:" in str(exc_info.value)
+        assert len(report.h_norm_history) == report.iterations + 1
+        assert sum(report.directions.values()) == report.iterations  # steps taken
 
 
 class TestVerifyMfe:

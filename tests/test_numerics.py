@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from mfgsolver import numerics
 from mfgsolver.errors import EmptyInput, NonFiniteEvaluation, SingularMatrix
 from mfgsolver.numerics import (
     jacobian_fd,
     log_sum_exp,
     pseudo_inverse,
     solve_linear,
+    truncated_lstsq,
 )
 
 
@@ -65,6 +67,76 @@ class TestPseudoInverse:
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
         P = pseudo_inverse(A)
         np.testing.assert_allclose(A @ P @ A, A, atol=1e-10)
+
+
+RCOND = 1e-6
+
+
+def planted(n, smallest, seed):
+    """Seeded n x n matrix U diag(s) V' with sigma_max = 1, the given
+    smallest singular values (in units of the cut RCOND * sigma_max), and
+    the rest spread log-uniformly over [1e-4, 1]; plus a seeded rhs."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    rest = np.logspace(0.0, -4.0, n - len(smallest))
+    s = np.concatenate([rest, RCOND * np.asarray(smallest, dtype=float)])
+    return (U * s) @ V.T, rng.normal(size=n)
+
+
+def assert_matches_svd(J, rhs, x):
+    """x equals both the lstsq and the pseudoinverse solution to 1e-8."""
+    for ref in (np.linalg.lstsq(J, rhs, rcond=RCOND)[0], pseudo_inverse(J, RCOND) @ rhs):
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+class TestTruncatedLstsq:
+    """The LU path must give lstsq's truncated solution, and defer to the
+    SVD whenever the cut cannot be placed clearly."""
+
+    @pytest.fixture(autouse=True)
+    def lu_for_all_sizes(self, monkeypatch):
+        monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
+
+    @pytest.mark.parametrize("smallest,path", [
+        ([0.5], "lu_cut1"),         # one value clearly below the cut
+        ([1e-8], "lu_cut1"),        # ... or far below it: J is nearly singular
+        ([2.0], "lu"),              # every value clearly above it
+        ([0.98], "svd"),            # within the band, either side
+        ([1.02], "svd"),
+        ([0.3, 0.6], "svd"),        # two below the cut
+        ([0.5, 0.98], "svd"),       # one below, the next within the band
+        # Clusters near the cut, where the subspace iteration converges slowly.
+        ([0.5, 1.2, 1.4, 1.6], "lu_cut1"),
+        ([0.98, *np.linspace(1.06, 1.5, 20)], "svd"),
+        ([1.1, 1.12, 1.14, 1.16], "lu"),
+    ])
+    @pytest.mark.parametrize("n", [40, 90])
+    def test_planted_spectrum(self, smallest, path, n):
+        J, rhs = planted(n, smallest, seed=n)
+        x, taken = truncated_lstsq(J, rhs, RCOND)
+        assert taken == path
+        assert_matches_svd(J, rhs, x)
+
+    def test_exactly_singular(self):
+        J, rhs = planted(40, [2.0], seed=3)
+        J[:, 7] = 0.0
+        x, taken = truncated_lstsq(J, rhs, RCOND)
+        assert taken == "svd"
+        assert_matches_svd(J, rhs, x)
+
+    def test_does_not_touch_inputs(self):
+        J, rhs = planted(40, [0.5], seed=5)
+        J0, rhs0 = J.copy(), rhs.copy()
+        truncated_lstsq(J, rhs, RCOND)
+        assert np.array_equal(J, J0) and np.array_equal(rhs, rhs0)
+
+    def test_small_systems_stay_on_lstsq(self, monkeypatch):
+        monkeypatch.setattr(numerics, "LU_MIN_DIM", 41)
+        J, rhs = planted(40, [0.5], seed=40)
+        x, taken = truncated_lstsq(J, rhs, RCOND)
+        assert taken == "svd"
+        assert np.array_equal(x, np.linalg.lstsq(J, rhs, rcond=RCOND)[0])
 
 
 class TestLogSumExp:
