@@ -51,7 +51,14 @@ class ReportedFailure(MfgError):
 
 
 class NonDescent(ReportedFailure):
-    """The Newton direction is not a descent direction for the potential."""
+    """The Newton direction is not a descent direction for the potential.
+
+    path names how that direction was computed (a key of
+    gnep.KktReport.directions), or is None when unknown."""
+
+    def __init__(self, message, report=None, path=None):
+        super().__init__(message, report)
+        self.path = path
 
 
 class LineSearchStall(ReportedFailure):

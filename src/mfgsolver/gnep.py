@@ -28,7 +28,7 @@ from .mdp import (
     value_iteration,
 )
 from .model import ModelSpec
-from .numerics import jacobian_fd, truncated_lstsq
+from .numerics import truncated_lstsq
 
 MAX_BACKTRACK = 200
 
@@ -43,11 +43,13 @@ class GnepConfig:
     pseudoinverse applied to the KKT Jacobian; untruncated directions blow
     up whenever the path nears a point where strict complementarity fails.
     The truncated direction is lstsq's up to rounding. A KKT system of
-    dimension numerics.LU_MIN_DIM or more gets it from one LU factorization:
-    the plain solve when no singular value lies near the cut, or the solve
-    with the one dropped singular triplet removed. It defers to lstsq's SVD
-    when a singular value lies within numerics.CUT_BAND of the cut, when
-    two or more fall below it, or when the triplet does not converge.
+    dimension numerics.LU_MIN_DIM or more gets it from one LU factorization
+    of the slack-eliminated matrix (dimension n + m, not n + 2m): the plain
+    solve when no singular value of the whole Jacobian lies near the cut,
+    or the solve with the one dropped singular triplet removed. It defers
+    to lstsq's SVD of the whole Jacobian when a singular value lies within
+    numerics.CUT_BAND of the cut, when two or more fall below it, or when
+    the triplet does not converge.
     """
 
     sigma: float = 0.1
@@ -288,7 +290,7 @@ def _centering_vector(dims):
     return a / np.linalg.norm(a)
 
 
-def newton_direction(spec, z, sigma, config, dims=None, use_fd=False):
+def newton_direction(spec, z, sigma, config, dims=None):
     """Potential-reduction Newton direction and its directional derivative.
 
     d = grad(H)^{-1} (sigma <a, H> a - H) with a the normalized indicator
@@ -296,26 +298,25 @@ def newton_direction(spec, z, sigma, config, dims=None, use_fd=False):
     pseudoinverse (relative singular-value cutoff config.direction_rcond):
     the Jacobian turns singular whenever strict complementarity fails along
     the path, and a plain LU solve then produces runaway directions.
-    numerics.truncated_lstsq computes it from one LU factorization when
-    the system is large and at most one singular value falls clearly below
-    the cut, and from lstsq's SVD otherwise. Returns (d, slope, path),
-    path naming how d was computed ("lu", "lu_cut1" or "svd"). Raises
-    NonDescent if <grad psi, d> >= 0.
+    numerics.truncated_lstsq computes it from one LU factorization, with
+    the dims.m slack columns eliminated, when the system is large and at
+    most one singular value falls clearly below the cut, and from lstsq's
+    SVD otherwise. Returns (d, slope, path), path naming how d was computed
+    ("lu", "lu_cut1" or "svd"). Raises NonDescent, carrying that path, if
+    <grad psi, d> >= 0.
     """
     dims = dims or Dimensions(spec)
     K = config.K if config.K is not None else 2.0 * dims.m
     Hz = kkt_map(spec, z, dims)
-    if use_fd:
-        JH = jacobian_fd(lambda w: kkt_map(spec, w, dims), z)
-    else:
-        JH = kkt_jacobian(spec, z, dims)
+    JH = kkt_jacobian(spec, z, dims)
     a = _centering_vector(dims)
     rhs = sigma * (a @ Hz) * a - Hz
     grad_psi = JH.T @ potential_gradient(Hz, dims.n, K)
-    d, path = truncated_lstsq(JH, rhs, config.direction_rcond)
+    d, path = truncated_lstsq(JH, rhs, config.direction_rcond, dims.m)
     slope = float(grad_psi @ d)
     if slope >= 0.0:
-        raise NonDescent(f"directional derivative {slope:.3e} is not negative")
+        raise NonDescent(f"directional derivative {slope:.3e} is not negative",
+                         path=path)
     return d, slope, path
 
 
@@ -353,13 +354,13 @@ def initial_point(spec, dims=None):
     return z
 
 
-def solve_gnep(spec, config=None, use_fd_jacobian=False):
+def solve_gnep(spec, config=None):
     """Run the potential-reduction iteration and extract the equilibrium.
 
     Returns (Equilibrium, KktReport); raises NotConverged (with both
     attached) when the KKT norm does not reach config.tol in time, and
     NonDescent or LineSearchStall with the report up to the failing
-    iteration attached.
+    iteration attached. The report counts the failing direction too.
     """
     config = config or GnepConfig()
     dims = Dimensions(spec)
@@ -377,13 +378,15 @@ def solve_gnep(spec, config=None, use_fd_jacobian=False):
             report.converged = True
             break
         try:
-            d, slope, path = newton_direction(
-                spec, z, config.sigma, config, dims, use_fd=use_fd_jacobian
-            )
+            d, slope, path = newton_direction(spec, z, config.sigma, config, dims)
             report.directions[path] += 1
             _, z = armijo_step(spec, z, d, slope, config, dims)
-        except (NonDescent, LineSearchStall) as exc:
-            raise type(exc)(f"iteration {it}: {exc}", report=report) from exc
+        except NonDescent as exc:
+            report.directions[exc.path] += 1
+            raise NonDescent(f"iteration {it}: {exc}", report=report,
+                             path=exc.path) from exc
+        except LineSearchStall as exc:
+            raise LineSearchStall(f"iteration {it}: {exc}", report=report) from exc
     else:
         Hz = kkt_map(spec, z, dims)
         h_norm = float(np.linalg.norm(Hz))

@@ -75,7 +75,8 @@ class TestExitCodes:
         # The failure records where the solve stopped.
         assert f"iteration {convergence['iterations']}:" in err
         assert convergence["h_norm"] > 1e-8
-        assert sum(convergence["directions"].values()) == convergence["iterations"]
+        # One direction per step taken, plus the failing one.
+        assert sum(convergence["directions"].values()) == convergence["iterations"] + 1
 
     def test_non_descent_in_pipeline(self, tmp_path):
         path = tmp_path / "model.json"

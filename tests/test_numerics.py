@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mfgsolver import numerics
+import mfgsolver as m
+from mfgsolver import gnep, numerics
 from mfgsolver.errors import EmptyInput, NonFiniteEvaluation, SingularMatrix
 from mfgsolver.numerics import (
     jacobian_fd,
@@ -10,6 +11,8 @@ from mfgsolver.numerics import (
     solve_linear,
     truncated_lstsq,
 )
+
+from conftest import chain_model
 
 
 class TestSolveLinear:
@@ -137,6 +140,90 @@ class TestTruncatedLstsq:
         x, taken = truncated_lstsq(J, rhs, RCOND)
         assert taken == "svd"
         assert np.array_equal(x, np.linalg.lstsq(J, rhs, rcond=RCOND)[0])
+
+
+@pytest.fixture(scope="module")
+def chain20_systems():
+    """Every (J, rhs, m) that chain20's forward solve hands to
+    truncated_lstsq, with m its slack count."""
+    systems = []
+    solve = gnep.truncated_lstsq
+
+    def record(J, rhs, rcond, m=0):
+        systems.append((J.copy(), rhs.copy(), m))
+        return solve(J, rhs, rcond, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gnep, "truncated_lstsq", record)
+        m.solve_gnep(chain_model(20))
+    return systems
+
+
+class TestSlackEliminatedSolve:
+    """With the slack count declared, the LU path factors the
+    slack-eliminated KKT matrix; the result and the path must be those of
+    the unstructured solve."""
+
+    def test_chain20_matches_lstsq_and_unstructured_path(self, chain20_systems):
+        paths = []
+        for J, rhs, m in chain20_systems:
+            assert m > 0 and J.shape[0] >= numerics.LU_MIN_DIM
+            x, path = truncated_lstsq(J, rhs, RCOND, m)
+            ref = np.linalg.lstsq(J, rhs, rcond=RCOND)[0]
+            assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+            assert path == truncated_lstsq(J, rhs, RCOND)[1]
+            paths.append(path)
+        assert {"lu", "lu_cut1"} <= set(paths)
+
+    @pytest.mark.parametrize("which", [0, 13, 25])
+    def test_blocks_reproduce_dense_products_and_solves(self, chain20_systems, which):
+        J, _, m = chain20_systems[which]
+        kkt = numerics._Kkt(J, m)
+        B = np.random.default_rng(which).normal(size=(J.shape[0], 3))
+        scale = np.abs(J).max() * np.abs(B).max()
+        np.testing.assert_allclose(kkt.matmul(B), J @ B, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(kkt.rmatmul(B), J.T @ B, rtol=0, atol=1e-13 * scale)
+        # Small backward errors: the last of these Jacobians is near singular.
+        for A, X in ((J, kkt.solve(B)), (J.T, kkt.solve_t(B))):
+            assert np.linalg.norm(A @ X - B) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("entry", [
+        "stationarity row, slack column",
+        "h row, multiplier column",
+        "complementarity row, primal column",
+        "identity, off its diagonal",
+        "identity, on its diagonal",
+        "diag(s), off its diagonal",
+        "diag(y), off its diagonal",
+    ])
+    def test_broken_layout_raises(self, chain20_systems, entry):
+        J, rhs, m = chain20_systems[0]
+        n, k = J.shape[0] - 2 * m, J.shape[0] - m
+        row, col = {
+            "stationarity row, slack column": (1, k + 2),
+            "h row, multiplier column": (n + 1, n + 2),
+            "complementarity row, primal column": (k + 1, 2),
+            "identity, off its diagonal": (n + 3, k + 4),
+            "identity, on its diagonal": (n + 3, k + 3),
+            "diag(s), off its diagonal": (k + 1, n + 4),
+            "diag(y), off its diagonal": (k + 1, k + 4),
+        }[entry]
+        J = J.copy()
+        J[row, col] = 0.5
+        with pytest.raises(ValueError, match="KKT layout"):
+            truncated_lstsq(J, rhs, RCOND, m)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_wrong_slack_count_raises(self, chain20_systems, shift):
+        J, rhs, m = chain20_systems[0]
+        with pytest.raises(ValueError, match="KKT layout"):
+            truncated_lstsq(J, rhs, RCOND, m + shift)
+
+    @pytest.mark.parametrize("m", [-1, 200])
+    def test_impossible_slack_count_raises(self, chain20_systems, m):
+        J, rhs, _ = chain20_systems[0]
+        with pytest.raises(ValueError, match="no KKT layout"):
+            truncated_lstsq(J, rhs, RCOND, m)
 
 
 class TestLogSumExp:
