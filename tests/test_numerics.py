@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import mfgsolver as m
 from mfgsolver import gnep, numerics
 from mfgsolver.errors import EmptyInput, NonFiniteEvaluation, SingularMatrix
 from mfgsolver.numerics import (
@@ -155,7 +154,7 @@ def chain20_systems():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gnep, "truncated_lstsq", record)
-        m.solve_gnep(chain_model(20))
+        gnep.solve_gnep(chain_model(20))
     return systems
 
 
