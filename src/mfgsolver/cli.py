@@ -174,9 +174,10 @@ class ManifestWriter:
 
 def forward_summary(report):
     """The manifest's record of a forward solve: the final KKT norm, the
-    iteration count and the Newton directions per solve path."""
+    iteration count, the Newton directions per solve path, and the
+    line-search trials with their rejections by cause."""
     return {"h_norm": report.h_norm_history[-1], "iterations": report.iterations,
-            "directions": report.directions}
+            "directions": report.directions, "line_search": report.line_search}
 
 
 def forward_failure(exc):

@@ -27,10 +27,11 @@ from .mdp import (
     policy_evaluation,
     value_iteration,
 )
-from .model import ModelSpec
-from .numerics import truncated_lstsq
+from .numerics import KktBlocks, truncated_lstsq
 
 MAX_BACKTRACK = 200
+# KktReport.line_search: trials, and the rejected ones by cause.
+LINE_SEARCH = ("trials", "interior_failures", "armijo_failures")
 
 
 @dataclass
@@ -38,18 +39,21 @@ class GnepConfig:
     """Interior-point iteration parameters.
 
     sigma is the centering weight, kappa the backtracking base, and K the
-    potential constant (None selects 2m, which satisfies K > m).
+    potential constant (None selects 2m, which satisfies K > m). The line
+    search tries t = 1, kappa, kappa^2, ... on the exact quadratic H(z +
+    t d) = H(z) + t J d + t^2 Q(d), so a small kappa costs vector
+    arithmetic per trial, not KKT evaluations.
     direction_rcond is the relative singular-value cutoff of the
     pseudoinverse applied to the KKT Jacobian; untruncated directions blow
     up whenever the path nears a point where strict complementarity fails.
     The truncated direction is lstsq's up to rounding. A KKT system of
     dimension numerics.LU_MIN_DIM or more gets it from one LU factorization
-    of the slack-eliminated matrix (dimension n + m, not n + 2m): the plain
-    solve when no singular value of the whole Jacobian lies near the cut,
-    or the solve with the one dropped singular triplet removed. It defers
-    to lstsq's SVD of the whole Jacobian when a singular value lies within
-    numerics.CUT_BAND of the cut, when two or more fall below it, or when
-    the triplet does not converge.
+    of the slack-eliminated Jacobian blocks (dimension n + m, not n + 2m):
+    the plain solve when no singular value of the whole Jacobian lies near
+    the cut, or the solve with the one dropped singular triplet removed. It
+    defers to lstsq's SVD of the assembled Jacobian when a singular value
+    lies within numerics.CUT_BAND of the cut, when two or more fall below
+    it, or when the triplet does not converge.
     """
 
     sigma: float = 0.1
@@ -68,12 +72,17 @@ class GnepConfig:
         if not 0.0 < self.armijo_alpha <= 1.0:
             raise ValueError(f"armijo_alpha must lie in (0,1], got {self.armijo_alpha}")
 
+    def potential_constant(self, m):
+        """K, or 2m when K is None."""
+        return self.K if self.K is not None else 2.0 * m
+
 
 @dataclass
 class KktReport:
     """Per-iteration KKT norms and potentials, the outcome, the final
-    residual blocks, and how many Newton directions each path of
-    numerics.truncated_lstsq computed ("lu", "lu_cut1", "svd")."""
+    residual blocks, how many Newton directions each path of
+    numerics.truncated_lstsq computed ("lu", "lu_cut1", "svd"), and the
+    line-search trials with their rejections by cause (LINE_SEARCH)."""
 
     h_norm_history: list = field(default_factory=list)
     psi_history: list = field(default_factory=list)
@@ -84,6 +93,7 @@ class KktReport:
     residual_complementarity: float = np.nan
     directions: dict = field(
         default_factory=lambda: {"lu": 0, "lu_cut1": 0, "svd": 0})
+    line_search: dict = field(default_factory=lambda: dict.fromkeys(LINE_SEARCH, 0))
 
 
 @dataclass(frozen=True)
@@ -95,170 +105,203 @@ class Equilibrium:
     invariance_residual: float
 
 
-class Dimensions:
-    """Block sizes and slices of the stacked iterate z."""
+class KktSystem:
+    """The joint KKT system H(z) = 0 of one model, with the blocks that do
+    not depend on z built once per solve.
+
+    z stacks (nu, mu, lam, gam, slam, sgam): the primal part x = (nu, mu)
+    of size n = XA + X; the multipliers y = (lam, gam) of the m1 = XA + X
+    player-1 and m2 = 2X + 1 player-2 constraints; and their slacks s. So
+    H(z) = (F ; h + s ; y o s), with F = (grad_nu L1, grad_mu L2), L1 =
+    <nu, c_mu> + <h1, lam> and L2 = <nu, c_mu> + <h2, gam> (the second
+    player reuses the first player's cost).
+
+    The model is affine in mu, so every term of H is constant, linear or
+    bilinear in z, and along any line H(z + t d) = H(z) + t J(z) d + t^2
+    Q(d) holds exactly. The three are `H`, `jacobian` (as numerics.KktBlocks)
+    and `Q`.
+    """
 
     def __init__(self, spec):
+        if spec.theta is None:
+            raise MissingTheta("GNEP solve needs reward weights")
         X, A = spec.n_states, spec.n_actions
+        self.spec = spec
         self.X, self.A = X, A
-        self.nxa = X * A
-        self.n = self.nxa + X
-        self.m1 = self.nxa + X
+        self.nxa = nxa = X * A
+        self.n = nxa + X
+        self.m1 = nxa + X
         self.m2 = 2 * X + 1
         self.m = self.m1 + self.m2
         self.dim = self.n + 2 * self.m
         ofs = 0
-        self.s_nu = slice(ofs, ofs + self.nxa); ofs += self.nxa
+        self.s_nu = slice(ofs, ofs + nxa); ofs += nxa
         self.s_mu = slice(ofs, ofs + X); ofs += X
         self.s_lam = slice(ofs, ofs + self.m1); ofs += self.m1
         self.s_gam = slice(ofs, ofs + self.m2); ofs += self.m2
         self.s_slam = slice(ofs, ofs + self.m1); ofs += self.m1
         self.s_sgam = slice(ofs, ofs + self.m2)
 
+        self.beta = spec.beta
+        self.P1 = spec.P1
+        # P1 as the matrices of mu -> P1[mu] (rows (y, x, a)) and of
+        # y -> sum_y y_y P1[y] (columns (x, a, z)).
+        self.P1_mu = spec.P1.reshape(X * nxa, X)
+        self.P1_y = spec.P1.reshape(X, nxa * X)
+        # t[x, a, z] = <theta, F1[x, a, :, z]>, the mu-gradient of the cost.
+        self.theta_f1 = np.einsum("xajz,j->xaz", spec.F1, spec.theta)
+        self.marginal = np.kron(np.eye(X), np.ones(A))     # 1{x = y}, X x XA
+        self.neg_eye_X = -np.eye(X)
+        # J1 = [-I ; beta p_mu - 1{x=.}] and J2 = [-I ; -1' ; -I + P1[nu]]
+        # with their constant rows filled; _jac_h1_nu and _jac_h2_mu write
+        # the rest.
+        self._J1 = np.vstack([-np.eye(nxa), np.empty((X, nxa))])
+        self._J2 = np.vstack([-np.eye(X), -np.ones((1, X)), np.empty((X, X))])
+        a = np.zeros(self.dim)
+        a[self.n:] = 1.0
+        self.centering = a / np.linalg.norm(a)
+        self._tables_at = None
 
-def _kernel_at(spec, mu):
-    """p[y, x, a] without simplex validation; iterates leave the simplex."""
-    return spec.P0 + np.einsum("yxaz,z->yxa", spec.P1, mu)
+    def _tables(self, z):
+        """The kernel p_mu and P1[nu] = sum_(x,a) nu(x,a) P1[:, x, a, :] at
+        z. Both depend on x = (nu, mu) alone and are kept for the last x:
+        the solver asks for H and then for J at each iterate."""
+        x = z[:self.n]
+        if self._tables_at is None or not np.array_equal(self._tables_at[0], x):
+            nu_tab = x[self.s_nu].reshape(self.X, self.A)
+            self._tables_at = (x.copy(), self._kernel(x[self.s_mu]),
+                               np.einsum("yxaz,xa->yz", self.P1, nu_tab))
+        return self._tables_at[1:]
+
+    def _kernel(self, mu):
+        """p[y, x, a] without simplex validation; iterates leave the simplex."""
+        return self.spec.P0 + np.einsum("yxaz,z->yxa", self.P1, mu)
+
+    def _constraints(self, nu_tab, mu, p):
+        nu_p = np.einsum("yxa,xa->y", p, nu_tab)
+        marginal = nu_tab.sum(axis=1)
+        h1 = np.concatenate([
+            -nu_tab.ravel(),
+            -marginal + (1.0 - self.beta) * mu + self.beta * nu_p,
+        ])
+        h2 = np.concatenate([-mu, [1.0 - mu.sum()], -mu + nu_p])
+        return h1, h2
+
+    def constraints(self, nu, mu):
+        """Inequality blocks h1 (player 1) and h2 (player 2), both <= 0 when
+        feasible.
+
+        h1 = (-nu ; -nu^X + (1-beta) mu + beta nu p_mu)
+        h2 = (-mu ; -<mu,1> + 1 ; -mu + nu p_mu)
+        """
+        nu_tab = np.asarray(nu, dtype=float).reshape(self.X, self.A)
+        mu = np.asarray(mu, dtype=float)
+        return self._constraints(nu_tab, mu, self._kernel(mu))
+
+    def _jac_h1_nu(self, p):
+        """J1 = dh1/dnu, in a buffer the next call overwrites."""
+        self._J1[self.nxa:] = self.beta * p.reshape(self.X, self.nxa) - self.marginal
+        return self._J1
+
+    def _jac_h2_mu(self, nu_P1):
+        """J2 = dh2/dmu from P1[nu], in a buffer the next call overwrites."""
+        self._J2[self.X + 1:] = self.neg_eye_X + nu_P1
+        return self._J2
+
+    def H(self, z):
+        """The stacked KKT residual H(z)."""
+        z = np.asarray(z, dtype=float)
+        nu_tab = z[self.s_nu].reshape(self.X, self.A)
+        mu = z[self.s_mu]
+        lam, gam = z[self.s_lam], z[self.s_gam]
+        spec = self.spec
+        p, nu_P1 = self._tables(z)
+        h1, h2 = self._constraints(nu_tab, mu, p)
+        c = ((spec.F0 + np.einsum("xajz,z->xaj", spec.F1, mu)) @ spec.theta).ravel()
+        grad_nu_L1 = c + self._jac_h1_nu(p).T @ lam
+        cost_mu_grad = np.einsum("xaz,xa->z", self.theta_f1, nu_tab)
+        grad_mu_L2 = cost_mu_grad + self._jac_h2_mu(nu_P1).T @ gam
+        return np.concatenate([
+            grad_nu_L1,
+            grad_mu_L2,
+            h1 + z[self.s_slam],
+            h2 + z[self.s_sgam],
+            lam * z[self.s_slam],
+            gam * z[self.s_sgam],
+        ])
+
+    def jacobian(self, z):
+        """The analytic Jacobian of H at z as numerics.KktBlocks: J = [[Fx,
+        G, 0], [Hx, 0, I], [0, diag(s), diag(y)]] over the columns (x, y,
+        s)."""
+        z = np.asarray(z, dtype=float)
+        lam, gam = z[self.s_lam], z[self.s_gam]
+        X, nxa, n, m1 = self.X, self.nxa, self.n, self.m1
+        beta, tf1 = self.beta, self.theta_f1
+        p, nu_P1 = self._tables(z)
+        J1 = self._jac_h1_nu(p)
+        J2 = self._jac_h2_mu(nu_P1)
+
+        FG = np.zeros((n, n + self.m))
+        # grad_nu L1 rows: c_mu + J1' lam.
+        FG[:nxa, self.s_mu] = (tf1 + beta * np.einsum("yxaz,y->xaz", self.P1, lam[nxa:])
+                               ).reshape(nxa, X)
+        FG[:nxa, self.s_lam] = J1.T
+        # grad_mu L2 rows: the cost's mu-gradient + J2' gam.
+        FG[nxa:, self.s_nu] = (tf1 + np.einsum("yxaz,y->xaz", self.P1, gam[X + 1:])
+                               ).reshape(nxa, X).T
+        FG[nxa:, self.s_gam] = J2.T
+        Hx = np.zeros((self.m, n))
+        # h1 rows.
+        Hx[:m1, self.s_nu] = J1
+        Hx[nxa:m1, self.s_mu] = (1.0 - beta) * np.eye(X) + beta * nu_P1
+        # h2 rows.
+        Hx[m1 + X + 1:, self.s_nu] = p.reshape(X, nxa)
+        Hx[m1:, self.s_mu] = J2
+        return KktBlocks(FG, Hx, z[n + self.m:].copy(), z[n:n + self.m].copy())
+
+    def Q(self, d):
+        """The quadratic part of H along d, so that H(z + t d) = H(z) + t
+        J(z) d + t^2 Q(d): beta P1[dmu]' dlam2 and P1[dnu]' dgam3 in F,
+        (beta) dnu P1[dmu] in h1 and h2, and dy o ds."""
+        d = np.asarray(d, dtype=float)
+        X, nxa, n, m1, m = self.X, self.nxa, self.n, self.m1, self.m
+        dnu = d[self.s_nu]
+        dp = (self.P1_mu @ d[self.s_mu]).reshape(X, nxa)    # P1[dmu]
+        dnu_p = dp @ dnu
+        q = np.zeros(self.dim)
+        q[self.s_nu] = self.beta * (d[self.s_lam][nxa:] @ dp)
+        q[self.s_mu] = dnu @ (d[self.s_gam][X + 1:] @ self.P1_y).reshape(nxa, X)
+        q[n + nxa:n + m1] = self.beta * dnu_p
+        q[n + m1 + X + 1:n + m] = dnu_p
+        q[n + m:] = d[n:n + m] * d[n + m:]
+        return q
+
+    def initial_point(self):
+        """Interior starting iterate: uniform nu and mu, unit multipliers,
+        and slacks padded so every positivity component of H is at least 1."""
+        z = np.zeros(self.dim)
+        z[self.s_nu] = 1.0 / self.nxa
+        z[self.s_mu] = 1.0 / self.X
+        z[self.s_lam] = 1.0
+        z[self.s_gam] = 1.0
+        h1, h2 = self.constraints(z[self.s_nu], z[self.s_mu])
+        z[self.s_slam] = np.maximum(1.0, 1.0 - h1)
+        z[self.s_sgam] = np.maximum(1.0, 1.0 - h2)
+        return z
 
 
-def _cost_at(spec, mu):
-    if spec.theta is None:
-        raise MissingTheta("GNEP solve needs reward weights")
-    f = spec.F0 + np.einsum("xajz,z->xaj", spec.F1, mu)
-    return f @ spec.theta
+# The solver evaluates the system only through these module-level names, so
+# that a profiler (perfbench/tracing.py) can wrap and count them.
+
+def kkt_map(kkt, z):
+    """H(z) of the KktSystem kkt."""
+    return kkt.H(z)
 
 
-def constraints(spec, nu, mu):
-    """Inequality blocks h1 (player 1) and h2 (player 2), both <= 0 when
-    feasible.
-
-    h1 = (-nu ; -nu^X + (1-beta) mu + beta nu p_mu)
-    h2 = (-mu ; -<mu,1> + 1 ; -mu + nu p_mu)
-    """
-    X, A = spec.n_states, spec.n_actions
-    nu_tab = np.asarray(nu, dtype=float).reshape(X, A)
-    mu = np.asarray(mu, dtype=float)
-    p = _kernel_at(spec, mu)
-    nu_p = np.einsum("yxa,xa->y", p, nu_tab)
-    marginal = nu_tab.sum(axis=1)
-    h1 = np.concatenate([
-        -nu_tab.ravel(),
-        -marginal + (1.0 - spec.beta) * mu + spec.beta * nu_p,
-    ])
-    h2 = np.concatenate([-mu, [1.0 - mu.sum()], -mu + nu_p])
-    return h1, h2
-
-
-def _jac_h1_nu(spec, mu, dims):
-    """J1 = dh1/dnu: top -I, bottom rows -1{x=.} + beta p_mu."""
-    p = _kernel_at(spec, mu)
-    bottom = spec.beta * p.reshape(dims.X, dims.nxa)
-    for y in range(dims.X):
-        for a in range(dims.A):
-            bottom[y, y * dims.A + a] -= 1.0
-    return np.vstack([-np.eye(dims.nxa), bottom])
-
-
-def _jac_h2_mu(spec, nu_tab, dims):
-    """J2 = dh2/dmu assembled from -I, -1^T, and -I + sum nu.P1 slices."""
-    X = dims.X
-    block3 = -np.eye(X) + np.einsum("yxaz,xa->yz", spec.P1, nu_tab)
-    return np.vstack([-np.eye(X), -np.ones((1, X)), block3])
-
-
-def _theta_f1(spec):
-    """Table t[x, a, z] = <theta, F1[x, a, :, z]>, the mu-gradient of the
-    cost at each state-action pair."""
-    return np.einsum("xajz,j->xaz", spec.F1, spec.theta)
-
-
-def kkt_map(spec, z, dims=None):
-    """Stacked KKT residual H(z) = (F ; h + slack ; multipliers o slack).
-
-    F = (grad_nu L1, grad_mu L2) with L1 = <nu, c_mu> + <h1, lambda> and
-    L2 = <nu, c_mu> + <h2, gamma> (the second player reuses the first
-    player's cost).
-    """
-    dims = dims or Dimensions(spec)
-    z = np.asarray(z, dtype=float)
-    nu = z[dims.s_nu]
-    mu = z[dims.s_mu]
-    lam = z[dims.s_lam]
-    gam = z[dims.s_gam]
-    slam = z[dims.s_slam]
-    sgam = z[dims.s_sgam]
-    nu_tab = nu.reshape(dims.X, dims.A)
-
-    h1, h2 = constraints(spec, nu, mu)
-    c = _cost_at(spec, mu).ravel()
-    grad_nu_L1 = c + _jac_h1_nu(spec, mu, dims).T @ lam
-    cost_mu_grad = np.einsum("xaz,xa->z", _theta_f1(spec), nu_tab)
-    grad_mu_L2 = cost_mu_grad + _jac_h2_mu(spec, nu_tab, dims).T @ gam
-
-    return np.concatenate([
-        grad_nu_L1,
-        grad_mu_L2,
-        h1 + slam,
-        h2 + sgam,
-        lam * slam,
-        gam * sgam,
-    ])
-
-
-def kkt_jacobian(spec, z, dims=None):
-    """Analytic Jacobian of the KKT map for affine-in-mu models."""
-    dims = dims or Dimensions(spec)
-    z = np.asarray(z, dtype=float)
-    nu_tab = z[dims.s_nu].reshape(dims.X, dims.A)
-    mu = z[dims.s_mu]
-    lam = z[dims.s_lam]
-    gam = z[dims.s_gam]
-    slam = z[dims.s_slam]
-    sgam = z[dims.s_sgam]
-    X, A, nxa = dims.X, dims.A, dims.nxa
-
-    J1 = _jac_h1_nu(spec, mu, dims)
-    J2 = _jac_h2_mu(spec, nu_tab, dims)
-    tf1 = _theta_f1(spec)  # [x, a, z]
-    lam2 = lam[nxa:]
-    gam3 = gam[X + 1:]
-
-    J = np.zeros((dims.dim, dims.dim))
-    r = 0
-    # grad_nu L1 rows: c_mu + J1^T lam.
-    rows = slice(r, r + nxa); r += nxa
-    J[rows, dims.s_mu] = (tf1 + spec.beta
-                          * np.einsum("yxaz,y->xaz", spec.P1, lam2)).reshape(nxa, X)
-    J[rows, dims.s_lam] = J1.T
-    # grad_mu L2 rows: cost mu-gradient + J2^T gam.
-    rows = slice(r, r + X); r += X
-    J[rows, dims.s_nu] = (tf1 + np.einsum("yxaz,y->xaz", spec.P1, gam3)
-                          ).reshape(nxa, X).T
-    J[rows, dims.s_gam] = J2.T
-    # h1 + slack rows.
-    rows = slice(r, r + dims.m1); r += dims.m1
-    J[rows, dims.s_nu] = J1
-    d_h1_mu = np.zeros((dims.m1, X))
-    d_h1_mu[nxa:] = ((1.0 - spec.beta) * np.eye(X)
-                     + spec.beta * np.einsum("yxaz,xa->yz", spec.P1, nu_tab))
-    J[rows, dims.s_mu] = d_h1_mu
-    J[rows, dims.s_slam] = np.eye(dims.m1)
-    # h2 + slack rows.
-    rows = slice(r, r + dims.m2); r += dims.m2
-    p = _kernel_at(spec, mu)
-    d_h2_nu = np.zeros((dims.m2, nxa))
-    d_h2_nu[X + 1:] = p.reshape(X, nxa)
-    J[rows, dims.s_nu] = d_h2_nu
-    J[rows, dims.s_mu] = J2
-    J[rows, dims.s_sgam] = np.eye(dims.m2)
-    # Complementarity rows.
-    rows = slice(r, r + dims.m1); r += dims.m1
-    J[rows, dims.s_lam] = np.diag(slam)
-    J[rows, dims.s_slam] = np.diag(lam)
-    rows = slice(r, r + dims.m2)
-    J[rows, dims.s_gam] = np.diag(sgam)
-    J[rows, dims.s_sgam] = np.diag(gam)
-    return J
+def kkt_jacobian(kkt, z):
+    """The Jacobian of the KktSystem kkt at z, as numerics.KktBlocks."""
+    return kkt.jacobian(z)
 
 
 def potential(Hz, n, K):
@@ -279,40 +322,28 @@ def potential_gradient(Hz, n, K):
     return np.concatenate([2.0 * K * u / sq, 2.0 * K * v / sq - 1.0 / v])
 
 
-def _interior(z, Hz, dims):
-    mult = z[dims.n:]
-    return bool(np.all(mult > 0.0) and np.all(Hz[dims.n:] > 0.0))
-
-
-def _centering_vector(dims):
-    a = np.zeros(dims.dim)
-    a[dims.n:] = 1.0
-    return a / np.linalg.norm(a)
-
-
-def newton_direction(spec, z, sigma, config, dims=None):
+def newton_direction(kkt, J, Hz, config):
     """Potential-reduction Newton direction and its directional derivative.
 
-    d = grad(H)^{-1} (sigma <a, H> a - H) with a the normalized indicator
-    of the positivity block. The solve applies a truncated Moore-Penrose
-    pseudoinverse (relative singular-value cutoff config.direction_rcond):
-    the Jacobian turns singular whenever strict complementarity fails along
-    the path, and a plain LU solve then produces runaway directions.
-    numerics.truncated_lstsq computes it from one LU factorization, with
-    the dims.m slack columns eliminated, when the system is large and at
-    most one singular value falls clearly below the cut, and from lstsq's
-    SVD otherwise. Returns (d, slope, path), path naming how d was computed
-    ("lu", "lu_cut1" or "svd"). Raises NonDescent, carrying that path, if
-    <grad psi, d> >= 0.
+    d = J^{-1} (sigma <a, H> a - H), with J = kkt_jacobian(kkt, z) given as
+    its blocks, Hz = H(z), sigma = config.sigma and a the normalized
+    indicator of the positivity block. The solve applies a truncated
+    Moore-Penrose pseudoinverse (relative singular-value cutoff
+    config.direction_rcond): the Jacobian turns singular whenever strict
+    complementarity fails along the path, and a plain LU solve then
+    produces runaway directions. numerics.truncated_lstsq computes it from
+    one LU factorization of the slack-eliminated blocks when the system is
+    large and at most one singular value falls clearly below the cut, and
+    from lstsq's SVD of the assembled J otherwise. The slope is <J' grad
+    psi(H), d>, with J' applied from the blocks. Returns (d, slope, path),
+    path naming how d was computed ("lu", "lu_cut1" or "svd"). Raises
+    NonDescent, carrying that path, if the slope is not negative.
     """
-    dims = dims or Dimensions(spec)
-    K = config.K if config.K is not None else 2.0 * dims.m
-    Hz = kkt_map(spec, z, dims)
-    JH = kkt_jacobian(spec, z, dims)
-    a = _centering_vector(dims)
-    rhs = sigma * (a @ Hz) * a - Hz
-    grad_psi = JH.T @ potential_gradient(Hz, dims.n, K)
-    d, path = truncated_lstsq(JH, rhs, config.direction_rcond, dims.m)
+    K = config.potential_constant(kkt.m)
+    a = kkt.centering
+    rhs = config.sigma * (a @ Hz) * a - Hz
+    grad_psi = J.rmatmul(potential_gradient(Hz, kkt.n, K))
+    d, path = truncated_lstsq(J, rhs, config.direction_rcond)
     slope = float(grad_psi @ d)
     if slope >= 0.0:
         raise NonDescent(f"directional derivative {slope:.3e} is not negative",
@@ -320,89 +351,88 @@ def newton_direction(spec, z, sigma, config, dims=None):
     return d, slope, path
 
 
-def armijo_step(spec, z, d, slope, config, dims=None):
-    """Largest step kappa^l keeping the iterate interior and achieving the
-    sufficient-decrease fraction armijo_alpha of the directional derivative."""
-    dims = dims or Dimensions(spec)
-    K = config.K if config.K is not None else 2.0 * dims.m
-    Hz = kkt_map(spec, z, dims)
-    psi0 = potential(Hz, dims.n, K)
+def armijo_step(kkt, J, z, Hz, psi0, d, slope, config, line_search=None):
+    """Largest step t = kappa^l keeping the iterate interior and achieving
+    the sufficient-decrease fraction armijo_alpha of the directional
+    derivative. Returns (t, z + t d).
+
+    Hz = H(z) and psi0 its potential. H is quadratic along d, so every
+    trial is H(z + t d) = Hz + t J d + t^2 Q(d), from J d and Q(d) formed
+    once; no trial evaluates kkt_map. A trial is interior when the
+    multipliers and slacks of z + t d and the positivity block of H are
+    all positive. The trials are counted into the dict line_search, if
+    given: "trials", and the rejections "interior_failures" and
+    "armijo_failures". Raises LineSearchStall after MAX_BACKTRACK
+    backtracks.
+    """
+    counts = line_search if line_search is not None else dict.fromkeys(LINE_SEARCH, 0)
+    n = kkt.n
+    K = config.potential_constant(kkt.m)
+    Jd = J.matmul(d)
+    Qd = kkt.Q(d)
+    mult, d_mult = z[n:], d[n:]
     t = 1.0
     for _ in range(MAX_BACKTRACK + 1):
-        z_next = z + t * d
-        H_next = kkt_map(spec, z_next, dims)
-        if _interior(z_next, H_next, dims):
-            psi_next = potential(H_next, dims.n, K)
-            if psi_next <= psi0 + config.armijo_alpha * t * slope:
-                return t, z_next
+        counts["trials"] += 1
+        H_next = Hz + t * Jd + t * t * Qd
+        if np.all(mult + t * d_mult > 0.0) and np.all(H_next[n:] > 0.0):
+            if potential(H_next, n, K) <= psi0 + config.armijo_alpha * t * slope:
+                return t, z + t * d
+            counts["armijo_failures"] += 1
+        else:
+            counts["interior_failures"] += 1
         t *= config.kappa
     raise LineSearchStall(f"no acceptable step above kappa^{MAX_BACKTRACK}")
-
-
-def initial_point(spec, dims=None):
-    """Interior starting iterate: uniform nu and mu, unit multipliers, and
-    slacks padded so every positivity component of H is at least 1."""
-    dims = dims or Dimensions(spec)
-    z = np.zeros(dims.dim)
-    z[dims.s_nu] = 1.0 / dims.nxa
-    z[dims.s_mu] = 1.0 / dims.X
-    z[dims.s_lam] = 1.0
-    z[dims.s_gam] = 1.0
-    h1, h2 = constraints(spec, z[dims.s_nu], z[dims.s_mu])
-    z[dims.s_slam] = np.maximum(1.0, 1.0 - h1)
-    z[dims.s_sgam] = np.maximum(1.0, 1.0 - h2)
-    return z
 
 
 def solve_gnep(spec, config=None):
     """Run the potential-reduction iteration and extract the equilibrium.
 
-    Returns (Equilibrium, KktReport); raises NotConverged (with both
-    attached) when the KKT norm does not reach config.tol in time, and
-    NonDescent or LineSearchStall with the report up to the failing
-    iteration attached. The report counts the failing direction too.
+    Each iteration evaluates H once (kkt_map) and its Jacobian once
+    (kkt_jacobian), and hands H, its potential and the Jacobian's blocks
+    to newton_direction and armijo_step. Returns (Equilibrium, KktReport);
+    raises NotConverged (with both attached) when the KKT norm does not
+    reach config.tol in time, and NonDescent or LineSearchStall with the
+    report up to the failing iteration attached. The report counts the
+    failing direction and the failing line search too.
     """
     config = config or GnepConfig()
-    dims = Dimensions(spec)
-    z = initial_point(spec, dims)
+    kkt = KktSystem(spec)
+    K = config.potential_constant(kkt.m)
+    z = kkt.initial_point()
     report = KktReport()
-    K = config.K if config.K is not None else 2.0 * dims.m
 
-    for it in range(config.max_iter):
-        Hz = kkt_map(spec, z, dims)
+    for it in range(config.max_iter + 1):
+        Hz = kkt_map(kkt, z)
         h_norm = float(np.linalg.norm(Hz))
+        psi = potential(Hz, kkt.n, K)
         report.h_norm_history.append(h_norm)
-        report.psi_history.append(potential(Hz, dims.n, K))
+        report.psi_history.append(psi)
         report.iterations = it
         if h_norm <= config.tol:
             report.converged = True
             break
+        if it == config.max_iter:
+            break
         try:
-            d, slope, path = newton_direction(spec, z, config.sigma, config, dims)
+            J = kkt_jacobian(kkt, z)
+            d, slope, path = newton_direction(kkt, J, Hz, config)
             report.directions[path] += 1
-            _, z = armijo_step(spec, z, d, slope, config, dims)
+            _, z = armijo_step(kkt, J, z, Hz, psi, d, slope, config, report.line_search)
         except NonDescent as exc:
             report.directions[exc.path] += 1
             raise NonDescent(f"iteration {it}: {exc}", report=report,
                              path=exc.path) from exc
         except LineSearchStall as exc:
             raise LineSearchStall(f"iteration {it}: {exc}", report=report) from exc
-    else:
-        Hz = kkt_map(spec, z, dims)
-        h_norm = float(np.linalg.norm(Hz))
-        report.h_norm_history.append(h_norm)
-        report.psi_history.append(potential(Hz, dims.n, K))
-        report.iterations = config.max_iter
-        report.converged = h_norm <= config.tol
 
-    report.residual_stationarity = float(np.abs(Hz[: dims.n]).max())
-    report.residual_feasibility = float(
-        np.abs(Hz[dims.n : dims.n + dims.m]).max()
-    )
-    report.residual_complementarity = float(np.abs(Hz[dims.n + dims.m :]).max())
+    n, m = kkt.n, kkt.m
+    report.residual_stationarity = float(np.abs(Hz[:n]).max())
+    report.residual_feasibility = float(np.abs(Hz[n:n + m]).max())
+    report.residual_complementarity = float(np.abs(Hz[n + m:]).max())
 
-    nu_tab = z[dims.s_nu].reshape(dims.X, dims.A)
-    mu = z[dims.s_mu].copy()
+    nu_tab = z[kkt.s_nu].reshape(kkt.X, kkt.A)
+    mu = z[kkt.s_mu].copy()
     nu_tab = np.clip(nu_tab, 0.0, None)
     mu = np.clip(mu, 0.0, None)
     nu_tab /= nu_tab.sum()

@@ -18,9 +18,9 @@ DEFAULT_FD_STEP = 1e-6
 # truncated_lstsq solves square systems of at least this dimension from one
 # LU factorization; smaller ones go straight to lstsq. Milliseconds per
 # direction, averaged over the KKT Jacobians of a whole solve: lstsq / LU
-# of the whole J (m = 0) / LU of the slack-eliminated matrix (m slacks),
-# the better of two runs of best-of-three passes (chain models; 2-core
-# x86_64, one OpenBLAS thread, a shared box):
+# of the whole J (a plain matrix) / LU of the slack-eliminated matrix (J
+# as KktBlocks), the better of two runs of best-of-three passes (chain
+# models; 2-core x86_64, one OpenBLAS thread, a shared box):
 #   dim  67:  0.93 / 1.33 / 1.28    dim 197:   6.43 / 2.79 /  1.80
 #   dim 106:  2.02 / 1.67 / 1.60    dim 236:   8.37 / 2.99 /  2.05
 #   dim 132:  3.08 / 1.85 / 1.57    dim 262:  10.32 / 3.20 /  2.01
@@ -37,6 +37,11 @@ MAX_STEPS = 40            # step budget of each block iteration
 POWER_RTOL = 1e-3         # sigma_max settles once a step raises it by less
 RITZ_GUARD = 100.0        # a Ritz value may still fall this many last steps
 VECTOR_TOL = 1e-12        # the dropped right vector must move less than this
+# J^-T V counts as numerically rank one when its second singular value is
+# below this fraction of the first: the SVD holds a value only to eps times
+# the first, so the second would be known to no better than
+# eps / RANK_RTOL = 2e-3 relative.
+RANK_RTOL = 1e-13
 
 
 def solve_linear(A, b):
@@ -84,83 +89,108 @@ def _start_block(n):
     return np.modf(np.outer(np.arange(1.0, n + 1.0), np.sqrt([2.0, 3.0, 5.0])))[0] - 0.5
 
 
-def _check_kkt_layout(J, m):
-    """Raise ValueError unless J = [[Fx, G, 0], [Hx, 0, I], [0, diag(s),
-    diag(y)]] with its m > 0 slack columns last."""
-    if J.ndim != 2 or J.shape[0] != J.shape[1] or not 0 < 2 * m <= J.shape[0]:
-        raise ValueError(f"no KKT layout with {m} slacks in shape {J.shape}")
-    n, k = J.shape[0] - 2 * m, J.shape[0] - m
-    if J[:n, k:].any():
-        raise ValueError("KKT layout: the stationarity rows have slack entries")
-    if not (np.count_nonzero(J[n:k, n:]) == m
-            and np.all(np.diagonal(J[n:k, k:]) == 1.0)):
-        raise ValueError("KKT layout: the h rows are not [Hx, 0, I]")
-    diagonals = np.diagonal(J[k:, n:k]), np.diagonal(J[k:, k:])
-    if np.count_nonzero(J[k:]) != sum(map(np.count_nonzero, diagonals)):
-        raise ValueError("KKT layout: the complementarity rows are not "
-                         "[0, diag(s), diag(y)]")
+class KktBlocks:
+    """A square KKT matrix held by its blocks, with its m slack columns last:
+
+        J = [[Fx, G, 0], [Hx, 0, I], [0, diag(s), diag(y)]]
+
+    FG = [Fx, G] holds the n stationarity rows (n x (n + m)), Hx the
+    constraint rows' primal part (m x n), and s and y the m slacks and
+    their multipliers. A plain square matrix is the case m = 0
+    (`of_matrix`). Products with J and J' come from the blocks; `dense`
+    assembles J. Raises ValueError when the block shapes do not fit."""
+
+    def __init__(self, FG, Hx, s, y):
+        n, m = FG.shape[0], s.shape[0]
+        if (FG.shape != (n, n + m) or Hx.shape != (m, n)
+                or s.shape != (m,) or y.shape != (m,)):
+            raise ValueError(f"no KKT layout in blocks {FG.shape}, {Hx.shape}, "
+                             f"{s.shape} and {y.shape}")
+        self.FG, self.Hx, self.s, self.y = FG, Hx, s, y
+        self.n, self.m, self.dim = n, m, n + 2 * m
+
+    @classmethod
+    def of_matrix(cls, J):
+        """A square matrix as blocks with no slacks."""
+        J = np.asarray(J, dtype=float)
+        return cls(J, np.empty((0, len(J))), np.empty(0), np.empty(0))
+
+    def _diagonals(self, X):
+        return (self.s, self.y) if X.ndim == 1 else (self.s[:, None], self.y[:, None])
+
+    def matmul(self, X):
+        """J X, for a vector or a block of columns X."""
+        n, k = self.n, self.n + self.m
+        s, y = self._diagonals(X)
+        X_s = X[k:]
+        return np.concatenate([self.FG @ X[:k], self.Hx @ X[:n] + X_s,
+                               s * X[n:k] + y * X_s])
+
+    def rmatmul(self, Y):
+        """J' Y, for a vector or a block of columns Y."""
+        n, k = self.n, self.n + self.m
+        s, y = self._diagonals(Y)
+        Y_h, Y_c = Y[n:k], Y[k:]
+        out = self.FG.T @ Y[:n]
+        out[:n] += self.Hx.T @ Y_h
+        out[n:] += s * Y_c
+        return np.concatenate([out, Y_h + y * Y_c])
+
+    def dense(self):
+        """J as one array."""
+        if not self.m:
+            return self.FG
+        n, m, k = self.n, self.m, self.n + self.m
+        J = np.zeros((self.dim, self.dim))
+        J[:n, :k] = self.FG
+        J[n:k, :n] = self.Hx
+        J[n:k, k:] = np.eye(m)
+        J[k:, n:k] = np.diag(self.s)
+        J[k:, k:] = np.diag(self.y)
+        return J
 
 
-class _Kkt:
-    """A square J with its m slack columns last, held by the blocks of J =
-    [[Fx, G, 0], [Hx, 0, I], [0, diag(s), diag(y)]]: products with J and J'
-    from the blocks, and solves from one LU factorization of the
+class _SlackEliminatedLu:
+    """Solves with the J of KktBlocks kkt from one LU factorization of the
     slack-eliminated matrix R = [[Fx, G], [-diag(y) Hx, diag(s)]] of
-    dimension dim - m (Wright, Primal-Dual Interior-Point Methods, ch. 11).
-    With m = 0, R = J. Every operand is a block of columns. `nonsingular`
-    is False when a pivot of R is zero or not finite."""
+    dimension n + m (Wright, Primal-Dual Interior-Point Methods, ch. 11).
+    The slack columns hold only an identity and a diagonal block, so they
+    are eliminated exactly, without division. With m = 0, R = J. Every
+    operand is a block of columns. `nonsingular` is False when a pivot of
+    R is zero or not finite."""
 
-    def __init__(self, J, m):
-        self.dim = J.shape[0]
-        n, k = self.dim - 2 * m, self.dim - m
-        self.n, self.k = n, k
-        self.top = J[:n, :k]                    # [Fx, G]
-        self.Hx = J[n:k, :n]
-        self.s = np.diagonal(J[k:, n:k])[:, None]
-        self.y = np.diagonal(J[k:, k:])[:, None]
+    def __init__(self, kkt):
+        self.kkt = kkt
+        n, k = kkt.n, kkt.n + kkt.m
         R = np.empty((k, k))
-        R[:n] = self.top
-        R[n:, :n] = -self.y * self.Hx
-        R[n:, n:] = np.diagflat(self.s)
+        R[:n] = kkt.FG
+        R[n:, :n] = -kkt.y[:, None] * kkt.Hx
+        R[n:, n:] = np.diagflat(kkt.s)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
             self.lu_piv = lu_factor(R, overwrite_a=True, check_finite=False)
         pivots = np.abs(np.diagonal(self.lu_piv[0]))
         self.nonsingular = bool(np.all(np.isfinite(pivots)) and pivots.min() > 0.0)
 
-    def matmul(self, X):
-        """J X."""
-        n, k = self.n, self.k
-        X_s = X[k:]
-        return np.concatenate([self.top @ X[:k], self.Hx @ X[:n] + X_s,
-                               self.s * X[n:k] + self.y * X_s])
-
-    def rmatmul(self, Y):
-        """J' Y."""
-        n, k = self.n, self.k
-        Y_h, Y_c = Y[n:k], Y[k:]
-        out = self.top.T @ Y[:n]
-        out[:n] += self.Hx.T @ Y_h
-        out[n:] += self.s * Y_c
-        return np.concatenate([out, Y_h + self.y * Y_c])
-
     def solve(self, B):
         """J^-1 B: (dx, dy) = R^-1 (B_F, B_c - y B_h), ds = B_h - Hx dx."""
-        n, k = self.n, self.k
+        kkt = self.kkt
+        n, k = kkt.n, kkt.n + kkt.m
         B_h = B[n:k]
-        X = lu_solve(self.lu_piv, np.concatenate([B[:n], B[k:] - self.y * B_h]),
+        X = lu_solve(self.lu_piv, np.concatenate([B[:n], B[k:] - kkt.y[:, None] * B_h]),
                      check_finite=False)
-        return np.concatenate([X, B_h - self.Hx @ X[:n]])
+        return np.concatenate([X, B_h - kkt.Hx @ X[:n]])
 
     def solve_t(self, Q):
         """J^-T Q: (W_F, W_c) = R^-T (Q_x - Hx' Q_s, Q_y), W_h = Q_s - y W_c."""
-        n, k = self.n, self.k
+        kkt = self.kkt
+        n, k = kkt.n, kkt.n + kkt.m
         Q_s = Q[k:]
         r = Q[:k].copy()
-        r[:n] -= self.Hx.T @ Q_s
+        r[:n] -= kkt.Hx.T @ Q_s
         W = lu_solve(self.lu_piv, r, trans=1, check_finite=False)
         W_c = W[n:]
-        return np.concatenate([W[:n], Q_s - self.y * W_c, W_c])
+        return np.concatenate([W[:n], Q_s - kkt.y[:, None] * W_c, W_c])
 
 
 def _sigma_max(kkt):
@@ -179,89 +209,88 @@ def _sigma_max(kkt):
     return max(est, s)
 
 
-def _lu_truncated(J, rhs, rcond, m):
+def _lu_truncated(kkt, rhs, rcond):
     """The truncated least-squares solution from one LU factorization, as
     (x, path), or None when the cut cannot be placed safely.
 
     The two smallest singular triplets come from inverse subspace
     iteration on (J'J)^-1 = J^-1 J^-T, applied through the factors of the
-    slack-eliminated matrix. The Ritz values of Y = J^-T V are upper bounds
-    on the singular values they track and decrease towards them, so a value
-    below `lo` is below the cut for certain; one above `hi` counts once
-    RITZ_GUARD times its last change could not carry it to `hi`, and one
-    inside the band once it could not carry it below `lo`.
+    slack-eliminated matrix. The Ritz values, the reciprocal singular
+    values of Y = J^-T V, are upper bounds on the singular values they
+    track and decrease towards them, so a value below `lo` is below the cut
+    for certain; one above `hi` counts once RITZ_GUARD times its last change
+    could not carry it to `hi`, and one inside the band once it could not
+    carry it below `lo`. They come from an SVD of Y, not from the Gram
+    matrix Y'Y, which squares their spread: when sigma_min lies far below
+    sigma_2, the Gram matrix holds the second value only to rounding noise
+    of the first, and a noisy value below the cut would defer for nothing.
+    J^-T V counts as rank one, and defers, only when the SVD itself cannot
+    resolve the second value (RANK_RTOL).
     """
-    kkt = _Kkt(J, m)
-    if not kkt.nonsingular:
+    lu = _SlackEliminatedLu(kkt)
+    if not lu.nonsingular:
         return None
     cut = rcond * _sigma_max(kkt)
     lo, hi = cut * (1.0 - CUT_BAND), cut * (1.0 + CUT_BAND)
     V = np.linalg.qr(_start_block(kkt.dim))[0]
     sigma_old = v_old = None
     for _ in range(MAX_STEPS):
-        Y = kkt.solve_t(V)
+        Y = lu.solve_t(V)
         if not np.all(np.isfinite(Y)):
             return None
-        theta, W = np.linalg.eigh(Y.T @ Y)
-        if theta[-2] <= 0.0:
-            # J^-T V is numerically rank one: a tiny sigma swamps the rest
-            # for now; the next orthogonalized block resolves them.
-            sigma_old = None
-        else:
-            sigma = 1.0 / np.sqrt(theta[:-3:-1])    # the two smallest
-            if sigma[1] < lo:
-                return None                         # two below the cut
-            w = W[:, -1]
-            v = V @ w
-            if sigma_old is not None:
-                guard = RITZ_GUARD * np.abs(sigma_old - sigma) / sigma
-                above = guard < 1.0 - hi / sigma
-                band = (sigma <= hi) & (guard < 1.0 - lo / sigma)
-                if above[0]:
-                    return kkt.solve(rhs[:, None])[:, 0], "lu"
-                if band[0] or (sigma[0] < lo and band[1]):
-                    return None                     # a value inside the band
-                moved = np.linalg.norm(v - np.copysign(1.0, v @ v_old) * v_old)
-                if sigma[0] < lo and above[1] and moved <= VECTOR_TOL:
-                    u = Y @ w
-                    u /= np.linalg.norm(u)
-                    x = kkt.solve((rhs - u * (u @ rhs))[:, None])[:, 0]
-                    return x - v * (v @ x), "lu_cut1"
-            sigma_old, v_old = sigma, v
-        V = np.linalg.qr(kkt.solve(Y))[0]
+        U, inv_sigma, W = np.linalg.svd(Y, full_matrices=False)
+        if inv_sigma[1] <= RANK_RTOL * inv_sigma[0]:
+            return None                             # J^-T V is rank one
+        sigma = 1.0 / inv_sigma[:2]                 # the two smallest
+        if sigma[1] < lo:
+            return None                             # two below the cut
+        v = V @ W[0]
+        if sigma_old is not None:
+            guard = RITZ_GUARD * np.abs(sigma_old - sigma) / sigma
+            above = guard < 1.0 - hi / sigma
+            band = (sigma <= hi) & (guard < 1.0 - lo / sigma)
+            if above[0]:
+                return lu.solve(rhs[:, None])[:, 0], "lu"
+            if band[0] or (sigma[0] < lo and band[1]):
+                return None                         # a value inside the band
+            moved = np.linalg.norm(v - np.copysign(1.0, v @ v_old) * v_old)
+            if sigma[0] < lo and above[1] and moved <= VECTOR_TOL:
+                u = U[:, 0]
+                x = lu.solve((rhs - u * (u @ rhs))[:, None])[:, 0]
+                return x - v * (v @ x), "lu_cut1"
+        sigma_old, v_old = sigma, v
+        V = np.linalg.qr(lu.solve(Y))[0]
     return None
 
 
-def truncated_lstsq(J, rhs, rcond, m=0):
-    """Least-squares solution of J x = rhs with every singular value at or
-    below rcond * sigma_max dropped: np.linalg.lstsq(J, rhs, rcond)[0] up
-    to rounding. Returns (x, path).
+def truncated_lstsq(J, rhs, rcond):
+    """Least-squares solution of the square system J x = rhs with every
+    singular value at or below rcond * sigma_max dropped:
+    np.linalg.lstsq(J, rhs, rcond)[0] up to rounding. Returns (x, path).
 
-    m > 0 declares the layout gnep.kkt_jacobian builds, with the m slack
-    columns last: J = [[Fx, G, 0], [Hx, 0, I], [0, diag(s), diag(y)]].
-    The layout is checked, and ValueError raised when it does not hold.
-    m = 0 (the default) takes J as an unstructured square matrix.
+    J is a square matrix, or a KktBlocks with its slack columns last: J =
+    [[Fx, G, 0], [Hx, 0, I], [0, diag(s), diag(y)]], as
+    gnep.kkt_jacobian returns it. The blocks are used as they are; the
+    dense J is assembled only for lstsq.
 
-    A square J of dimension at least LU_MIN_DIM is solved from one LU
-    factorization. With m > 0 the slack columns are eliminated exactly,
-    without division, and the factored matrix is R = [[Fx, G], [-diag(y)
-    Hx, diag(s)]] of dimension dim - m; with m = 0 it is J itself. If J's
+    A J of dimension at least LU_MIN_DIM is solved from one LU
+    factorization. The slack columns are eliminated exactly, without
+    division, and the factored matrix is R = [[Fx, G], [-diag(y) Hx,
+    diag(s)]] of dimension n + m; with no slacks it is J itself. If J's
     smallest singular value lies clearly above the cut, x is the LU solve
     (path "lu"). If exactly one lies clearly below, that triplet (sigma, u,
     v) is removed: x = (I - v v') J^-1 (rhs - u u' rhs) (path "lu_cut1").
     In every other case (a value within CUT_BAND of the cut, two or more
     below it, no convergence within MAX_STEPS, a non-finite value, or a
-    small system) x comes from lstsq's SVD on the untouched J (path "svd").
+    small system) x comes from lstsq's SVD on the dense J (path "svd").
     """
-    J = np.asarray(J, dtype=float)
+    kkt = J if isinstance(J, KktBlocks) else KktBlocks.of_matrix(J)
     rhs = np.asarray(rhs, dtype=float)
-    if m:
-        _check_kkt_layout(J, m)
-    if J.ndim == 2 and J.shape[0] == J.shape[1] >= LU_MIN_DIM and rhs.ndim == 1:
-        found = _lu_truncated(J, rhs, rcond, m)
+    if kkt.dim >= LU_MIN_DIM and rhs.ndim == 1:
+        found = _lu_truncated(kkt, rhs, rcond)
         if found is not None and np.all(np.isfinite(found[0])):
             return found
-    return np.linalg.lstsq(J, rhs, rcond=rcond)[0], "svd"
+    return np.linalg.lstsq(kkt.dense(), rhs, rcond=rcond)[0], "svd"
 
 
 def log_sum_exp(v):

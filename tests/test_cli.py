@@ -162,6 +162,15 @@ class TestSolveMfe:
             "lu": 0, "lu_cut1": 0, "svd": doc["iterations"]}
         assert "directions" not in doc
 
+    def test_manifest_counts_line_search(self, eq_file):
+        manifest = json.loads((eq_file.parent / "manifest.json").read_text())
+        line_search = manifest["convergence"]["line_search"]
+        # One accepted trial per step; malware2 rejects trials for both causes.
+        assert (line_search["trials"] - line_search["interior_failures"]
+                - line_search["armijo_failures"]) == manifest["convergence"]["iterations"]
+        assert line_search["interior_failures"] > 0 and line_search["armijo_failures"] > 0
+        assert "line_search" not in json.loads(eq_file.read_text())
+
     def test_byte_stable(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -324,3 +333,4 @@ class TestPipeline:
         assert manifest["convergence"]["mfe"]["h_norm"] <= 1e-8
         assert manifest["convergence"]["mfe"]["directions"] == {
             "lu": 0, "lu_cut1": 0, "svd": manifest["convergence"]["mfe"]["iterations"]}
+        assert manifest["convergence"]["mfe"]["line_search"]["trials"] > 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from mfgsolver import gnep, mdp, numerics
 from mfgsolver.errors import BoundaryViolation, MissingTheta, NonDescent, NotConverged
 from mfgsolver.numerics import jacobian_fd
 
-from conftest import chain_model, non_descent_model
+from conftest import chain_model, non_descent_model, random_feasible_instance
 from test_mdp import MU_STAR, PI_STAR
 
 
@@ -17,51 +19,212 @@ def assert_a2(spec, eq):
     assert eq.invariance_residual <= 1e-6
 
 
+def solve_path(spec, config=None, iterations=None):
+    """The solver's own iteration, one (kkt, z, Hz, psi, J, d, slope) per
+    Newton step, for at most `iterations` steps."""
+    config = config or gnep.GnepConfig()
+    kkt = gnep.KktSystem(spec)
+    K = config.potential_constant(kkt.m)
+    z = kkt.initial_point()
+    for _ in range(config.max_iter if iterations is None else iterations):
+        Hz = gnep.kkt_map(kkt, z)
+        if np.linalg.norm(Hz) <= config.tol:
+            return
+        psi = gnep.potential(Hz, kkt.n, K)
+        J = gnep.kkt_jacobian(kkt, z)
+        d, slope, _ = gnep.newton_direction(kkt, J, Hz, config)
+        yield kkt, z, Hz, psi, J, d, slope
+        _, z = gnep.armijo_step(kkt, J, z, Hz, psi, d, slope, config)
+
+
 class TestConstraints:
     def test_feasible_point(self, malware2):
         from mfgsolver import mdp
 
         occ = mdp.occupation_measure(malware2, PI_STAR, MU_STAR, MU_STAR)
-        h1, h2 = gnep.constraints(malware2, occ.nu.ravel(), MU_STAR)
+        h1, h2 = gnep.KktSystem(malware2).constraints(occ.nu.ravel(), MU_STAR)
         assert h1.max() <= 1e-10
         assert h2.max() <= 1e-10
 
     def test_infeasible_point(self, malware2):
-        h1, _ = gnep.constraints(malware2, -np.ones(4) / 4.0, MU_STAR)
+        h1, _ = gnep.KktSystem(malware2).constraints(-np.ones(4) / 4.0, MU_STAR)
         assert h1.max() > 0.0
 
 
 class TestKktJacobian:
     def test_matches_finite_differences(self, malware2):
-        dims = gnep.Dimensions(malware2)
+        kkt = gnep.KktSystem(malware2)
         rng = np.random.default_rng(2)
-        z = gnep.initial_point(malware2, dims) + 0.05 * rng.random(dims.dim)
-        J_an = gnep.kkt_jacobian(malware2, z, dims)
-        J_fd = jacobian_fd(lambda w: gnep.kkt_map(malware2, w, dims), z)
+        z = kkt.initial_point() + 0.05 * rng.random(kkt.dim)
+        J_an = gnep.kkt_jacobian(kkt, z).dense()
+        J_fd = jacobian_fd(lambda w: gnep.kkt_map(kkt, w), z)
         assert np.abs(J_an - J_fd).max() <= 1e-6 * (1.0 + np.abs(J_an).max())
 
     def test_matches_finite_differences_10_state(self, malware10):
-        dims = gnep.Dimensions(malware10)
-        z = gnep.initial_point(malware10, dims)
-        J_an = gnep.kkt_jacobian(malware10, z, dims)
-        J_fd = jacobian_fd(lambda w: gnep.kkt_map(malware10, w, dims), z)
+        kkt = gnep.KktSystem(malware10)
+        z = kkt.initial_point()
+        J_an = gnep.kkt_jacobian(kkt, z).dense()
+        J_fd = jacobian_fd(lambda w: gnep.kkt_map(kkt, w), z)
         assert np.abs(J_an - J_fd).max() <= 1e-6 * (1.0 + np.abs(J_an).max())
 
     @pytest.mark.parametrize("fixture,iterations", [("malware2", 30), ("malware10", 29)])
     def test_matches_finite_differences_along_path(self, request, fixture, iterations):
         """At three seeded iterates of the solve's own path."""
         spec = request.getfixturevalue(fixture)
-        config = gnep.GnepConfig()
-        dims = gnep.Dimensions(spec)
         picks = set(np.random.default_rng(7).choice(iterations, 3, replace=False))
-        z = gnep.initial_point(spec, dims)
-        for it in range(max(picks) + 1):
+        for it, (kkt, z, _, _, J, _, _) in enumerate(solve_path(spec)):
             if it in picks:
-                J_an = gnep.kkt_jacobian(spec, z, dims)
-                J_fd = jacobian_fd(lambda w: gnep.kkt_map(spec, w, dims), z)
+                J_fd = jacobian_fd(lambda w: gnep.kkt_map(kkt, w), z)
+                J_an = J.dense()
                 assert np.abs(J_an - J_fd).max() <= 1e-6 * (1.0 + np.abs(J_an).max())
-            d, slope, _ = gnep.newton_direction(spec, z, config.sigma, config, dims)
-            _, z = gnep.armijo_step(spec, z, d, slope, config, dims)
+
+    def test_tables_follow_an_iterate_moved_in_place(self, malware10):
+        kkt = gnep.KktSystem(malware10)
+        z = kkt.initial_point()
+        gnep.kkt_map(kkt, z)
+        z[kkt.s_mu] += 0.1
+        z[kkt.s_nu] *= 1.5
+        fresh = gnep.KktSystem(malware10)
+        assert np.array_equal(gnep.kkt_jacobian(kkt, z).dense(),
+                              gnep.kkt_jacobian(fresh, z).dense())
+        assert np.array_equal(gnep.kkt_map(kkt, z), gnep.kkt_map(fresh, z))
+
+
+class TestQuadraticModel:
+    """H is quadratic along a line: H(z + t d) = H(z) + t J d + t^2 Q(d)."""
+
+    @staticmethod
+    def assert_model(kkt, z, Hz, J, d):
+        """To 1e-13 relative to |H(z + t d)|, or to the unit scale of H's
+        terms once H is small: near a solution |H| is 1e-9 while the terms
+        kkt_map sums are of order one and round at 1e-16."""
+        Jd, Qd = J.matmul(d), kkt.Q(d)
+        for t in (1.0, 0.3, 1e-4):
+            exact = gnep.kkt_map(kkt, z + t * d)
+            model = Hz + t * Jd + t * t * Qd
+            scale = max(np.linalg.norm(exact), 1.0)
+            assert np.linalg.norm(model - exact) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("fixture,iterations", [
+        ("malware2", 30), ("malware10", 29), ("chain20", 26)])
+    def test_along_solve_path(self, request, fixture, iterations):
+        spec = chain_model(20) if fixture == "chain20" else request.getfixturevalue(fixture)
+        picks = set(np.random.default_rng(11).choice(iterations, 4, replace=False))
+        for it, (kkt, z, Hz, _, J, d, _) in enumerate(solve_path(spec)):
+            if it in picks:
+                self.assert_model(kkt, z, Hz, J, d)
+
+    @pytest.mark.parametrize("make", ["random_feasible_instance", "non_descent_model"])
+    def test_random_models(self, make):
+        """A constant kernel, and a kernel and features that depend on mu;
+        seeded iterates and directions."""
+        rng = np.random.default_rng(5)
+        if make == "random_feasible_instance":
+            spec = dataclasses.replace(random_feasible_instance(rng)[0], theta=[0.7])
+        else:
+            spec = non_descent_model()
+        kkt = gnep.KktSystem(spec)
+        for _ in range(3):
+            z = kkt.initial_point() + 0.1 * rng.random(kkt.dim)
+            d = rng.normal(size=kkt.dim)
+            self.assert_model(kkt, z, gnep.kkt_map(kkt, z), gnep.kkt_jacobian(kkt, z), d)
+
+
+def reference_step(kkt, z, d, slope, config):
+    """The line search with one kkt_map per trial: (t, z + t d,
+    interior failures, Armijo failures)."""
+    K = config.potential_constant(kkt.m)
+    psi0 = gnep.potential(gnep.kkt_map(kkt, z), kkt.n, K)
+    t, interior, armijo = 1.0, 0, 0
+    for _ in range(gnep.MAX_BACKTRACK + 1):
+        z_next = z + t * d
+        H_next = gnep.kkt_map(kkt, z_next)
+        if np.all(z_next[kkt.n:] > 0.0) and np.all(H_next[kkt.n:] > 0.0):
+            if gnep.potential(H_next, kkt.n, K) <= psi0 + config.armijo_alpha * t * slope:
+                return t, z_next, interior, armijo
+            armijo += 1
+        else:
+            interior += 1
+        t *= config.kappa
+    raise AssertionError("the reference line search stalled")
+
+
+class TestArmijoStep:
+    """The quadratic trials accept the step of a kkt_map per trial."""
+
+    @pytest.mark.parametrize("case", ["malware2", "malware10", "chain20", "a1"])
+    def test_same_step_as_reference(self, request, case):
+        config = gnep.GnepConfig()
+        iterations = None
+        if case == "chain20":
+            spec = chain_model(20)
+        elif case == "a1":
+            # A1's forward configuration backtracks far; its first Armijo
+            # failures come after 2,150 steps.
+            spec = request.getfixturevalue("malware2")
+            config = gnep.GnepConfig(sigma=0.1, kappa=0.001, max_iter=10_000)
+            iterations = 2_500
+        else:
+            spec = request.getfixturevalue(case)
+        failures = np.zeros(2, dtype=int)
+        for kkt, z, Hz, psi, J, d, slope in solve_path(spec, config, iterations):
+            counts = dict.fromkeys(gnep.LINE_SEARCH, 0)
+            t, z_next = gnep.armijo_step(kkt, J, z, Hz, psi, d, slope, config, counts)
+            t_ref, z_ref, interior, armijo = reference_step(kkt, z, d, slope, config)
+            assert t == t_ref and np.array_equal(z_next, z_ref)
+            assert counts == {"trials": 1 + interior + armijo,
+                              "interior_failures": interior, "armijo_failures": armijo}
+            failures += interior, armijo
+        if case == "a1":
+            assert failures.min() > 0
+
+    def test_negative_multiplier_and_slack_are_not_interior(self, malware2):
+        """A trial that flips a multiplier and its slack negative keeps
+        their product, and here h + s, positive; it must still be rejected."""
+        kkt = gnep.KktSystem(malware2)
+        z = kkt.initial_point()
+        z[kkt.s_nu.start] = -5.0            # h1[0] = 5
+        h1, h2 = kkt.constraints(z[kkt.s_nu], z[kkt.s_mu])
+        z[kkt.s_slam] = np.maximum(1.0, 1.0 - h1)
+        z[kkt.s_sgam] = np.maximum(1.0, 1.0 - h2)
+        d = np.zeros(kkt.dim)
+        d[kkt.s_lam.start] = -2.0           # lam[0]: 1 -> -1 at t = 1
+        d[kkt.s_slam.start] = -1.5          # slam[0]: 1 -> -0.5 at t = 1
+        Hz = gnep.kkt_map(kkt, z)
+        assert np.all(Hz[kkt.n:] > 0.0)
+        assert np.all(gnep.kkt_map(kkt, z + d)[kkt.n:] > 0.0)
+        counts = dict.fromkeys(gnep.LINE_SEARCH, 0)
+        # An infinite psi0 accepts every interior trial.
+        t, _ = gnep.armijo_step(kkt, gnep.kkt_jacobian(kkt, z), z, Hz, np.inf, d, -1.0,
+                                gnep.GnepConfig(), counts)
+        assert t == 0.25                    # t = 0.5 leaves lam[0] = 0
+        assert counts == {"trials": 3, "interior_failures": 2, "armijo_failures": 0}
+
+
+class TestKktMapCalls:
+    """The solve evaluates H once per iterate."""
+
+    @pytest.mark.parametrize("case", ["malware2", "chain20", "not_converged"])
+    def test_at_most_one_per_iterate(self, request, monkeypatch, case):
+        calls = []
+        kkt_map = gnep.kkt_map
+
+        def counted(kkt, z):
+            calls.append(1)
+            return kkt_map(kkt, z)
+
+        monkeypatch.setattr(gnep, "kkt_map", counted)
+        if case == "not_converged":
+            with pytest.raises(NotConverged) as exc_info:
+                m.solve_gnep(request.getfixturevalue("malware2"), gnep.GnepConfig(max_iter=3))
+            report = exc_info.value.result[1]
+        else:
+            spec = chain_model(20) if case == "chain20" else request.getfixturevalue(case)
+            _, report = m.solve_gnep(spec)
+        assert len(calls) == report.iterations + 1
+        line_search = report.line_search
+        assert (line_search["trials"] - line_search["interior_failures"]
+                - line_search["armijo_failures"]) == report.iterations
 
 
 class TestPotential:
@@ -82,11 +245,11 @@ class TestPotential:
 
 class TestInitialPoint:
     def test_interior(self, malware2):
-        dims = gnep.Dimensions(malware2)
-        z = gnep.initial_point(malware2, dims)
-        Hz = gnep.kkt_map(malware2, z, dims)
-        assert np.all(z[dims.n:] > 0.0)
-        assert np.all(Hz[dims.n:] > 0.0)
+        kkt = gnep.KktSystem(malware2)
+        z = kkt.initial_point()
+        Hz = gnep.kkt_map(kkt, z)
+        assert np.all(z[kkt.n:] > 0.0)
+        assert np.all(Hz[kkt.n:] > 0.0)
 
 
 class TestSolveGnep:
@@ -159,6 +322,10 @@ class TestFailureReport:
         # One direction per step taken, plus the failing one.
         assert sum(report.directions.values()) == report.iterations + 1
         assert exc_info.value.path == "svd"
+        # One accepted trial per step taken.
+        line_search = report.line_search
+        assert (line_search["trials"] - line_search["interior_failures"]
+                - line_search["armijo_failures"]) == report.iterations
 
 
 class TestVerifyMfe:

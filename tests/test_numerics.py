@@ -141,33 +141,37 @@ class TestTruncatedLstsq:
         assert np.array_equal(x, np.linalg.lstsq(J, rhs, rcond=RCOND)[0])
 
 
-@pytest.fixture(scope="module")
-def chain20_systems():
-    """Every (J, rhs, m) that chain20's forward solve hands to
-    truncated_lstsq, with m its slack count."""
+def solve_systems(spec):
+    """Every (blocks, rhs) that spec's forward solve hands to truncated_lstsq."""
     systems = []
     solve = gnep.truncated_lstsq
 
-    def record(J, rhs, rcond, m=0):
-        systems.append((J.copy(), rhs.copy(), m))
-        return solve(J, rhs, rcond, m)
+    def record(J, rhs, rcond):
+        systems.append((J, rhs.copy()))
+        return solve(J, rhs, rcond)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gnep, "truncated_lstsq", record)
-        gnep.solve_gnep(chain_model(20))
+        gnep.solve_gnep(spec)
     return systems
 
 
+@pytest.fixture(scope="module")
+def chain20_systems():
+    return solve_systems(chain_model(20))
+
+
 class TestSlackEliminatedSolve:
-    """With the slack count declared, the LU path factors the
-    slack-eliminated KKT matrix; the result and the path must be those of
-    the unstructured solve."""
+    """Given the Jacobian's blocks, the LU path factors the slack-eliminated
+    KKT matrix; the result and the path must be those of the unstructured
+    solve of the assembled matrix."""
 
     def test_chain20_matches_lstsq_and_unstructured_path(self, chain20_systems):
         paths = []
-        for J, rhs, m in chain20_systems:
-            assert m > 0 and J.shape[0] >= numerics.LU_MIN_DIM
-            x, path = truncated_lstsq(J, rhs, RCOND, m)
+        for blocks, rhs in chain20_systems:
+            assert blocks.m > 0 and blocks.dim >= numerics.LU_MIN_DIM
+            J = blocks.dense()
+            x, path = truncated_lstsq(blocks, rhs, RCOND)
             ref = np.linalg.lstsq(J, rhs, rcond=RCOND)[0]
             assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
             assert path == truncated_lstsq(J, rhs, RCOND)[1]
@@ -176,53 +180,69 @@ class TestSlackEliminatedSolve:
 
     @pytest.mark.parametrize("which", [0, 13, 25])
     def test_blocks_reproduce_dense_products_and_solves(self, chain20_systems, which):
-        J, _, m = chain20_systems[which]
-        kkt = numerics._Kkt(J, m)
-        B = np.random.default_rng(which).normal(size=(J.shape[0], 3))
+        blocks, _ = chain20_systems[which]
+        J = blocks.dense()
+        lu = numerics._SlackEliminatedLu(blocks)
+        rng = np.random.default_rng(which)
+        B = rng.normal(size=(J.shape[0], 3))
         scale = np.abs(J).max() * np.abs(B).max()
-        np.testing.assert_allclose(kkt.matmul(B), J @ B, rtol=0, atol=1e-13 * scale)
-        np.testing.assert_allclose(kkt.rmatmul(B), J.T @ B, rtol=0, atol=1e-13 * scale)
+        for X in (B, B[:, 0]):      # a block of columns and a vector
+            np.testing.assert_allclose(blocks.matmul(X), J @ X, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(blocks.rmatmul(X), J.T @ X, rtol=0, atol=1e-13 * scale)
         # Small backward errors: the last of these Jacobians is near singular.
-        for A, X in ((J, kkt.solve(B)), (J.T, kkt.solve_t(B))):
+        for A, X in ((J, lu.solve(B)), (J.T, lu.solve_t(B))):
             assert np.linalg.norm(A @ X - B) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(X)
 
-    @pytest.mark.parametrize("entry", [
-        "stationarity row, slack column",
-        "h row, multiplier column",
-        "complementarity row, primal column",
-        "identity, off its diagonal",
-        "identity, on its diagonal",
-        "diag(s), off its diagonal",
-        "diag(y), off its diagonal",
-    ])
-    def test_broken_layout_raises(self, chain20_systems, entry):
-        J, rhs, m = chain20_systems[0]
-        n, k = J.shape[0] - 2 * m, J.shape[0] - m
-        row, col = {
-            "stationarity row, slack column": (1, k + 2),
-            "h row, multiplier column": (n + 1, n + 2),
-            "complementarity row, primal column": (k + 1, 2),
-            "identity, off its diagonal": (n + 3, k + 4),
-            "identity, on its diagonal": (n + 3, k + 3),
-            "diag(s), off its diagonal": (k + 1, n + 4),
-            "diag(y), off its diagonal": (k + 1, k + 4),
-        }[entry]
-        J = J.copy()
-        J[row, col] = 0.5
-        with pytest.raises(ValueError, match="KKT layout"):
-            truncated_lstsq(J, rhs, RCOND, m)
+    def test_dense_layout(self, chain20_systems):
+        blocks, _ = chain20_systems[0]
+        n, m, k = blocks.n, blocks.m, blocks.n + blocks.m
+        J = blocks.dense()
+        assert np.array_equal(J[:n, :k], blocks.FG) and not J[:n, k:].any()
+        assert np.array_equal(J[n:k], np.hstack([blocks.Hx, np.zeros((m, m)), np.eye(m)]))
+        assert np.array_equal(J[k:], np.hstack([np.zeros((m, n)), np.diag(blocks.s),
+                                                np.diag(blocks.y)]))
+
+    @staticmethod
+    def parts(blocks):
+        return {name: getattr(blocks, name) for name in ("FG", "Hx", "s", "y")}
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_wrong_slack_count_raises(self, chain20_systems, shift):
-        J, rhs, m = chain20_systems[0]
-        with pytest.raises(ValueError, match="KKT layout"):
-            truncated_lstsq(J, rhs, RCOND, m + shift)
-
-    @pytest.mark.parametrize("m", [-1, 200])
-    def test_impossible_slack_count_raises(self, chain20_systems, m):
-        J, rhs, _ = chain20_systems[0]
+        parts = self.parts(chain20_systems[0][0])
+        m = parts["s"].size + shift
+        parts["s"], parts["y"] = np.ones(m), np.ones(m)
         with pytest.raises(ValueError, match="no KKT layout"):
-            truncated_lstsq(J, rhs, RCOND, m)
+            numerics.KktBlocks(**parts)
+
+    @pytest.mark.parametrize("block", ["FG", "Hx", "s", "y"])
+    def test_mismatched_blocks_raise(self, chain20_systems, block):
+        parts = self.parts(chain20_systems[0][0])
+        parts[block] = parts[block][:-1]
+        with pytest.raises(ValueError, match="no KKT layout"):
+            numerics.KktBlocks(**parts)
+
+    def test_square_matrix_only(self):
+        with pytest.raises(ValueError, match="no KKT layout"):
+            truncated_lstsq(np.ones((3, 4)), np.ones(3), RCOND)
+
+
+class TestNearlySingular:
+    """A Jacobian whose smallest singular value is far below the cut: the
+    second Ritz value of the first, unaligned step is then swamped by the
+    first, and must not read as a second value below the cut."""
+
+    def test_chain5_last_jacobian_cuts_one(self, monkeypatch):
+        monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
+        blocks, rhs = solve_systems(chain_model(5))[-1]
+        J = blocks.dense()
+        s = np.linalg.svd(J, compute_uv=False)
+        cut = RCOND * s[0]
+        assert s[-1] < 1e-8 * cut and s[-2] > 10.0 * cut
+        ref = np.linalg.lstsq(J, rhs, rcond=RCOND)[0]
+        for A in (blocks, J):
+            x, path = truncated_lstsq(A, rhs, RCOND)
+            assert path == "lu_cut1"
+            assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 class TestLogSumExp:
