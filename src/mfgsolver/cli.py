@@ -3,9 +3,9 @@
 Subcommands: solve-mfe, solve-irl, simulate, estimate, verify, pipeline.
 Exit codes: 0 success, 1 solver failure (non-convergence, a non-descent
 Newton direction, a stalled line search, or divergence), 2 input or
-validation error. Every run writes a manifest next to its outputs, on
-failure too, and all floats are serialized in fixed scientific notation so
-reruns are byte-identical.
+validation error. Every run that gets as far as creating its output
+directory writes a manifest there, on failure too, and all floats are
+serialized in fixed scientific notation so reruns are byte-identical.
 """
 
 import argparse
@@ -134,7 +134,9 @@ class ManifestWriter:
     """Collects run metadata and writes manifest.json on exit, success or not.
 
     Creates the output directory up front, so a subcommand can write its
-    outputs there before the manifest.
+    outputs there before the manifest. As a context manager it records a
+    package error that leaves its block, an input error for instance, as a
+    failure; dispatch then prints it and exits 2 (1 for a solver failure).
     """
 
     def __init__(self, command, config, out_dir):
@@ -152,6 +154,13 @@ class ManifestWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.start = time.monotonic()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, MfgError):
+            self.fail(exc)
+
     def add_input(self, path):
         if path is not None:
             self.payload["inputs"][str(path)] = _digest(path)
@@ -164,12 +173,15 @@ class ManifestWriter:
         self.payload["duration_seconds"] = time.monotonic() - self.start
         write_json(self.out_dir / "manifest.json", self.payload)
 
-    def fail(self, exc, label, **convergence):
-        """Record a solver failure and report it; returns exit code 1."""
+    def fail(self, exc, label=None, **convergence):
+        """Record a failure and, given a label, report it on stderr.
+        Returns the exit code: 1 for a solver failure, 2 for an input
+        error."""
         self.finish({"converged": False, **convergence,
                      "error": type(exc).__name__})
-        print(f"{label}: {exc}", file=sys.stderr)
-        return 1
+        if label is not None:
+            print(f"{label}: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, SOLVER_FAILURES) else 2
 
 
 def forward_summary(report):
@@ -206,22 +218,22 @@ def irl_config_from_args(args):
 def cmd_solve_mfe(args):
     spec, path = load_model_arg(args)
     out = Path(args.out)
-    manifest = ManifestWriter("solve-mfe", vars(args).copy(), out.parent)
-    manifest.add_input(path)
-    config = gnep_config_from_args(args)
-    try:
-        eq, report = gnep.solve_gnep(spec, config)
-    except NotConverged as exc:
-        eq, report = exc.result
+    with ManifestWriter("solve-mfe", vars(args).copy(), out.parent) as manifest:
+        manifest.add_input(path)
+        config = gnep_config_from_args(args)
+        try:
+            eq, report = gnep.solve_gnep(spec, config)
+        except NotConverged as exc:
+            eq, report = exc.result
+            write_json(out, equilibrium_payload(eq, report))
+            manifest.add_output(out)
+            return manifest.fail(exc, "solve-mfe: not converged", **forward_summary(report))
+        except SOLVER_FAILURES as exc:
+            return manifest.fail(exc, "solve-mfe", **forward_failure(exc))
         write_json(out, equilibrium_payload(eq, report))
         manifest.add_output(out)
-        return manifest.fail(exc, "solve-mfe: not converged", **forward_summary(report))
-    except SOLVER_FAILURES as exc:
-        return manifest.fail(exc, "solve-mfe", **forward_failure(exc))
-    write_json(out, equilibrium_payload(eq, report))
-    manifest.add_output(out)
-    manifest.finish({"converged": True, **forward_summary(report)})
-    return 0
+        manifest.finish({"converged": True, **forward_summary(report)})
+        return 0
 
 
 def _irl_problem_from_args(args, spec, manifest):
@@ -250,20 +262,20 @@ def _irl_problem_from_args(args, spec, manifest):
 def cmd_solve_irl(args):
     spec, path = load_model_arg(args)
     out = Path(args.out)
-    manifest = ManifestWriter("solve-irl", vars(args).copy(), out.parent)
-    manifest.add_input(path)
-    problem = _irl_problem_from_args(args, spec, manifest)
-    config = irl_config_from_args(args)
-    try:
-        dual, nu, pi, trace = irl.solve_irl(problem, config)
-    except SOLVER_FAILURES as exc:
-        return manifest.fail(exc, "solve-irl")
-    residuals = irl.verify_irl(problem, nu)
-    write_json(out, irl_payload(dual, nu, pi, residuals, trace))
-    manifest.add_output(out)
-    manifest.finish({"converged": True, "iterations": len(trace) - 1,
-                     "grad_norm": float(trace[-1][1])})
-    return 0
+    with ManifestWriter("solve-irl", vars(args).copy(), out.parent) as manifest:
+        manifest.add_input(path)
+        problem = _irl_problem_from_args(args, spec, manifest)
+        config = irl_config_from_args(args)
+        try:
+            dual, nu, pi, trace = irl.solve_irl(problem, config)
+        except SOLVER_FAILURES as exc:
+            return manifest.fail(exc, "solve-irl")
+        residuals = irl.verify_irl(problem, nu)
+        write_json(out, irl_payload(dual, nu, pi, residuals, trace))
+        manifest.add_output(out)
+        manifest.finish({"converged": True, "iterations": len(trace) - 1,
+                         "grad_norm": float(trace[-1][1])})
+        return 0
 
 
 def cmd_simulate(args):
@@ -271,27 +283,27 @@ def cmd_simulate(args):
 
     spec, path = load_model_arg(args)
     out = Path(args.out)
-    manifest = ManifestWriter("simulate", vars(args).copy(), out.parent)
-    manifest.add_input(path)
-    eq_path = Path(args.equilibrium)
-    if not eq_path.exists():
-        raise MfgError(f"equilibrium file not found: {eq_path}")
-    manifest.add_input(eq_path)
-    doc = json.loads(eq_path.read_text())
-    mu = np.asarray(doc["mean_field"], dtype=float)
-    pi = np.asarray(doc["policy"], dtype=float)
-    config = estimation.EstimatorConfig(
-        n_trajectories=args.n_trajectories, horizon=args.horizon, seed=args.seed
-    )
-    trajectories = estimation.simulate(spec, pi, mu, mu, config)
-    with out.open("w") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for i, traj in enumerate(trajectories):
-            steps = np.column_stack([np.arange(len(traj)), traj.states, traj.actions])
-            fh.write((f"{i},%d,%d,%d\n" * len(traj)) % tuple(steps.ravel().tolist()))
-    manifest.add_output(out)
-    manifest.finish({"n_trajectories": len(trajectories), "horizon": config.horizon})
-    return 0
+    with ManifestWriter("simulate", vars(args).copy(), out.parent) as manifest:
+        manifest.add_input(path)
+        eq_path = Path(args.equilibrium)
+        if not eq_path.exists():
+            raise MfgError(f"equilibrium file not found: {eq_path}")
+        manifest.add_input(eq_path)
+        doc = json.loads(eq_path.read_text())
+        mu = np.asarray(doc["mean_field"], dtype=float)
+        pi = np.asarray(doc["policy"], dtype=float)
+        config = estimation.EstimatorConfig(
+            n_trajectories=args.n_trajectories, horizon=args.horizon, seed=args.seed
+        )
+        trajectories = estimation.simulate(spec, pi, mu, mu, config)
+        with out.open("w") as fh:
+            fh.write(TRAJECTORY_HEADER + "\n")
+            for i, traj in enumerate(trajectories):
+                steps = np.column_stack([np.arange(len(traj)), traj.states, traj.actions])
+                fh.write((f"{i},%d,%d,%d\n" * len(traj)) % tuple(steps.ravel().tolist()))
+        manifest.add_output(out)
+        manifest.finish({"n_trajectories": len(trajectories), "horizon": config.horizon})
+        return 0
 
 
 def _read_trajectories(path, spec, seed=0):
@@ -332,25 +344,25 @@ def _read_trajectories(path, spec, seed=0):
 def cmd_estimate(args):
     spec, path = load_model_arg(args)
     out = Path(args.out)
-    manifest = ManifestWriter("estimate", vars(args).copy(), out.parent)
-    manifest.add_input(path)
-    traj_path = Path(args.trajectories)
-    if not traj_path.exists():
-        raise MfgError(f"trajectory file not found: {traj_path}")
-    manifest.add_input(traj_path)
-    trajectories = _read_trajectories(traj_path, spec)
-    mu_hat = estimation.estimate_mean_field(trajectories, spec.n_states)
-    f_hat, tail = estimation.estimate_feature_expectation(
-        spec, trajectories, mu_hat, spec.beta
-    )
-    write_json(out, {
-        "mean_field": mu_hat,
-        "feature_expectation": f_hat,
-        "tail_bound": tail,
-    })
-    manifest.add_output(out)
-    manifest.finish({"tail_bound": tail})
-    return 0
+    with ManifestWriter("estimate", vars(args).copy(), out.parent) as manifest:
+        manifest.add_input(path)
+        traj_path = Path(args.trajectories)
+        if not traj_path.exists():
+            raise MfgError(f"trajectory file not found: {traj_path}")
+        manifest.add_input(traj_path)
+        trajectories = _read_trajectories(traj_path, spec)
+        mu_hat = estimation.estimate_mean_field(trajectories, spec.n_states)
+        f_hat, tail = estimation.estimate_feature_expectation(
+            spec, trajectories, mu_hat, spec.beta
+        )
+        write_json(out, {
+            "mean_field": mu_hat,
+            "feature_expectation": f_hat,
+            "tail_bound": tail,
+        })
+        manifest.add_output(out)
+        manifest.finish({"tail_bound": tail})
+        return 0
 
 
 def cmd_verify(args):
@@ -358,76 +370,76 @@ def cmd_verify(args):
 
     spec, path = load_model_arg(args)
     out = Path(args.out)
-    manifest = ManifestWriter("verify", vars(args).copy(), out.parent)
-    manifest.add_input(path)
-    eq_path = Path(args.equilibrium)
-    if not eq_path.exists():
-        raise MfgError(f"equilibrium file not found: {eq_path}")
-    manifest.add_input(eq_path)
-    doc = json.loads(eq_path.read_text())
-    mu = np.asarray(doc["mean_field"], dtype=float)
-    pi = np.asarray(doc["policy"], dtype=float)
-    gap, residual = gnep.verify_mfe(spec, pi, mu)
-    write_json(out, {"optimality_gap": gap, "invariance_residual": residual})
-    manifest.add_output(out)
-    manifest.finish({"optimality_gap": gap, "invariance_residual": residual})
-    return 0
+    with ManifestWriter("verify", vars(args).copy(), out.parent) as manifest:
+        manifest.add_input(path)
+        eq_path = Path(args.equilibrium)
+        if not eq_path.exists():
+            raise MfgError(f"equilibrium file not found: {eq_path}")
+        manifest.add_input(eq_path)
+        doc = json.loads(eq_path.read_text())
+        mu = np.asarray(doc["mean_field"], dtype=float)
+        pi = np.asarray(doc["policy"], dtype=float)
+        gap, residual = gnep.verify_mfe(spec, pi, mu)
+        write_json(out, {"optimality_gap": gap, "invariance_residual": residual})
+        manifest.add_output(out)
+        manifest.finish({"optimality_gap": gap, "invariance_residual": residual})
+        return 0
 
 
 def cmd_pipeline(args):
     out_dir = Path(args.out_dir)
     spec, path = load_model_arg(args)
-    manifest = ManifestWriter("pipeline", vars(args).copy(), out_dir)
-    manifest.add_input(path)
+    with ManifestWriter("pipeline", vars(args).copy(), out_dir) as manifest:
+        manifest.add_input(path)
 
-    config = gnep_config_from_args(args)
-    try:
-        eq, report = gnep.solve_gnep(spec, config)
-    except SOLVER_FAILURES as exc:
-        return manifest.fail(exc, "pipeline[solve-mfe]", stage="solve-mfe",
-                             **forward_failure(exc))
-    eq_path = out_dir / "equilibrium.json"
-    write_json(eq_path, equilibrium_payload(eq, report))
-    manifest.add_output(eq_path)
+        config = gnep_config_from_args(args)
+        try:
+            eq, report = gnep.solve_gnep(spec, config)
+        except SOLVER_FAILURES as exc:
+            return manifest.fail(exc, "pipeline[solve-mfe]", stage="solve-mfe",
+                                 **forward_failure(exc))
+        eq_path = out_dir / "equilibrium.json"
+        write_json(eq_path, equilibrium_payload(eq, report))
+        manifest.add_output(eq_path)
 
-    if args.estimate:
-        sim_config = estimation.EstimatorConfig(
-            n_trajectories=args.n_trajectories, horizon=args.horizon, seed=args.seed
-        )
-        trajectories = estimation.simulate(
-            spec, eq.policy, eq.mean_field, eq.mean_field, sim_config
-        )
-        mu_E = estimation.estimate_mean_field(trajectories, spec.n_states)
-        mu_E = np.clip(mu_E, 1e-12, None)
-        mu_E /= mu_E.sum()
-        f_expert, _ = estimation.estimate_feature_expectation(
-            spec, trajectories, mu_E, spec.beta
-        )
-    else:
-        mu_E = eq.mean_field
-        f_expert = mdp.feature_expectation(spec, eq.policy, mu_E, mu_E)
+        if args.estimate:
+            sim_config = estimation.EstimatorConfig(
+                n_trajectories=args.n_trajectories, horizon=args.horizon, seed=args.seed
+            )
+            trajectories = estimation.simulate(
+                spec, eq.policy, eq.mean_field, eq.mean_field, sim_config
+            )
+            mu_E = estimation.estimate_mean_field(trajectories, spec.n_states)
+            mu_E = np.clip(mu_E, 1e-12, None)
+            mu_E /= mu_E.sum()
+            f_expert, _ = estimation.estimate_feature_expectation(
+                spec, trajectories, mu_E, spec.beta
+            )
+        else:
+            mu_E = eq.mean_field
+            f_expert = mdp.feature_expectation(spec, eq.policy, mu_E, mu_E)
 
-    problem = irl.IrlProblem(spec=spec, mu_E=mu_E, f_expert=f_expert)
-    irl_config = irl_config_from_args(args)
-    try:
-        dual, nu, pi, trace = irl.solve_irl(problem, irl_config)
-    except SOLVER_FAILURES as exc:
-        return manifest.fail(exc, "pipeline[solve-irl]", stage="solve-irl")
-    residuals = irl.verify_irl(problem, nu)
-    irl_path = out_dir / "irl.json"
-    write_json(irl_path, irl_payload(dual, nu, pi, residuals, trace))
-    manifest.add_output(irl_path)
+        problem = irl.IrlProblem(spec=spec, mu_E=mu_E, f_expert=f_expert)
+        irl_config = irl_config_from_args(args)
+        try:
+            dual, nu, pi, trace = irl.solve_irl(problem, irl_config)
+        except SOLVER_FAILURES as exc:
+            return manifest.fail(exc, "pipeline[solve-irl]", stage="solve-irl")
+        residuals = irl.verify_irl(problem, nu)
+        irl_path = out_dir / "irl.json"
+        write_json(irl_path, irl_payload(dual, nu, pi, residuals, trace))
+        manifest.add_output(irl_path)
 
-    manifest.finish({
-        "converged": True,
-        "mfe": {**forward_summary(report),
-                "optimality_gap": eq.optimality_gap,
-                "invariance_residual": eq.invariance_residual},
-        "irl": {"iterations": len(trace) - 1,
-                "grad_norm": float(trace[-1][1]),
-                "residuals": residuals},
-    })
-    return 0
+        manifest.finish({
+            "converged": True,
+            "mfe": {**forward_summary(report),
+                    "optimality_gap": eq.optimality_gap,
+                    "invariance_residual": eq.invariance_residual},
+            "irl": {"iterations": len(trace) - 1,
+                    "grad_norm": float(trace[-1][1]),
+                    "residuals": residuals},
+        })
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +456,23 @@ def _add_model_args(parser):
 
 
 def _add_gnep_args(parser):
-    parser.add_argument("--sigma", type=float, default=0.1, help="centering weight")
-    parser.add_argument("--kappa", type=float, default=0.5, help="backtracking base")
-    parser.add_argument("--tol", type=float, default=1e-8, help="KKT norm tolerance")
-    parser.add_argument("--max-iter", type=int, default=10_000)
+    defaults = gnep.GnepConfig()
+    parser.add_argument("--sigma", type=float, default=defaults.sigma,
+                        help="centering weight")
+    parser.add_argument("--kappa", type=float, default=defaults.kappa,
+                        help="backtracking base")
+    parser.add_argument("--tol", type=float, default=defaults.tol,
+                        help="KKT norm tolerance")
+    parser.add_argument("--max-iter", type=int, default=defaults.max_iter)
 
 
 def _add_irl_args(parser):
-    parser.add_argument("--step", type=float, default=None,
+    defaults = irl.IrlConfig()
+    parser.add_argument("--step", type=float, default=defaults.step,
                         help="gradient step (default 1/L)")
-    parser.add_argument("--grad-tol", type=float, default=1e-2)
-    parser.add_argument("--irl-max-iter", type=int, default=1_000_000)
-    parser.add_argument("--settle-tol", type=float, default=None,
+    parser.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
+    parser.add_argument("--irl-max-iter", type=int, default=defaults.max_iter)
+    parser.add_argument("--settle-tol", type=float, default=defaults.settle_tol,
                         help="also require the occupation measure to stop moving")
 
 

@@ -30,6 +30,13 @@ from .mdp import (
 from .numerics import KktBlocks, truncated_lstsq
 
 MAX_BACKTRACK = 200
+# Sufficient-decrease fraction of the directional derivative in armijo_step.
+ARMIJO_ALPHA = 0.1
+# Relative singular-value cutoff of the truncated pseudoinverse applied to
+# the KKT Jacobian (see newton_direction).
+DIRECTION_RCOND = 1e-6
+# The potential constant is K = POTENTIAL_K_PER_M * m, which satisfies K > m.
+POTENTIAL_K_PER_M = 2.0
 # KktReport.line_search: trials, and the rejected ones by cause.
 LINE_SEARCH = ("trials", "interior_failures", "armijo_failures")
 
@@ -38,15 +45,14 @@ LINE_SEARCH = ("trials", "interior_failures", "armijo_failures")
 class GnepConfig:
     """Interior-point iteration parameters.
 
-    sigma is the centering weight, kappa the backtracking base, and K the
-    potential constant (None selects 2m, which satisfies K > m). The line
+    sigma is the centering weight and kappa the backtracking base. The line
     search tries t = 1, kappa, kappa^2, ... on the exact quadratic H(z +
     t d) = H(z) + t J d + t^2 Q(d), so a small kappa costs vector
     arithmetic per trial, not KKT evaluations.
-    direction_rcond is the relative singular-value cutoff of the
-    pseudoinverse applied to the KKT Jacobian; untruncated directions blow
-    up whenever the path nears a point where strict complementarity fails.
-    The truncated direction is lstsq's up to rounding. A KKT system of
+    The Newton direction applies the pseudoinverse of the KKT Jacobian
+    truncated at DIRECTION_RCOND; untruncated directions blow up whenever
+    the path nears a point where strict complementarity fails. The
+    truncated direction is lstsq's up to rounding. A KKT system of
     dimension numerics.LU_MIN_DIM or more gets it from one LU factorization
     of the slack-eliminated Jacobian blocks (dimension n + m, not n + 2m):
     the plain solve when no singular value of the whole Jacobian lies near
@@ -58,23 +64,14 @@ class GnepConfig:
 
     sigma: float = 0.1
     kappa: float = 0.5
-    armijo_alpha: float = 0.1
-    K: float | None = None
     tol: float = 1e-8
     max_iter: int = 10_000
-    direction_rcond: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError(f"sigma must lie in [0,1), got {self.sigma}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
-        if not 0.0 < self.armijo_alpha <= 1.0:
-            raise ValueError(f"armijo_alpha must lie in (0,1], got {self.armijo_alpha}")
-
-    def potential_constant(self, m):
-        """K, or 2m when K is None."""
-        return self.K if self.K is not None else 2.0 * m
 
 
 @dataclass
@@ -119,7 +116,7 @@ class KktSystem:
     The model is affine in mu, so every term of H is constant, linear or
     bilinear in z, and along any line H(z + t d) = H(z) + t J(z) d + t^2
     Q(d) holds exactly. The three are `H`, `jacobian` (as numerics.KktBlocks)
-    and `Q`.
+    and `Q`. K is the constant of the barrier potential.
     """
 
     def __init__(self, spec):
@@ -134,6 +131,7 @@ class KktSystem:
         self.m2 = 2 * X + 1
         self.m = self.m1 + self.m2
         self.dim = self.n + 2 * self.m
+        self.K = POTENTIAL_K_PER_M * self.m
         ofs = 0
         self.s_nu = slice(ofs, ofs + nxa); ofs += nxa
         self.s_mu = slice(ofs, ofs + X); ofs += X
@@ -329,7 +327,7 @@ def newton_direction(kkt, J, Hz, config):
     its blocks, Hz = H(z), sigma = config.sigma and a the normalized
     indicator of the positivity block. The solve applies a truncated
     Moore-Penrose pseudoinverse (relative singular-value cutoff
-    config.direction_rcond): the Jacobian turns singular whenever strict
+    DIRECTION_RCOND): the Jacobian turns singular whenever strict
     complementarity fails along the path, and a plain LU solve then
     produces runaway directions. numerics.truncated_lstsq computes it from
     one LU factorization of the slack-eliminated blocks when the system is
@@ -339,11 +337,10 @@ def newton_direction(kkt, J, Hz, config):
     path naming how d was computed ("lu", "lu_cut1" or "svd"). Raises
     NonDescent, carrying that path, if the slope is not negative.
     """
-    K = config.potential_constant(kkt.m)
     a = kkt.centering
     rhs = config.sigma * (a @ Hz) * a - Hz
-    grad_psi = J.rmatmul(potential_gradient(Hz, kkt.n, K))
-    d, path = truncated_lstsq(J, rhs, config.direction_rcond)
+    grad_psi = J.rmatmul(potential_gradient(Hz, kkt.n, kkt.K))
+    d, path = truncated_lstsq(J, rhs, DIRECTION_RCOND)
     slope = float(grad_psi @ d)
     if slope >= 0.0:
         raise NonDescent(f"directional derivative {slope:.3e} is not negative",
@@ -353,7 +350,7 @@ def newton_direction(kkt, J, Hz, config):
 
 def armijo_step(kkt, J, z, Hz, psi0, d, slope, config, line_search=None):
     """Largest step t = kappa^l keeping the iterate interior and achieving
-    the sufficient-decrease fraction armijo_alpha of the directional
+    the sufficient-decrease fraction ARMIJO_ALPHA of the directional
     derivative. Returns (t, z + t d).
 
     Hz = H(z) and psi0 its potential. H is quadratic along d, so every
@@ -366,8 +363,7 @@ def armijo_step(kkt, J, z, Hz, psi0, d, slope, config, line_search=None):
     backtracks.
     """
     counts = line_search if line_search is not None else dict.fromkeys(LINE_SEARCH, 0)
-    n = kkt.n
-    K = config.potential_constant(kkt.m)
+    n, K = kkt.n, kkt.K
     Jd = J.matmul(d)
     Qd = kkt.Q(d)
     mult, d_mult = z[n:], d[n:]
@@ -376,7 +372,7 @@ def armijo_step(kkt, J, z, Hz, psi0, d, slope, config, line_search=None):
         counts["trials"] += 1
         H_next = Hz + t * Jd + t * t * Qd
         if np.all(mult + t * d_mult > 0.0) and np.all(H_next[n:] > 0.0):
-            if potential(H_next, n, K) <= psi0 + config.armijo_alpha * t * slope:
+            if potential(H_next, n, K) <= psi0 + ARMIJO_ALPHA * t * slope:
                 return t, z + t * d
             counts["armijo_failures"] += 1
         else:
@@ -398,14 +394,13 @@ def solve_gnep(spec, config=None):
     """
     config = config or GnepConfig()
     kkt = KktSystem(spec)
-    K = config.potential_constant(kkt.m)
     z = kkt.initial_point()
     report = KktReport()
 
     for it in range(config.max_iter + 1):
         Hz = kkt_map(kkt, z)
         h_norm = float(np.linalg.norm(Hz))
-        psi = potential(Hz, kkt.n, K)
+        psi = potential(Hz, kkt.n, kkt.K)
         report.h_norm_history.append(h_norm)
         report.psi_history.append(psi)
         report.iterations = it

@@ -9,7 +9,7 @@ dual recovers the Boltzmann occupation measure and its policy.
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +18,6 @@ from scipy.linalg.blas import daxpy, idamax
 from .errors import NonFinite, NotConverged, ValidationError
 from .mdp import disintegrate, OccupationMeasure
 from .model import check_simplex, feature_table, transition_kernel
-from .numerics import log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -56,13 +55,14 @@ class IrlProblem:
 
     @cached_property
     def _matrices(self):
-        """The dual in matrix form, shared by every dual evaluation.
+        """The dual in matrix form, built once per problem: (Bext, Gext).
 
-        Over the stacked vector v = (theta, lambda, xi), the exponent of the
-        Boltzmann measure is affine, k = c0 + B v on the flattened
-        state-action pairs; the gradient is G nu - b; and the linear part of
-        the objective is <v, linear> = <theta, f_expert> + <lambda, mu_E>.
-        Returns (c0, B, G, b, linear).
+        Over w = (v, 1), v = (theta, lambda, xi), Bext w = (k, <v, linear>):
+        the exponent k = c0 + B v of the Boltzmann measure on the flattened
+        state-action pairs, and the linear part of the objective, <theta,
+        f_expert> + <lambda, mu_E>. The gradient is G nu - b, so Gext = [[G
+        - b 1'], [1']] maps e = exp(k - c) to (s grad, s) with s = sum(e),
+        because nu = e / s sums to one.
         """
         spec = self.spec
         X, A = spec.n_states, spec.n_actions
@@ -70,16 +70,20 @@ class IrlProblem:
         p_flat = self.kernel.reshape(X, X * A)
         one_minus_beta = 1.0 - spec.beta
         marginal = np.repeat(np.eye(X), A, axis=0)  # [xa, x] state indicator
-        c0 = np.repeat(np.log(self.mu_E), A)
-        B = np.hstack([
-            f_flat,
-            one_minus_beta * marginal,
-            one_minus_beta * (p_flat - self.mu_E[:, None]).T,
+        mu = self.mu_E
+        Bext = np.block([
+            [f_flat, one_minus_beta * marginal,
+             one_minus_beta * (p_flat - mu[:, None]).T,
+             np.repeat(np.log(mu), A)[:, None]],
+            [self.f_expert, mu, np.zeros(X), 0.0],
         ])
-        G = np.vstack([f_flat.T / one_minus_beta, marginal.T, p_flat])
-        b = np.concatenate([self.f_expert, self.mu_E, self.mu_E])
-        linear = np.concatenate([self.f_expert, self.mu_E, np.zeros(X)])
-        return c0, B, G, b, linear
+        Gext = np.vstack([
+            f_flat.T / one_minus_beta - self.f_expert[:, None],
+            marginal.T - mu[:, None],
+            p_flat - mu[:, None],
+            np.ones(X * A),
+        ])
+        return Bext, Gext
 
 
 @dataclass(frozen=True)
@@ -132,44 +136,65 @@ class IrlConfig:
     settle_tol: float | None = None
 
 
-def k_table(problem, d):
-    """Exponent table of the Boltzmann measure:
+def dual_kernel(problem):
+    """The one evaluation of the dual, shared by every caller: evaluate and
+    the buffers kl, e, sg that each call rewrites. evaluate(w, c), for w =
+    (v, 1), sets kl = Bext w = (k, <v, linear>), e = exp(k - c) and sg =
+    Gext e = (s grad, s); if s leaves [1e-100, 1e100], it shifts again at c
+    = max(k), as c = inf forces. Returns (log Z, s) with log Z = c + log s.
+    A closure over locals, so the gradient loop does no attribute lookups."""
+    Bext, Gext = problem._matrices
+    m, n = Gext.shape[1], Gext.shape[0] - 1
+    kl = np.empty(m + 1)
+    k = kl[:m]
+    e = np.empty(m)
+    sg = np.empty(n + 1)
+    log, subtract, exp = math.log, np.subtract, np.exp
 
-    k(x,a) = log mu_E(x) + <theta, f(x,a,mu_E)>
-             + (1-beta) [lambda_x + sum_z xi_z (p(z|x,a,mu_E) - mu_E(z))]
-    """
-    c0, B, _, _, _ = problem._matrices
+    def evaluate(w, c):
+        Bext.dot(w, out=kl)
+        subtract(k, c, out=e)
+        exp(e, out=e)
+        Gext.dot(e, out=sg)
+        s = sg.item(n)
+        if not 1e-100 <= s <= 1e100:
+            c = float(k.max())
+            subtract(k, c, out=e)
+            exp(e, out=e)
+            Gext.dot(e, out=sg)
+            s = sg.item(n)
+        return c + log(s), s
+
+    return evaluate, kl, e, sg
+
+
+def _evaluate(problem, v):
+    """(g, gradient, nu table) at the dual vector v, by one max-shifted call."""
+    evaluate, kl, e, sg = dual_kernel(problem)
+    log_z, s = evaluate(np.append(v, 1.0), math.inf)
     spec = problem.spec
-    return (c0 + B @ d.as_vector()).reshape(spec.n_states, spec.n_actions)
+    g = log_z / (1.0 - spec.beta) - kl.item(-1)
+    return g, sg[:-1] / s, (e / s).reshape(spec.n_states, spec.n_actions)
 
 
 def boltzmann(problem, d):
-    """Normalized exponential of the k-table, as an occupation measure."""
-    k = k_table(problem, d)
-    log_z = log_sum_exp(k.ravel())
-    nu = np.exp(k - log_z)
+    """The Boltzmann occupation measure nu = exp(k - log Z), with exponent
+    k(x,a) = log mu_E(x) + <theta, f(x,a,mu_E)>
+             + (1-beta) [lambda_x + sum_z xi_z (p(z|x,a,mu_E) - mu_E(z))]"""
+    nu = _evaluate(problem, d.as_vector())[2]
     return OccupationMeasure(nu=nu, beta=problem.spec.beta, mu0=problem.mu_E)
 
 
 def dual_objective(problem, d):
     """g = (1/(1-beta)) log sum exp(k) - <theta, f_expert> - <lambda, mu_E>."""
-    linear = problem._matrices[4]
-    return (
-        log_sum_exp(k_table(problem, d)) / (1.0 - problem.spec.beta)
-        - float(d.as_vector() @ linear)
-    )
+    return _evaluate(problem, d.as_vector())[0]
 
 
 def dual_gradient(problem, d):
-    """Partial gradients (grad_theta, grad_lambda, grad_xi) of the dual.
-
-    All three are expectation-matching residuals under the current
-    Boltzmann measure.
-    """
-    _, _, G, b, _ = problem._matrices
-    grad = G @ boltzmann(problem, d).nu.ravel() - b
-    k, X = problem.spec.feature_dim, problem.spec.n_states
-    return grad[:k], grad[k : k + X], grad[k + X :]
+    """Partial gradients (grad_theta, grad_lambda, grad_xi) of the dual: the
+    expectation-matching residuals under the Boltzmann measure."""
+    grad = DualPoint.from_vector(problem, _evaluate(problem, d.as_vector())[1])
+    return grad.theta, grad.lam, grad.xi
 
 
 def smoothness_constants(problem):
@@ -191,15 +216,11 @@ def check_span_assumption(problem):
     state-action pairs; the strong-convexity condition needs rank k + 2|X|."""
     spec = problem.spec
     X, A, k = spec.n_states, spec.n_actions, spec.feature_dim
-    f = problem.features
-    p = problem.kernel
-    rows = np.zeros((X * A, k + 2 * X))
-    for x in range(X):
-        for a in range(A):
-            i = x * A + a
-            rows[i, :k] = f[x, a]
-            rows[i, k : k + X] = p[:, x, a]
-            rows[i, k + X + x] = 1.0
+    rows = np.hstack([
+        problem.features.reshape(X * A, k),
+        problem.kernel.reshape(X, X * A).T,
+        np.repeat(np.eye(X), A, axis=0),
+    ])
     svals = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
     return rank == k + 2 * X, rank
@@ -213,14 +234,10 @@ def solve_irl(problem, config=None):
     (DualPoint, OccupationMeasure, Policy, trace) where trace rows are
     (g value, sup-norm of gradient) per iteration.
 
-    Each step is one matrix-vector product each way. The constants are
-    folded into two matrices built once: Bext = [[B, c0], [linear, 0]]
-    maps (v, 1) to the exponent k and <v, linear>, and Gext = [[G - b 1'],
-    [1']] maps e = exp(k - c) to (s grad, s) with s = sum(e), because nu
-    sums to one. Then log Z = c + log s. The log-sum-exp shift c is the
-    previous step's log Z, which is exact for any c; only when s leaves
-    [1e-100, 1e100] is the step shifted again at max(k). The trace is kept
-    in two arrays of doubles, 16 bytes per step.
+    Each step is one call of dual_kernel, one matrix-vector product each
+    way. Its log-sum-exp shift c is the previous step's log Z, and inf on
+    the first step. The trace is kept in two arrays of doubles, 16 bytes
+    per step.
     """
     config = config or IrlConfig()
     consts = smoothness_constants(problem)
@@ -236,18 +253,12 @@ def solve_irl(problem, config=None):
     spec = problem.spec
     X, A = spec.n_states, spec.n_actions
     one_minus_beta = 1.0 - spec.beta
-    c0, B, G, b, linear = problem._matrices
-    m, n = B.shape
-    Bext = np.block([[B, c0[:, None]], [linear, 0.0]])
-    Gext = np.vstack([G - b[:, None], np.ones(m)])
+    evaluate, kl, e, sg = dual_kernel(problem)
+    m, n = e.size, sg.size - 1
 
     w = np.zeros(n + 1)       # (v, 1), v the dual vector from the zero start
     w[n] = 1.0
     v = w[:n]
-    kl = np.empty(m + 1)      # (k, <v, linear>)
-    k = kl[:m]
-    e = np.empty(m)
-    sg = np.empty(n + 1)      # (s grad, s)
     s_grad = sg[:n]
     grad_tol, settle = config.grad_tol, config.settle_tol
     if settle is not None:
@@ -257,18 +268,7 @@ def solve_irl(problem, config=None):
     # exp(k - c) may overflow before the re-shift; NonFinite catches the rest.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.max_iter + 1):
-            Bext.dot(w, out=kl)
-            np.subtract(k, c, out=e)
-            np.exp(e, out=e)
-            Gext.dot(e, out=sg)
-            s = sg.item(n)
-            if not 1e-100 <= s <= 1e100:
-                c = float(k.max())
-                np.subtract(k, c, out=e)
-                np.exp(e, out=e)
-                Gext.dot(e, out=sg)
-                s = sg.item(n)
-            log_z = c + math.log(s)
+            log_z, s = evaluate(w, c)
             g = log_z / one_minus_beta - kl.item(m)
             if not math.isfinite(g):
                 raise NonFinite(f"dual objective diverged after {it} steps")
@@ -307,27 +307,26 @@ def polish_dual(problem, start=None, gtol=1e-12, max_iter=50_000):
     sublinearly whenever the expert policy is deterministic somewhere: the
     dual infimum is then approached only along an unbounded direction.
     L-BFGS takes large steps along that direction and closes the gap in a
-    handful of iterations. Returns (DualPoint, OccupationMeasure, policy);
-    the refined point is kept only if it improves the dual objective.
+    handful of iterations. Each point costs one dual_kernel call, for the
+    value and the gradient together. Returns (DualPoint,
+    OccupationMeasure, policy); the refined point is kept only if it
+    improves on the start's dual objective.
     """
     from scipy.optimize import minimize
 
     v0 = (start.as_vector() if isinstance(start, DualPoint)
           else DualPoint.zero(problem).as_vector() if start is None
           else np.asarray(start, dtype=float))
+    values = {}
 
-    def fun(v):
-        return dual_objective(problem, DualPoint.from_vector(problem, v))
+    def value_and_gradient(v):
+        g, grad, _ = _evaluate(problem, v)
+        values.setdefault("start", g)  # L-BFGS-B evaluates v0 first
+        return g, grad
 
-    def jac(v):
-        return np.concatenate(
-            dual_gradient(problem, DualPoint.from_vector(problem, v))
-        )
-
-    res = minimize(fun, v0, jac=jac, method="L-BFGS-B",
+    res = minimize(value_and_gradient, v0, jac=True, method="L-BFGS-B",
                    options={"maxiter": max_iter, "ftol": 1e-18, "gtol": gtol})
-    v = res.x if res.fun <= fun(v0) else v0
-    d = DualPoint.from_vector(problem, v)
+    d = DualPoint.from_vector(problem, res.x if res.fun <= values["start"] else v0)
     nu = boltzmann(problem, d)
     return d, nu, disintegrate(nu)
 

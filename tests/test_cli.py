@@ -78,6 +78,30 @@ class TestExitCodes:
         # One direction per step taken, plus the failing one.
         assert sum(convergence["directions"].values()) == convergence["iterations"] + 1
 
+    @pytest.mark.parametrize("case", ["solve-irl", "estimate", "simulate"])
+    def test_input_error_writes_failure_manifest(self, tmp_path, capsys, case):
+        # Each input error comes after the output directory exists.
+        out = tmp_path / "out" / "result.json"
+        argv = [case, "--model", "builtin:malware2", "--out", str(out)]
+        if case == "estimate":
+            traj = tmp_path / "traj.csv"
+            traj.write_text("trajectory_id,t,state,action\n0,0,5,0\n")
+            argv += ["--trajectories", str(traj)]
+            expected = ("ValidationError", "state 5 in data row 1")
+        elif case == "simulate":
+            argv += ["--equilibrium", str(tmp_path / "nope.json")]
+            expected = ("MfgError", "equilibrium file not found")
+        else:
+            expected = ("MfgError", "needs --equilibrium")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count(expected[1]) == 1
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["command"] == case
+        assert manifest["convergence"] == {"converged": False, "error": expected[0]}
+        assert manifest["outputs"] == []
+        assert not out.exists()
+
     def test_non_descent_in_pipeline(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(model.dump_model(non_descent_model()))

@@ -24,13 +24,12 @@ def solve_path(spec, config=None, iterations=None):
     Newton step, for at most `iterations` steps."""
     config = config or gnep.GnepConfig()
     kkt = gnep.KktSystem(spec)
-    K = config.potential_constant(kkt.m)
     z = kkt.initial_point()
     for _ in range(config.max_iter if iterations is None else iterations):
         Hz = gnep.kkt_map(kkt, z)
         if np.linalg.norm(Hz) <= config.tol:
             return
-        psi = gnep.potential(Hz, kkt.n, K)
+        psi = gnep.potential(Hz, kkt.n, kkt.K)
         J = gnep.kkt_jacobian(kkt, z)
         d, slope, _ = gnep.newton_direction(kkt, J, Hz, config)
         yield kkt, z, Hz, psi, J, d, slope
@@ -132,15 +131,16 @@ class TestQuadraticModel:
 
 def reference_step(kkt, z, d, slope, config):
     """The line search with one kkt_map per trial: (t, z + t d,
-    interior failures, Armijo failures)."""
-    K = config.potential_constant(kkt.m)
+    interior failures, Armijo failures). The potential constant K = 2m and
+    the sufficient-decrease fraction 0.1 are written out."""
+    K = 2.0 * kkt.m
     psi0 = gnep.potential(gnep.kkt_map(kkt, z), kkt.n, K)
     t, interior, armijo = 1.0, 0, 0
     for _ in range(gnep.MAX_BACKTRACK + 1):
         z_next = z + t * d
         H_next = gnep.kkt_map(kkt, z_next)
         if np.all(z_next[kkt.n:] > 0.0) and np.all(H_next[kkt.n:] > 0.0):
-            if gnep.potential(H_next, kkt.n, K) <= psi0 + config.armijo_alpha * t * slope:
+            if gnep.potential(H_next, kkt.n, K) <= psi0 + 0.1 * t * slope:
                 return t, z_next, interior, armijo
             armijo += 1
         else:
@@ -343,7 +343,7 @@ class TestVerifyMfe:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"sigma": 1.0}, {"sigma": -0.1}, {"kappa": 0.0},
-        {"kappa": 1.0}, {"armijo_alpha": 0.0},
+        {"kappa": 1.0},
     ])
     def test_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ def problem10(malware10, eq10):
     return irl.IrlProblem(spec=malware10, mu_E=eq.mean_field, f_expert=f_E)
 
 
-def reference_descent(spec, mu_E, f_E, step, n_steps):
+def reference_descent(spec, mu_E, f_E, step, n_steps, points=None):
     """Constant-step gradient descent written from the paper's exponent
 
         k(x,a) = log mu_E(x) + <theta, f(x,a)>
@@ -30,7 +30,8 @@ def reference_descent(spec, mu_E, f_E, step, n_steps):
     with a max-shifted log-sum-exp at every step. Evaluates n_steps + 1
     points and steps from each, as solve_irl does before NotConverged.
     Returns the (g, gradient sup-norm) trace, the final dual vector and the
-    log Z of every evaluated point.
+    log Z of every evaluated point. A list passed as points receives (v, g,
+    gradient, nu) at every evaluated point.
     """
     f = model.feature_table(spec, mu_E)  # [x, a, j]
     p = model.transition_kernel(spec, mu_E)  # [z, x, a]
@@ -52,6 +53,8 @@ def reference_descent(spec, mu_E, f_E, step, n_steps):
         grad = np.concatenate([grad_theta, grad_lam, grad_xi])
         trace.append((g, np.abs(grad).max()))
         log_zs.append(log_z)
+        if points is not None:
+            points.append((np.concatenate([theta, lam, xi]), g, grad, nu))
         theta = theta - step * grad_theta
         lam = lam - step * grad_lam
         xi = xi - step * grad_xi
@@ -129,6 +132,23 @@ class TestDualPieces:
         np.testing.assert_allclose(d.lam, [3.0, 4.0])
         np.testing.assert_allclose(d.xi, [5.0, 6.0])
 
+    @pytest.mark.parametrize("case,step", [("problem2", 0.5), ("problem10", 0.0025),
+                                           ("problem2", 500.0)])
+    def test_match_reference_descent_points(self, request, case, step):
+        # The public functions against the paper form, at every point the
+        # reference evaluates; step 500 moves log Z by up to 1e4 per step.
+        problem = request.getfixturevalue(case)
+        points = []
+        reference_descent(problem.spec, problem.mu_E, problem.f_expert, step,
+                          300, points)
+        for v, g, grad, nu in points:
+            d = irl.DualPoint.from_vector(problem, v)
+            assert abs(irl.dual_objective(problem, d) - g) <= 1e-12 * abs(g)
+            got = np.concatenate(irl.dual_gradient(problem, d))
+            assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
+            got = irl.boltzmann(problem, d).nu
+            assert np.abs(got - nu).max() <= 1e-12 * nu.max()
+
     def test_gradient_duality_identity(self, problem2):
         # For the Boltzmann family, g(d) - <d, grad g(d)> equals the
         # entropy of nu_d relative to the expert marginal:
@@ -162,6 +182,24 @@ class TestSmoothness:
         # |X||A| rows can never reach rank k + 2|X| = 7 here: only 4 rows.
         assert not holds
         assert rank <= 4
+
+    @pytest.mark.parametrize("case", ["problem2", "problem10"])
+    def test_span_rows_match_loop_reference(self, request, case, monkeypatch):
+        problem = request.getfixturevalue(case)
+        seen, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
+        irl.check_span_assumption(problem)
+        spec, f, p = problem.spec, problem.features, problem.kernel
+        X, A, k = spec.n_states, spec.n_actions, spec.feature_dim
+        rows = np.zeros((X * A, k + 2 * X))
+        for x in range(X):
+            for a in range(A):
+                i = x * A + a
+                rows[i, :k] = f[x, a]
+                rows[i, k : k + X] = p[:, x, a]
+                rows[i, k + X + x] = 1.0
+        np.testing.assert_array_equal(seen[0], rows)
 
 
 class TestSolveIrl:
@@ -249,6 +287,50 @@ class TestPolishDual:
         d, nu, pi = irl.polish_dual(problem2, start=d0)
         assert irl.dual_objective(problem2, d) <= g0
         assert nu.nu.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_kernel_call_per_point(self, problem2, monkeypatch):
+        # L-BFGS-B's evaluations plus the final boltzmann: the start's value
+        # is not computed a second time for the keep-if-better test.
+        import scipy.optimize
+
+        calls, results = [0], []
+        kernel, minimize = irl.dual_kernel, scipy.optimize.minimize
+
+        def counted_kernel(problem):
+            evaluate, *buffers = kernel(problem)
+
+            def counted(w, c):
+                calls[0] += 1
+                return evaluate(w, c)
+            return (counted, *buffers)
+
+        def recorded_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(irl, "dual_kernel", counted_kernel)
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded_minimize)
+        irl.polish_dual(problem2)
+        assert results[0].nfev > 1
+        assert calls[0] == results[0].nfev + 1
+
+    def test_keeps_start_when_not_improved(self, problem2, monkeypatch):
+        # A minimizer that, like L-BFGS-B, evaluates the start first and
+        # then returns a worse point.
+        import scipy.optimize
+
+        def worse(fun, x0, **kwargs):
+            fun(x0)
+            x = x0 + 5.0
+            return scipy.optimize.OptimizeResult(x=x, fun=fun(x)[0])
+
+        v0 = np.full(7, 0.1)
+        d_worse = irl.DualPoint.from_vector(problem2, v0 + 5.0)
+        d0 = irl.DualPoint.from_vector(problem2, v0)
+        assert irl.dual_objective(problem2, d_worse) > irl.dual_objective(problem2, d0)
+        monkeypatch.setattr(scipy.optimize, "minimize", worse)
+        d, _, _ = irl.polish_dual(problem2, start=d0)
+        np.testing.assert_array_equal(d.as_vector(), v0)
 
     def test_from_zero_start(self, problem2):
         d, nu, pi = irl.polish_dual(problem2)
