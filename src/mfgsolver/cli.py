@@ -130,6 +130,15 @@ def irl_payload(dual, nu, pi, residuals, trace):
     }
 
 
+def irl_summary(problem, residuals, trace):
+    """The manifest's account of an inverse solve: its length, last gradient
+    norm, the verify_irl residuals and the span-assumption rank test."""
+    holds, rank = irl.check_span_assumption(problem)
+    return {"iterations": len(trace) - 1, "grad_norm": float(trace[-1][1]),
+            "residuals": residuals,
+            "span_assumption": {"holds": holds, "rank": rank}}
+
+
 class ManifestWriter:
     """Collects run metadata and writes manifest.json on exit, success or not.
 
@@ -273,8 +282,8 @@ def cmd_solve_irl(args):
         residuals = irl.verify_irl(problem, nu)
         write_json(out, irl_payload(dual, nu, pi, residuals, trace))
         manifest.add_output(out)
-        manifest.finish({"converged": True, "iterations": len(trace) - 1,
-                         "grad_norm": float(trace[-1][1])})
+        manifest.finish({"converged": True,
+                         **irl_summary(problem, residuals, trace)})
         return 0
 
 
@@ -435,9 +444,7 @@ def cmd_pipeline(args):
             "mfe": {**forward_summary(report),
                     "optimality_gap": eq.optimality_gap,
                     "invariance_residual": eq.invariance_residual},
-            "irl": {"iterations": len(trace) - 1,
-                    "grad_norm": float(trace[-1][1]),
-                    "residuals": residuals},
+            "irl": irl_summary(problem, residuals, trace),
         })
         return 0
 

@@ -182,14 +182,13 @@ def estimate_mean_field(trajectories, n_states=None):
     """
     if not trajectories:
         raise EmptyData("no trajectories")
+    states = np.concatenate([t.states for t in trajectories])
     if n_states is None:
-        n_states = int(max(t.states.max() for t in trajectories)) + 1
-    counts = np.zeros(n_states)
-    total = 0
-    for t in trajectories:
-        counts += np.bincount(t.states, minlength=n_states)
-        total += len(t)
-    return counts / total
+        n_states = int(states.max()) + 1
+    counts = np.bincount(states, minlength=n_states)
+    if counts.size > n_states:
+        raise ValidationError(f"state {states.max()} is out of range for {n_states} states")
+    return counts / states.size
 
 
 def estimate_feature_expectation(spec, trajectories, mu_hat, beta):
@@ -202,9 +201,12 @@ def estimate_feature_expectation(spec, trajectories, mu_hat, beta):
         raise EmptyData("no trajectories")
     f = feature_table(spec, mu_hat)  # [x, a, j]
     total = np.zeros(spec.feature_dim)
+    discounts = {}  # beta ** arange(T), once per distinct length T
     for t in trajectories:
-        discounts = beta ** np.arange(len(t))
-        total += discounts @ f[t.states, t.actions]
+        d = discounts.get(len(t))
+        if d is None:
+            d = discounts[len(t)] = beta ** np.arange(len(t))
+        total += d @ f[t.states, t.actions]
     estimate = total / len(trajectories)
     T = max(len(t) for t in trajectories)
     f_max = float(np.linalg.norm(f, axis=2).max())

@@ -10,7 +10,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg.blas import daxpy, idamax
@@ -55,14 +55,17 @@ class IrlProblem:
 
     @cached_property
     def _matrices(self):
-        """The dual in matrix form, built once per problem: (Bext, Gext).
+        """The dual in matrix form, built once per problem: (Bext, M).
 
         Over w = (v, 1), v = (theta, lambda, xi), Bext w = (k, <v, linear>):
         the exponent k = c0 + B v of the Boltzmann measure on the flattened
         state-action pairs, and the linear part of the objective, <theta,
         f_expert> + <lambda, mu_E>. The gradient is G nu - b, so Gext = [[G
         - b 1'], [1']] maps e = exp(k - c) to (s grad, s) with s = sum(e),
-        because nu = e / s sums to one.
+        because nu = e / s sums to one. A step v -= t grad moves (k, <v,
+        linear>) by -t Bv (s grad) / s, Bv the first n columns of Bext, so
+        M = [[Bv Gv], [Gext]], Gv the first n rows of Gext, maps e to that
+        move, s grad and s in one product.
         """
         spec = self.spec
         X, A = spec.n_states, spec.n_actions
@@ -83,7 +86,8 @@ class IrlProblem:
             p_flat - mu[:, None],
             np.ones(X * A),
         ])
-        return Bext, Gext
+        n = Gext.shape[0] - 1
+        return Bext, np.vstack([Bext[:, :n] @ Gext[:n], Gext])
 
 
 @dataclass(frozen=True)
@@ -137,43 +141,60 @@ class IrlConfig:
 
 
 def dual_kernel(problem):
-    """The one evaluation of the dual, shared by every caller: evaluate and
-    the buffers kl, e, sg that each call rewrites. evaluate(w, c), for w =
-    (v, 1), sets kl = Bext w = (k, <v, linear>), e = exp(k - c) and sg =
-    Gext e = (s grad, s); if s leaves [1e-100, 1e100], it shifts again at c
-    = max(k), as c = inf forces. Returns (log Z, s) with log Z = c + log s.
-    A closure over locals, so the gradient loop does no attribute lookups."""
-    Bext, Gext = problem._matrices
-    m, n = Gext.shape[1], Gext.shape[0] - 1
-    kl = np.empty(m + 1)
-    k = kl[:m]
+    """The one evaluation of the dual, shared by every caller.
+
+    Returns (restart, evaluate, step, v, e, sg). The state u = (k - c,
+    <v, linear>, v, 1) carries the exponent shifted by a fixed c, so that
+    its tail w = (v, 1) gives Bext w = (k, <v, linear>) directly; v is a
+    view of it. restart(v0) sets v = v0 and recomputes the head from it
+    exactly, shifted at c = max(k). evaluate() sets e = exp(k - c) and, by
+    one product with the stacked M, sg = (s grad, s) and the exponent move
+    of a step; if s leaves [1e-100, 1e100], it restarts from v first. It
+    returns (g, s), g = log Z / (1 - beta) - <v, linear> with log Z = c +
+    log s. step(-t / s) is one daxpy that moves all of u but the 1 by a
+    times that product: v -= t grad, with its exponent update. A closure
+    over locals, so the gradient loop does no attribute lookups.
+    """
+    Bext, M = problem._matrices
+    m, n = M.shape[1], Bext.shape[1] - 1
+    u = np.zeros(m + n + 2)
+    u[-1] = 1.0
+    z, kl, w = u[:m], u[: m + 1], u[m + 1 :]
+    v = w[:n]
     e = np.empty(m)
-    sg = np.empty(n + 1)
+    Me = np.empty(m + n + 2)
+    c = 0.0
+    one_minus_beta = 1.0 - problem.spec.beta
     log, subtract, exp = math.log, np.subtract, np.exp
 
-    def evaluate(w, c):
+    def restart(start):
+        nonlocal c
+        v[:] = start
         Bext.dot(w, out=kl)
-        subtract(k, c, out=e)
-        exp(e, out=e)
-        Gext.dot(e, out=sg)
-        s = sg.item(n)
-        if not 1e-100 <= s <= 1e100:
-            c = float(k.max())
-            subtract(k, c, out=e)
-            exp(e, out=e)
-            Gext.dot(e, out=sg)
-            s = sg.item(n)
-        return c + log(s), s
+        c = float(z.max())
+        subtract(z, c, out=z)
 
-    return evaluate, kl, e, sg
+    def evaluate():
+        exp(z, out=e)
+        M.dot(e, out=Me)
+        s = Me.item(-1)
+        if not 1e-100 <= s <= 1e100:
+            restart(v)
+            exp(z, out=e)
+            M.dot(e, out=Me)
+            s = Me.item(-1)
+        return (c + log(s)) / one_minus_beta - u.item(m), s
+
+    step = partial(daxpy, Me[:-1], u[:-1], m + n + 1)
+    return restart, evaluate, step, v, e, Me[m + 1 :]
 
 
 def _evaluate(problem, v):
-    """(g, gradient, nu table) at the dual vector v, by one max-shifted call."""
-    evaluate, kl, e, sg = dual_kernel(problem)
-    log_z, s = evaluate(np.append(v, 1.0), math.inf)
+    """(g, gradient, nu table) at the dual vector v, max-shifted."""
+    restart, evaluate, _, _, e, sg = dual_kernel(problem)
+    restart(v)
+    g, s = evaluate()
     spec = problem.spec
-    g = log_z / (1.0 - spec.beta) - kl.item(-1)
     return g, sg[:-1] / s, (e / s).reshape(spec.n_states, spec.n_actions)
 
 
@@ -234,10 +255,13 @@ def solve_irl(problem, config=None):
     (DualPoint, OccupationMeasure, Policy, trace) where trace rows are
     (g value, sup-norm of gradient) per iteration.
 
-    Each step is one call of dual_kernel, one matrix-vector product each
-    way. Its log-sum-exp shift c is the previous step's log Z, and inf on
-    the first step. The trace is kept in two arrays of doubles, 16 bytes
-    per step.
+    Each step makes three array calls through dual_kernel: exp of the
+    carried exponent, one product with the stacked matrix, and one daxpy
+    that moves v and its exponent together. The shift c stays at the max(k)
+    of the last restart, from v = 0 on the first step, and the kernel
+    restarts from v exactly only when the sum of exp(k - c) leaves [1e-100,
+    1e100]. The trace is kept interleaved in one array of doubles, 16 bytes
+    per step, and returned as a view of it.
     """
     config = config or IrlConfig()
     consts = smoothness_constants(problem)
@@ -252,29 +276,23 @@ def solve_irl(problem, config=None):
         )
     spec = problem.spec
     X, A = spec.n_states, spec.n_actions
-    one_minus_beta = 1.0 - spec.beta
-    evaluate, kl, e, sg = dual_kernel(problem)
-    m, n = e.size, sg.size - 1
-
-    w = np.zeros(n + 1)       # (v, 1), v the dual vector from the zero start
-    w[n] = 1.0
-    v = w[:n]
-    s_grad = sg[:n]
+    restart, evaluate, descend, v, e, sg = dual_kernel(problem)
+    restart(v)                # from the zero start, shifted at max(k)
+    s_grad = sg[:-1]
     grad_tol, settle = config.grad_tol, config.settle_tol
     if settle is not None:
-        nu, prev_nu = np.empty(m), np.empty(m)
-    trace_g, trace_norm = array("d"), array("d")
-    c = math.inf              # forces a shift at max(k) on the first step
+        nu, prev_nu = np.empty_like(e), np.empty_like(e)
+    trace = array("d")        # (g, gradient sup-norm) per step, interleaved
+    push = trace.append
     # exp(k - c) may overflow before the re-shift; NonFinite catches the rest.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.max_iter + 1):
-            log_z, s = evaluate(w, c)
-            g = log_z / one_minus_beta - kl.item(m)
+            g, s = evaluate()
             if not math.isfinite(g):
                 raise NonFinite(f"dual objective diverged after {it} steps")
             grad_norm = abs(s_grad.item(idamax(s_grad))) / s
-            trace_g.append(g)
-            trace_norm.append(grad_norm)
+            push(g)
+            push(grad_norm)
             settled = True
             if settle is not None:
                 np.divide(e, s, out=nu)
@@ -285,19 +303,17 @@ def solve_irl(problem, config=None):
                 occupation = OccupationMeasure(
                     nu=(e / s).reshape(X, A), beta=spec.beta, mu0=problem.mu_E
                 )
-                trace = _trace(trace_g, trace_norm)
-                return d, occupation, disintegrate(occupation), trace
-            c = log_z
-            daxpy(s_grad, v, a=-step / s)  # v -= step * grad, in place
+                return d, occupation, disintegrate(occupation), _trace(trace)
+            descend(-step / s)  # v -= step * grad, and its exponent
     raise NotConverged(
         f"gradient sup-norm {grad_norm:.3e} after {config.max_iter} iterations",
-        result=(DualPoint.from_vector(problem, v), _trace(trace_g, trace_norm)),
+        result=(DualPoint.from_vector(problem, v), _trace(trace)),
     )
 
 
-def _trace(trace_g, trace_norm):
-    """The (iterations + 1, 2) trace array from its two columns."""
-    return np.column_stack([np.frombuffer(trace_g), np.frombuffer(trace_norm)])
+def _trace(trace):
+    """The (iterations + 1, 2) trace array, a view of the interleaved doubles."""
+    return np.frombuffer(trace).reshape(-1, 2)
 
 
 def polish_dual(problem, start=None, gtol=1e-12, max_iter=50_000):

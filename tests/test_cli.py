@@ -332,6 +332,11 @@ class TestSolveIrl:
         assert max(doc["residuals"].values()) <= 1e-2
         pi = np.asarray(doc["policy"])
         np.testing.assert_allclose(pi.sum(axis=1), 1.0, atol=1e-9)
+        # Four state-action rows cannot reach rank k + 2|X| = 7.
+        convergence = json.loads((tmp_path / "manifest.json").read_text())["convergence"]
+        assert convergence["residuals"] == doc["residuals"]
+        assert convergence["span_assumption"] == {"holds": False, "rank": 4}
+        assert convergence["iterations"] == doc["iterations"]
 
     def test_from_explicit_data(self, tmp_path):
         out = tmp_path / "irl.json"
@@ -358,3 +363,7 @@ class TestPipeline:
         assert manifest["convergence"]["mfe"]["directions"] == {
             "lu": 0, "lu_cut1": 0, "svd": manifest["convergence"]["mfe"]["iterations"]}
         assert manifest["convergence"]["mfe"]["line_search"]["trials"] > 0
+        summary = manifest["convergence"]["irl"]
+        doc = json.loads((out_dir / "irl.json").read_text())
+        assert summary["residuals"] == doc["residuals"]
+        assert summary["span_assumption"] == {"holds": False, "rank": 4}

@@ -155,7 +155,53 @@ class TestSimulateValidatesPolicy:
             estimation.simulate(malware2, pi, MU_STAR, MU_STAR, self.config)
 
 
+def mixed_length_trajectories(spec):
+    """Simulated trajectories of horizons 1, 7, 30 and 200, interleaved."""
+    batches = [
+        estimation.simulate(spec, PI_STAR, MU_STAR, MU_STAR,
+                            estimation.EstimatorConfig(n_trajectories=d, horizon=T,
+                                                       seed=T))
+        for d, T in ((3, 1), (5, 7), (4, 30), (2, 200))
+    ]
+    return [t for group in zip(*batches) for t in group] + [
+        t for batch in batches for t in batch[2:]]
+
+
+class TestEstimatorsMatchLoops:
+    """Both estimators give exactly what a loop over trajectories gives."""
+
+    def test_mean_field(self, malware2):
+        trajs = mixed_length_trajectories(malware2)
+        assert len({len(t) for t in trajs}) == 4
+        counts, total = np.zeros(2), 0
+        for t in trajs:
+            counts += np.bincount(t.states, minlength=2)
+            total += len(t)
+        np.testing.assert_array_equal(
+            estimation.estimate_mean_field(trajs, n_states=2), counts / total)
+        np.testing.assert_array_equal(
+            estimation.estimate_mean_field(trajs), counts / total)
+
+    def test_feature_expectation(self, malware2):
+        trajs = mixed_length_trajectories(malware2)
+        mu_hat = estimation.estimate_mean_field(trajs, n_states=2)
+        f = model.feature_table(malware2, mu_hat)
+        total = np.zeros(malware2.feature_dim)
+        for t in trajs:
+            total += malware2.beta ** np.arange(len(t)) @ f[t.states, t.actions]
+        est, _ = estimation.estimate_feature_expectation(
+            malware2, trajs, mu_hat, malware2.beta)
+        np.testing.assert_array_equal(est, total / len(trajs))
+
+
 class TestEstimateMeanField:
+    def test_state_out_of_range_raises(self):
+        t = estimation.Trajectory(
+            states=np.array([0, 3, 1]), actions=np.zeros(3, dtype=int), seed=0
+        )
+        with pytest.raises(ValidationError):
+            estimation.estimate_mean_field([t], n_states=2)
+
     def test_dirac(self):
         t = estimation.Trajectory(
             states=np.full(50, 2), actions=np.zeros(50, dtype=int), seed=0

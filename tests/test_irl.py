@@ -4,6 +4,7 @@ import pytest
 from mfgsolver import irl, mdp, model
 from mfgsolver.errors import NotConverged, ValidationError
 
+from test_acceptance import ROUNDED_F, ROUNDED_MU
 from test_mdp import MU_STAR, PI_STAR
 
 
@@ -19,6 +20,18 @@ def problem10(malware10, eq10):
     eq, _ = eq10
     f_E = mdp.feature_expectation(malware10, eq.policy, eq.mean_field, eq.mean_field)
     return irl.IrlProblem(spec=malware10, mu_E=eq.mean_field, f_expert=f_E)
+
+
+@pytest.fixture(scope="module")
+def problem_a4(malware10):
+    """A4's inverse problem: the deterministic policy that repairs from state
+    7 up, with its own invariant distribution."""
+    pi_E = np.zeros((10, 2))
+    pi_E[:7, 0] = 1.0
+    pi_E[7:, 1] = 1.0
+    mu_E = mdp.stationary_distribution(malware10, pi_E, np.full(10, 0.1))
+    f_E = mdp.feature_expectation(malware10, pi_E, mu_E, mu_E)
+    return irl.IrlProblem(spec=malware10, mu_E=mu_E, f_expert=f_E)
 
 
 def reference_descent(spec, mu_E, f_E, step, n_steps, points=None):
@@ -278,6 +291,66 @@ class TestSolveIrl:
         assert len(settled[3]) >= len(loose[3])
 
 
+class TestDualKernel:
+    def test_carried_exponent_stays_in_sync(self, problem_a4):
+        # 20,000 steps of A4's configuration through the kernel, as
+        # solve_irl takes them; no re-shift happens, so c stays the max of
+        # the exponent at v = 0, log mu_E's max.
+        restart, evaluate, step, v, e, sg = irl.dual_kernel(problem_a4)
+        restart(v)
+        for _ in range(20_000):
+            _, s = evaluate()
+            step(-0.0025 / s)
+        assert np.abs(v).max() > 1.0
+        u, m = v.base, e.size  # the kernel's state (k - c, <v, linear>, v, 1)
+        Bext, _ = problem_a4._matrices
+        fresh = Bext @ np.append(v, 1.0)
+        fresh[:m] -= np.log(problem_a4.mu_E).max()
+        np.testing.assert_allclose(u[: m + 1], fresh, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("drift", [-300.0, 300.0])
+    def test_reshift_restarts_from_v_exactly(self, problem10, drift):
+        # A carried exponent 300 off puts s = sum(exp(k - c)) outside
+        # [1e-100, 1e100]; evaluate then restarts from v, and everything it
+        # leaves equals a fresh kernel's max-shifted evaluation at v.
+        restart, evaluate, _, v, e, sg = irl.dual_kernel(problem10)
+        v0 = np.random.default_rng(3).normal(scale=0.5, size=v.size)
+        restart(v0)
+        v.base[: e.size] += drift  # the carried exponent, k - c
+        got = evaluate()
+        fresh_restart, fresh_evaluate, _, fresh_v, fresh_e, fresh_sg = (
+            irl.dual_kernel(problem10))
+        fresh_restart(v0)
+        assert got == fresh_evaluate()
+        np.testing.assert_array_equal(v.base, fresh_v.base)
+        np.testing.assert_array_equal(e, fresh_e)
+        np.testing.assert_array_equal(sg, fresh_sg)
+        assert 1.0 <= got[1] <= e.size
+
+
+class TestIterationCounts:
+    """The iteration counts of the reference runs, which a change to the
+    kernel's arithmetic must keep."""
+
+    def test_a4_pipeline_problem(self, problem10):
+        _, _, _, trace = irl.solve_irl(
+            problem10, irl.IrlConfig(step=0.0025, grad_tol=1e-2))
+        assert len(trace) - 1 == 514_907
+
+    def test_a3_problem(self, malware2):
+        problem = irl.IrlProblem(spec=malware2, mu_E=ROUNDED_MU, f_expert=ROUNDED_F)
+        with pytest.warns(UserWarning):
+            _, _, _, trace = irl.solve_irl(
+                problem, irl.IrlConfig(step=0.5, grad_tol=1e-2, settle_tol=1e-10))
+        assert len(trace) - 1 == 91_201
+
+    def test_a4_problem(self, problem_a4):
+        _, _, _, trace = irl.solve_irl(
+            problem_a4,
+            irl.IrlConfig(step=0.0025, grad_tol=4.4e-3, max_iter=3_000_000))
+        assert len(trace) - 1 == 1_719_627
+
+
 class TestPolishDual:
     def test_improves_objective(self, problem2):
         d0, _, _, _ = irl.solve_irl(
@@ -297,12 +370,12 @@ class TestPolishDual:
         kernel, minimize = irl.dual_kernel, scipy.optimize.minimize
 
         def counted_kernel(problem):
-            evaluate, *buffers = kernel(problem)
+            restart, evaluate, *rest = kernel(problem)
 
-            def counted(w, c):
+            def counted():
                 calls[0] += 1
-                return evaluate(w, c)
-            return (counted, *buffers)
+                return evaluate()
+            return (restart, counted, *rest)
 
         def recorded_minimize(*args, **kwargs):
             results.append(minimize(*args, **kwargs))
