@@ -40,7 +40,6 @@ from .irl import (
     check_span_assumption,
     dual_gradient,
     dual_objective,
-    polish_dual,
     smoothness_constants,
     solve_irl,
     verify_irl,
@@ -102,7 +101,6 @@ __all__ = [
     "load_model",
     "occupation_measure",
     "policy_evaluation",
-    "polish_dual",
     "simulate",
     "smoothness_constants",
     "soft_value_iteration",

@@ -10,6 +10,7 @@ serialized in fixed scientific notation so reruns are byte-identical.
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 import warnings
@@ -44,7 +45,8 @@ def _format_value(value, indent):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12e}"
+        # JSON has no NaN or infinity; a diverged solve's last values are null.
+        return f"{float(value):.12e}" if math.isfinite(value) else "null"
     if isinstance(value, str):
         import json
 
@@ -130,13 +132,25 @@ def irl_payload(dual, nu, pi, residuals, trace):
     }
 
 
-def irl_summary(problem, residuals, trace):
-    """The manifest's account of an inverse solve: its length, last gradient
-    norm, the verify_irl residuals and the span-assumption rank test."""
+def irl_progress(method, trace):
+    """The method that ran, and the length and last gradient norm of its trace."""
+    return {"method": method, "iterations": len(trace) - 1,
+            "grad_norm": float(trace[-1][1])}
+
+
+def irl_summary(problem, residuals, trace, method):
+    """The manifest's account of an inverse solve: irl_progress, the
+    verify_irl residuals and the span-assumption rank test."""
     holds, rank = irl.check_span_assumption(problem)
-    return {"iterations": len(trace) - 1, "grad_norm": float(trace[-1][1]),
-            "residuals": residuals,
+    return {**irl_progress(method, trace), "residuals": residuals,
             "span_assumption": {"holds": holds, "rank": rank}}
+
+
+def irl_failure(exc, method):
+    """The manifest's account of a failed inverse solve: the method, and
+    irl_progress of the last iterate the error carries, if any."""
+    result = getattr(exc, "result", None)
+    return {"method": method} if result is None else irl_progress(method, result[1])
 
 
 class ManifestWriter:
@@ -214,10 +228,17 @@ def gnep_config_from_args(args):
     )
 
 
-def irl_config_from_args(args):
+def irl_method(args, exact):
+    """--method, or by default "newton" on exact expert data, computed from
+    an equilibrium, and "gd" on supplied or estimated data: such data is not
+    exactly consistent, so the dual has no finite minimizer."""
+    return args.method or ("newton" if exact else "gd")
+
+
+def irl_config_from_args(args, method):
     return irl.IrlConfig(
         step=args.step, grad_tol=args.grad_tol, max_iter=args.irl_max_iter,
-        settle_tol=args.settle_tol,
+        settle_tol=args.settle_tol, method=method,
     )
 
 
@@ -274,16 +295,16 @@ def cmd_solve_irl(args):
     with ManifestWriter("solve-irl", vars(args).copy(), out.parent) as manifest:
         manifest.add_input(path)
         problem = _irl_problem_from_args(args, spec, manifest)
-        config = irl_config_from_args(args)
+        method = irl_method(args, exact=bool(args.equilibrium))
         try:
-            dual, nu, pi, trace = irl.solve_irl(problem, config)
+            dual, nu, pi, trace = irl.solve_irl(problem, irl_config_from_args(args, method))
         except SOLVER_FAILURES as exc:
-            return manifest.fail(exc, "solve-irl")
+            return manifest.fail(exc, "solve-irl", **irl_failure(exc, method))
         residuals = irl.verify_irl(problem, nu)
         write_json(out, irl_payload(dual, nu, pi, residuals, trace))
         manifest.add_output(out)
         manifest.finish({"converged": True,
-                         **irl_summary(problem, residuals, trace)})
+                         **irl_summary(problem, residuals, trace, method)})
         return 0
 
 
@@ -429,11 +450,12 @@ def cmd_pipeline(args):
             f_expert = mdp.feature_expectation(spec, eq.policy, mu_E, mu_E)
 
         problem = irl.IrlProblem(spec=spec, mu_E=mu_E, f_expert=f_expert)
-        irl_config = irl_config_from_args(args)
+        method = irl_method(args, exact=not args.estimate)
         try:
-            dual, nu, pi, trace = irl.solve_irl(problem, irl_config)
+            dual, nu, pi, trace = irl.solve_irl(problem, irl_config_from_args(args, method))
         except SOLVER_FAILURES as exc:
-            return manifest.fail(exc, "pipeline[solve-irl]", stage="solve-irl")
+            return manifest.fail(exc, "pipeline[solve-irl]", stage="solve-irl",
+                                 **irl_failure(exc, method))
         residuals = irl.verify_irl(problem, nu)
         irl_path = out_dir / "irl.json"
         write_json(irl_path, irl_payload(dual, nu, pi, residuals, trace))
@@ -444,7 +466,7 @@ def cmd_pipeline(args):
             "mfe": {**forward_summary(report),
                     "optimality_gap": eq.optimality_gap,
                     "invariance_residual": eq.invariance_residual},
-            "irl": irl_summary(problem, residuals, trace),
+            "irl": irl_summary(problem, residuals, trace, method),
         })
         return 0
 
@@ -475,8 +497,12 @@ def _add_gnep_args(parser):
 
 def _add_irl_args(parser):
     defaults = irl.IrlConfig()
+    parser.add_argument("--method", choices=("newton", "gd"), default=None,
+                        help="damped Newton or constant-step gradient descent "
+                             "(default newton on data computed from an "
+                             "equilibrium, gd on supplied or estimated data)")
     parser.add_argument("--step", type=float, default=defaults.step,
-                        help="gradient step (default 1/L)")
+                        help="gradient step of gd (default 1/L)")
     parser.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
     parser.add_argument("--irl-max-iter", type=int, default=defaults.max_iter)
     parser.add_argument("--settle-tol", type=float, default=defaults.settle_tol,

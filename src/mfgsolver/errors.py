@@ -65,19 +65,23 @@ class LineSearchStall(ReportedFailure):
     """Backtracking exhausted its budget without an acceptable step."""
 
 
-class NotConverged(MfgError):
-    """An iterative solver hit its iteration cap before reaching tolerance.
-
-    Carries the partial result so callers can inspect the trace.
-    """
+class PartialResult(MfgError):
+    """A solver failure that carries the solver's partial result (None when
+    raised outside a solve), so callers can inspect the last iterate."""
 
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
 
 
-class NonFinite(MfgError):
-    """An iterative solver diverged to NaN or infinity."""
+class NotConverged(PartialResult):
+    """An iterative solver hit its iteration cap before reaching tolerance,
+    or its line search found no decrease."""
+
+
+class NonFinite(PartialResult):
+    """An iterative solver diverged to NaN or infinity, or its linear
+    system had no finite solution."""
 
 
 class EmptyData(MfgError):

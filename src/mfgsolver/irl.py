@@ -2,8 +2,9 @@
 
 Given the expert mean-field term and discounted feature expectations, the
 entropy-maximization problem over occupation measures has an unconstrained
-convex dual in (theta, lambda, xi). Constant-step gradient descent on that
-dual recovers the Boltzmann occupation measure and its policy.
+convex dual in (theta, lambda, xi). Constant-step gradient descent or damped
+Newton on that dual recovers the Boltzmann occupation measure and its
+policy.
 """
 
 import math
@@ -121,9 +122,20 @@ class SmoothnessConstants:
     L: float
 
 
+# Damped Newton: the Hessian is regularized by NEWTON_REG times its trace,
+# and a trial point is accepted when it decreases the dual by at least
+# ARMIJO_C times the predicted decrease; the step halves at most
+# MAX_HALVINGS times before the search gives up.
+NEWTON_REG = 1e-12
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 60
+
+
 @dataclass
 class IrlConfig:
-    """step=None selects 1/L from the smoothness constants.
+    """method is "gd", constant-step gradient descent, or "newton", damped
+    Newton. step configures "gd" only: step=None selects 1/L from the
+    smoothness constants.
 
     settle_tol, when set, additionally requires the Boltzmann occupation
     measure to move by at most settle_tol (sup norm) between successive
@@ -138,6 +150,7 @@ class IrlConfig:
     grad_tol: float = 1e-2
     max_iter: int = 1_000_000
     settle_tol: float | None = None
+    method: str = "gd"
 
 
 def dual_kernel(problem):
@@ -248,35 +261,44 @@ def check_span_assumption(problem):
 
 
 def solve_irl(problem, config=None):
-    """Constant-step gradient descent on the dual from the zero start.
+    """Gradient descent or damped Newton on the dual from the zero start.
 
     Stops when the sup-norm of the gradient drops below grad_tol (and, if
     settle_tol is set, the occupation measure has stopped moving). Returns
     (DualPoint, OccupationMeasure, Policy, trace) where trace rows are
-    (g value, sup-norm of gradient) per iteration.
+    (g value, sup-norm of gradient) per iteration. NotConverged and
+    NonFinite carry (DualPoint, trace) of the last iterate as their result.
 
-    Each step makes three array calls through dual_kernel: exp of the
+    Each "gd" step makes three array calls through dual_kernel: exp of the
     carried exponent, one product with the stacked matrix, and one daxpy
     that moves v and its exponent together. The shift c stays at the max(k)
     of the last restart, from v = 0 on the first step, and the kernel
     restarts from v exactly only when the sum of exp(k - c) leaves [1e-100,
-    1e100]. The trace is kept interleaved in one array of doubles, 16 bytes
-    per step, and returned as a view of it.
+    1e100]. "newton" takes its steps from _newton_step. The trace is kept
+    interleaved in one array of doubles, 16 bytes per step, and returned as
+    a view of it.
     """
     config = config or IrlConfig()
-    consts = smoothness_constants(problem)
-    step = config.step if config.step is not None else 1.0 / consts.L
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if step > 1.0 / consts.L:
-        warnings.warn(
-            f"step {step:g} exceeds 1/L = {1.0 / consts.L:g}; "
-            "the descent guarantee does not apply",
-            stacklevel=2,
-        )
+    if config.method not in ("gd", "newton"):
+        raise ValueError(f"method must be 'gd' or 'newton', got {config.method!r}")
+    newton = config.method == "newton"
+    if not newton:
+        consts = smoothness_constants(problem)
+        step = config.step if config.step is not None else 1.0 / consts.L
+        if step <= 0.0:
+            raise ValueError(f"step must be positive, got {step}")
+        if step > 1.0 / consts.L:
+            warnings.warn(
+                f"step {step:g} exceeds 1/L = {1.0 / consts.L:g}; "
+                "the descent guarantee does not apply",
+                stacklevel=2,
+            )
     spec = problem.spec
     X, A = spec.n_states, spec.n_actions
-    restart, evaluate, descend, v, e, sg = dual_kernel(problem)
+    kernel = dual_kernel(problem)
+    restart, evaluate, descend, v, e, sg = kernel
+    if newton:
+        newton_step = _newton_step(problem, kernel)
     restart(v)                # from the zero start, shifted at max(k)
     s_grad = sg[:-1]
     grad_tol, settle = config.grad_tol, config.settle_tol
@@ -286,13 +308,14 @@ def solve_irl(problem, config=None):
     push = trace.append
     # exp(k - c) may overflow before the re-shift; NonFinite catches the rest.
     with np.errstate(over="ignore", invalid="ignore"):
+        g, s = evaluate()
         for it in range(config.max_iter + 1):
-            g, s = evaluate()
-            if not math.isfinite(g):
-                raise NonFinite(f"dual objective diverged after {it} steps")
             grad_norm = abs(s_grad.item(idamax(s_grad))) / s
             push(g)
             push(grad_norm)
+            if not math.isfinite(g):
+                raise NonFinite(f"dual objective diverged after {it} steps",
+                                result=_partial(problem, v, trace))
             settled = True
             if settle is not None:
                 np.divide(e, s, out=nu)
@@ -304,47 +327,77 @@ def solve_irl(problem, config=None):
                     nu=(e / s).reshape(X, A), beta=spec.beta, mu0=problem.mu_E
                 )
                 return d, occupation, disintegrate(occupation), _trace(trace)
-            descend(-step / s)  # v -= step * grad, and its exponent
+            if not newton:
+                descend(-step / s)  # v -= step * grad, and its exponent
+                g, s = evaluate()
+            elif it < config.max_iter:
+                x = v.copy()
+                try:
+                    g, s = newton_step(x, g, s)
+                except (NonFinite, NotConverged) as exc:
+                    exc.result = _partial(problem, x, trace)
+                    raise
     raise NotConverged(
         f"gradient sup-norm {grad_norm:.3e} after {config.max_iter} iterations",
-        result=(DualPoint.from_vector(problem, v), _trace(trace)),
+        result=_partial(problem, v, trace),
     )
+
+
+def _newton_step(problem, kernel):
+    """The damped Newton step of solve_irl on dual_kernel's state.
+
+    The Hessian of g is (1/(1-beta)) Bv' (diag nu - nu nu') Bv, nu = e / s
+    and Bv = Bext[:-1, :n], so it is built from the centered rows Bv -
+    nu' Bv, plus NEWTON_REG times its trace on the diagonal. step(x, g, s)
+    takes the kernel evaluated at x, with value g and sum s, solves for the
+    Newton direction and halves the step from 1 until the Armijo test
+    holds. It makes one restart and one evaluate per trial point, so the
+    kernel is left at the accepted point, and returns its (g, s). Raises
+    NonFinite on a singular or non-finite system or a non-finite value, and
+    NotConverged when no trial decreases g within MAX_HALVINGS halvings.
+    """
+    restart, evaluate, _, v, e, sg = kernel
+    Bv = problem._matrices[0][:-1, : v.size]
+    one_minus_beta = 1.0 - problem.spec.beta
+
+    def step(x, g, s):
+        nu = e / s
+        centered = Bv - nu @ Bv
+        H = (centered.T * nu) @ centered / one_minus_beta
+        H.flat[:: v.size + 1] += NEWTON_REG * np.trace(H)
+        grad = sg[:-1] / s
+        try:
+            d = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError as exc:
+            raise NonFinite(f"Newton system: {exc}") from None
+        slope = float(grad @ d)
+        if not (math.isfinite(slope) and np.isfinite(d).all()):
+            raise NonFinite("Newton direction is not finite")
+        if slope >= 0.0:
+            raise NotConverged(f"Newton direction has slope {slope:.3e} >= 0")
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            restart(x + t * d)
+            g_t, s_t = evaluate()
+            if not math.isfinite(g_t):
+                raise NonFinite(f"dual objective not finite at step {t:g}")
+            if g_t <= g + ARMIJO_C * t * slope:
+                return g_t, s_t
+            t *= 0.5
+        raise NotConverged(f"no decrease within {MAX_HALVINGS} halvings "
+                           f"(slope {slope:.3e})")
+
+    return step
+
+
+def _partial(problem, v, trace):
+    """The result a failed solve carries: (DualPoint at v, trace)."""
+    return DualPoint.from_vector(problem, v), _trace(trace)
 
 
 def _trace(trace):
     """The (iterations + 1, 2) trace array, a view of the interleaved doubles."""
     return np.frombuffer(trace).reshape(-1, 2)
-
-
-def polish_dual(problem, start=None, gtol=1e-12, max_iter=50_000):
-    """Quasi-Newton refinement of a dual point with scipy's L-BFGS-B.
-
-    Constant-step descent closes the last stretch of the duality gap
-    sublinearly whenever the expert policy is deterministic somewhere: the
-    dual infimum is then approached only along an unbounded direction.
-    L-BFGS takes large steps along that direction and closes the gap in a
-    handful of iterations. Each point costs one dual_kernel call, for the
-    value and the gradient together. Returns (DualPoint,
-    OccupationMeasure, policy); the refined point is kept only if it
-    improves on the start's dual objective.
-    """
-    from scipy.optimize import minimize
-
-    v0 = (start.as_vector() if isinstance(start, DualPoint)
-          else DualPoint.zero(problem).as_vector() if start is None
-          else np.asarray(start, dtype=float))
-    values = {}
-
-    def value_and_gradient(v):
-        g, grad, _ = _evaluate(problem, v)
-        values.setdefault("start", g)  # L-BFGS-B evaluates v0 first
-        return g, grad
-
-    res = minimize(value_and_gradient, v0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "ftol": 1e-18, "gtol": gtol})
-    d = DualPoint.from_vector(problem, res.x if res.fun <= values["start"] else v0)
-    nu = boltzmann(problem, d)
-    return d, nu, disintegrate(nu)
 
 
 def verify_irl(problem, nu):

@@ -202,8 +202,7 @@ def test_a5_gradient_correctness(acceptance, malware2, malware10,
 def test_a6_strong_duality(acceptance, malware2, expert2):
     mu_E, f_E = expert2
     problem = irl.IrlProblem(spec=malware2, mu_E=mu_E, f_expert=f_E)
-    d0, _, _, _ = irl.solve_irl(problem, irl.IrlConfig(step=0.5, grad_tol=1e-3))
-    d, nu, pi = irl.polish_dual(problem, start=d0)
+    d, nu, pi, _ = irl.solve_irl(problem, irl.IrlConfig(method="newton", grad_tol=1e-8))
     gap = abs(irl.dual_objective(problem, d) - _entropy(nu))
     acceptance.check("duality gap <= 1e-4", gap <= 1e-4, f"{gap:.1e}")
     acceptance.finish()

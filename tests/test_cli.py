@@ -1,4 +1,6 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -325,8 +327,8 @@ class TestSolveIrl:
         out = tmp_path / "irl.json"
         with pytest.warns(UserWarning):
             code = run(["solve-irl", "--model", "builtin:malware2",
-                        "--equilibrium", str(eq_file), "--step", "0.5",
-                        "--out", str(out)])
+                        "--equilibrium", str(eq_file), "--method", "gd",
+                        "--step", "0.5", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert max(doc["residuals"].values()) <= 1e-2
@@ -367,3 +369,81 @@ class TestPipeline:
         doc = json.loads((out_dir / "irl.json").read_text())
         assert summary["residuals"] == doc["residuals"]
         assert summary["span_assumption"] == {"holds": False, "rank": 4}
+
+
+class TestIrlMethod:
+    """--method, its default by data source, and the IRL failure manifests."""
+
+    @pytest.mark.parametrize("argv,method", [
+        (["pipeline", "--model", "builtin:malware10", "--out-dir", "{d}"], "newton"),
+        (["pipeline", "--model", "builtin:malware10", "--estimate",
+          "--irl-max-iter", "100", "--out-dir", "{d}"], "gd"),
+        (["solve-irl", "--model", "builtin:malware2", "--equilibrium", "{eq}",
+          "--out", "{d}/irl.json"], "newton"),
+        (["solve-irl", "--model", "builtin:malware2", "--mean-field", "0.65,0.35",
+          "--feature-expectation", "1.75,0.6125,3.0175", "--irl-max-iter", "100",
+          "--out", "{d}/irl.json"], "gd"),
+    ])
+    def test_default_follows_data_source(self, eq_file, tmp_path, argv, method):
+        # Exact data from an equilibrium gets newton, which converges in a
+        # few steps; supplied or estimated data gets gd, here cut at 100
+        # steps, so the failure manifest names the method that ran.
+        code = run([a.format(d=tmp_path, eq=eq_file) for a in argv])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        convergence = manifest["convergence"]
+        assert manifest["config"]["method"] is None
+        if method == "newton":
+            assert code == 0
+            summary = convergence.get("irl", convergence)
+            assert summary["method"] == "newton"
+            assert summary["iterations"] <= 10
+            assert max(summary["residuals"].values()) <= 1e-2
+        else:
+            assert code == 1
+            assert convergence["error"] == "NotConverged"
+            assert convergence["method"] == "gd"
+            assert convergence["iterations"] == 100
+
+    def test_gd_reproduces_descent_output(self, tmp_path):
+        # The a4-pipeline arguments: gd writes the irl.json that constant-step
+        # descent wrote before Newton existed (514,907 steps), byte for byte.
+        assert run(["pipeline", "--model", "builtin:malware10", "--step", "0.0025",
+                    "--method", "gd", "--out-dir", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "irl.json").read_bytes()).hexdigest()
+        assert digest == "47dab828689c07b3c4b3d66a567db6cc1d5fc92f059a96008d07bb4e78405a21"
+
+    @pytest.mark.parametrize("case", ["cap", "singular", "diverged"])
+    def test_failure_manifest_records_last_iterate(self, eq_file, tmp_path,
+                                                   monkeypatch, case):
+        if case == "cap":
+            argv = ["solve-irl", "--model", "builtin:malware2", "--equilibrium",
+                    str(eq_file), "--method", "newton", "--grad-tol", "1e-12",
+                    "--irl-max-iter", "2", "--out", str(tmp_path / "irl.json")]
+            expected = ("NotConverged", "newton", 2)
+        elif case == "singular":
+            def singular(a, b):
+                raise np.linalg.LinAlgError("Singular matrix")
+            monkeypatch.setattr(np.linalg, "solve", singular)
+            argv = ["pipeline", "--model", "builtin:malware2", "--out-dir", str(tmp_path)]
+            expected = ("NonFinite", "newton", 0)
+        else:
+            # An infinite step makes v NaN. JSON has no NaN or infinity, so
+            # the manifest writes the step and the last gradient norm as null.
+            argv = ["solve-irl", "--model", "builtin:malware2", "--mean-field",
+                    "0.65,0.35", "--feature-expectation", "1.75,0.6125,3.0175",
+                    "--step", "inf", "--out", str(tmp_path / "irl.json")]
+            expected = ("NonFinite", "gd", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert run(argv) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        convergence = manifest["convergence"]
+        assert (convergence["error"], convergence["method"]) == expected[:2]
+        if expected[2] is not None:
+            assert convergence["iterations"] == expected[2]
+            assert convergence["grad_norm"] > 1e-12
+        else:
+            assert convergence["iterations"] == 1
+            assert convergence["grad_norm"] is None
+            assert manifest["config"]["step"] is None
+        assert convergence.get("stage") == ("solve-irl" if argv[0] == "pipeline" else None)

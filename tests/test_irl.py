@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mfgsolver import irl, mdp, model
-from mfgsolver.errors import NotConverged, ValidationError
+from mfgsolver import estimation, irl, mdp, model
+from mfgsolver.errors import MfgError, NonFinite, NotConverged, ValidationError
 
 from test_acceptance import ROUNDED_F, ROUNDED_MU
 from test_mdp import MU_STAR, PI_STAR
@@ -217,14 +217,15 @@ class TestSmoothness:
 
 class TestSolveIrl:
     def test_recovers_expert_measure(self, malware2, problem2):
-        # Plain descent gets the constraint residuals below grad_tol; the
-        # quasi-Newton refinement then pins the measure to the expert's.
+        # Plain descent gets the constraint residuals below grad_tol; Newton
+        # at a tight grad_tol pins the measure to the expert's.
         d, nu, pi, trace = irl.solve_irl(
             problem2, irl.IrlConfig(step=0.5, grad_tol=1e-3)
         )
         res = irl.verify_irl(problem2, nu)
         assert max(res.values()) <= 2e-3
-        _, nu_ref, _ = irl.polish_dual(problem2, start=d)
+        _, nu_ref, _, _ = irl.solve_irl(
+            problem2, irl.IrlConfig(method="newton", grad_tol=1e-8))
         exact_nu = mdp.occupation_measure(malware2, PI_STAR, MU_STAR, MU_STAR)
         np.testing.assert_allclose(nu_ref.nu, exact_nu.nu, atol=1e-5)
 
@@ -244,6 +245,19 @@ class TestSolveIrl:
         assert isinstance(d, irl.DualPoint)
         assert trace.shape == (11, 2)
         assert trace.dtype == np.float64
+
+    def test_non_finite_carries_last_iterate(self, problem2):
+        # Steps of 1e308 overflow the exponent, so the objective is NaN.
+        with pytest.warns(UserWarning), pytest.raises(NonFinite) as exc_info:
+            irl.solve_irl(problem2, irl.IrlConfig(step=1e308, max_iter=10))
+        d, trace = exc_info.value.result
+        assert 0 < len(trace) - 1 <= 10
+        assert np.all(np.isfinite(trace[:-1])) and not np.isfinite(trace[-1, 0])
+        assert not np.isfinite(irl.dual_objective(problem2, d))
+
+    def test_unknown_method_raises(self, problem2):
+        with pytest.raises(ValueError):
+            irl.solve_irl(problem2, irl.IrlConfig(method="lbfgs"))
 
     def test_matches_reference_descent_a4(self, problem10):
         # A4's configuration: 2,000 steps of 0.0025 from the zero start.
@@ -351,61 +365,106 @@ class TestIterationCounts:
         assert len(trace) - 1 == 1_719_627
 
 
-class TestPolishDual:
-    def test_improves_objective(self, problem2):
-        d0, _, _, _ = irl.solve_irl(
-            problem2, irl.IrlConfig(step=0.5, grad_tol=1e-2)
-        )
-        g0 = irl.dual_objective(problem2, d0)
-        d, nu, pi = irl.polish_dual(problem2, start=d0)
-        assert irl.dual_objective(problem2, d) <= g0
-        assert nu.nu.sum() == pytest.approx(1.0, abs=1e-10)
+class TestNewton:
+    @pytest.mark.parametrize("case,eq", [("problem2", "eq2"), ("problem10", "eq10")])
+    def test_reaches_equilibrium_policy(self, request, case, eq):
+        # On exact expert data Newton drives the verify_irl residuals to the
+        # tolerance and recovers the equilibrium policy.
+        problem = request.getfixturevalue(case)
+        eq, _ = request.getfixturevalue(eq)
+        d, nu, pi, trace = irl.solve_irl(
+            problem, irl.IrlConfig(method="newton", grad_tol=1e-9))
+        assert len(trace) - 1 <= 30
+        assert max(irl.verify_irl(problem, nu).values()) <= 1e-8
+        assert np.abs(pi - eq.policy).max() <= 1e-6
+        grad = np.concatenate(irl.dual_gradient(problem, d))
+        assert np.abs(grad).max() <= 1e-9
 
-    def test_one_kernel_call_per_point(self, problem2, monkeypatch):
-        # L-BFGS-B's evaluations plus the final boltzmann: the start's value
-        # is not computed a second time for the keep-if-better test.
-        import scipy.optimize
+    def test_decreases_with_one_evaluate_per_point(self, problem10, monkeypatch):
+        # Every trial point is restarted and evaluated once, and the accepted
+        # trial's values are the next iterate's trace row: no point twice.
+        points, kernel = [], irl.dual_kernel
 
-        calls, results = [0], []
-        kernel, minimize = irl.dual_kernel, scipy.optimize.minimize
+        def recorded_kernel(problem):
+            restart, evaluate, step, v, e, sg = kernel(problem)
 
-        def counted_kernel(problem):
-            restart, evaluate, *rest = kernel(problem)
+            def recorded():
+                g, s = evaluate()
+                points.append((v.copy(), g))
+                return g, s
+            return restart, recorded, step, v, e, sg
 
-            def counted():
-                calls[0] += 1
-                return evaluate()
-            return (restart, counted, *rest)
+        monkeypatch.setattr(irl, "dual_kernel", recorded_kernel)
+        d, _, _, trace = irl.solve_irl(
+            problem10, irl.IrlConfig(method="newton", grad_tol=1e-9))
+        assert trace.shape[1] == 2
+        assert np.all(np.diff(trace[:, 0]) < 0.0)
+        assert len({v.tobytes() for v, _ in points}) == len(points) >= len(trace)
+        accepted = [g for _, g in points if g in set(trace[:, 0])]
+        np.testing.assert_array_equal(accepted, trace[:, 0])
+        np.testing.assert_array_equal(points[-1][0], d.as_vector())
 
-        def recorded_minimize(*args, **kwargs):
-            results.append(minimize(*args, **kwargs))
-            return results[-1]
+    def test_not_converged_carries_last_iterate(self, problem2):
+        with pytest.raises(NotConverged) as exc_info:
+            irl.solve_irl(problem2, irl.IrlConfig(method="newton", grad_tol=1e-12,
+                                                  max_iter=3))
+        d, trace = exc_info.value.result
+        assert trace.shape == (4, 2)
+        assert irl.dual_objective(problem2, d) == trace[-1, 0]
 
-        monkeypatch.setattr(irl, "dual_kernel", counted_kernel)
-        monkeypatch.setattr(scipy.optimize, "minimize", recorded_minimize)
-        irl.polish_dual(problem2)
-        assert results[0].nfev > 1
-        assert calls[0] == results[0].nfev + 1
+    @pytest.mark.parametrize("solve,message", [
+        ("singular", "Singular matrix"), ("nan", "direction is not finite"),
+    ])
+    def test_bad_newton_system_raises_non_finite(self, problem2, monkeypatch,
+                                                 solve, message):
+        def bad_solve(a, b):
+            if solve == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(b, np.nan)
 
-    def test_keeps_start_when_not_improved(self, problem2, monkeypatch):
-        # A minimizer that, like L-BFGS-B, evaluates the start first and
-        # then returns a worse point.
-        import scipy.optimize
+        monkeypatch.setattr(np.linalg, "solve", bad_solve)
+        with pytest.raises(NonFinite, match=message) as exc_info:
+            irl.solve_irl(problem2, irl.IrlConfig(method="newton"))
+        d, trace = exc_info.value.result
+        np.testing.assert_array_equal(d.as_vector(), 0.0)
+        assert trace.shape == (1, 2) and np.all(np.isfinite(trace))
 
-        def worse(fun, x0, **kwargs):
-            fun(x0)
-            x = x0 + 5.0
-            return scipy.optimize.OptimizeResult(x=x, fun=fun(x)[0])
+    def test_no_decrease_raises_not_converged(self, problem2, monkeypatch):
+        # A direction 2^20 times too long needs about 20 halvings.
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 2.0**20 * solve(a, b))
+        irl.solve_irl(problem2, irl.IrlConfig(method="newton"))
+        monkeypatch.setattr(irl, "MAX_HALVINGS", 10)
+        with pytest.raises(NotConverged, match="10 halvings") as exc_info:
+            irl.solve_irl(problem2, irl.IrlConfig(method="newton"))
+        d, trace = exc_info.value.result
+        np.testing.assert_array_equal(d.as_vector(), 0.0)
+        assert trace.shape == (1, 2)
 
-        v0 = np.full(7, 0.1)
-        d_worse = irl.DualPoint.from_vector(problem2, v0 + 5.0)
-        d0 = irl.DualPoint.from_vector(problem2, v0)
-        assert irl.dual_objective(problem2, d_worse) > irl.dual_objective(problem2, d0)
-        monkeypatch.setattr(scipy.optimize, "minimize", worse)
-        d, _, _ = irl.polish_dual(problem2, start=d0)
-        np.testing.assert_array_equal(d.as_vector(), v0)
-
-    def test_from_zero_start(self, problem2):
-        d, nu, pi = irl.polish_dual(problem2)
-        grad = np.concatenate(irl.dual_gradient(problem2, d))
-        assert np.abs(grad).max() <= 1e-6
+    @pytest.mark.parametrize("n_trajectories,horizon,seed", [
+        (10, 10_000, 0), (10, 10_000, 1), (1_000, 100, 0),
+    ])
+    def test_estimated_data_never_leaks(self, malware10, eq10,
+                                        n_trajectories, horizon, seed):
+        # On sampled data the dual has no finite minimizer: Newton either
+        # meets grad_tol or raises a package error carrying its last
+        # iterate, never a LinAlgError or a NaN result.
+        eq, _ = eq10
+        trajectories = estimation.simulate(
+            malware10, eq.policy, eq.mean_field, eq.mean_field,
+            estimation.EstimatorConfig(n_trajectories=n_trajectories,
+                                       horizon=horizon, seed=seed))
+        mu_E = np.clip(estimation.estimate_mean_field(trajectories, 10), 1e-12, None)
+        mu_E /= mu_E.sum()
+        f_E, _ = estimation.estimate_feature_expectation(
+            malware10, trajectories, mu_E, malware10.beta)
+        problem = irl.IrlProblem(spec=malware10, mu_E=mu_E, f_expert=f_E)
+        config = irl.IrlConfig(method="newton")
+        try:
+            _, nu, pi, _ = irl.solve_irl(problem, config)
+        except MfgError as exc:
+            d, trace = exc.result
+            assert isinstance(d, irl.DualPoint) and len(trace) >= 1
+            return
+        assert np.all(np.isfinite(pi))
+        assert max(irl.verify_irl(problem, nu).values()) <= config.grad_tol
