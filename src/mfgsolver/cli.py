@@ -2,10 +2,11 @@
 
 Subcommands: solve-mfe, solve-irl, simulate, estimate, verify, pipeline.
 Exit codes: 0 success, 1 solver failure (non-convergence, a non-descent
-Newton direction, a stalled line search, or divergence), 2 input or
-validation error. Every run that gets as far as creating its output
-directory writes a manifest there, on failure too, and all floats are
-serialized in fixed scientific notation so reruns are byte-identical.
+Newton direction, a stalled line search, an iterate off the barrier's
+domain, or divergence), 2 input or validation error. Every run that gets
+as far as creating its output directory writes a manifest there, on
+failure too, and all floats are serialized in fixed scientific notation so
+reruns are byte-identical.
 """
 
 import argparse
@@ -20,12 +21,13 @@ import numpy as np
 
 from . import estimation, gnep, irl, mdp, model
 from .errors import (
-    LineSearchStall, MfgError, NonDescent, NonFinite, NotConverged, ParseError,
-    ValidationError,
+    BoundaryViolation, LineSearchStall, MfgError, NonDescent, NonFinite,
+    NotConverged, ParseError, ValidationError,
 )
 
 # Errors that mean the solver ran and failed, not that its input was bad.
-SOLVER_FAILURES = (NotConverged, NonDescent, LineSearchStall, NonFinite)
+SOLVER_FAILURES = (NotConverged, NonDescent, LineSearchStall, BoundaryViolation,
+                   NonFinite)
 
 TRAJECTORY_HEADER = "trajectory_id,t,state,action"
 
@@ -228,6 +230,17 @@ def gnep_config_from_args(args):
     )
 
 
+def sim_config_from_args(args):
+    """The EstimatorConfig of --n-trajectories, --horizon and --seed; a
+    value it rejects is an input error."""
+    try:
+        return estimation.EstimatorConfig(
+            n_trajectories=args.n_trajectories, horizon=args.horizon, seed=args.seed
+        )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+
+
 def irl_method(args, exact):
     """--method, or by default "newton" on exact expert data, computed from
     an equilibrium, and "gd" on supplied or estimated data: such data is not
@@ -322,9 +335,7 @@ def cmd_simulate(args):
         doc = json.loads(eq_path.read_text())
         mu = np.asarray(doc["mean_field"], dtype=float)
         pi = np.asarray(doc["policy"], dtype=float)
-        config = estimation.EstimatorConfig(
-            n_trajectories=args.n_trajectories, horizon=args.horizon, seed=args.seed
-        )
+        config = sim_config_from_args(args)
         trajectories = estimation.simulate(spec, pi, mu, mu, config)
         with out.open("w") as fh:
             fh.write(TRAJECTORY_HEADER + "\n")
@@ -423,6 +434,8 @@ def cmd_pipeline(args):
         manifest.add_input(path)
 
         config = gnep_config_from_args(args)
+        # Checked before the forward solve, which a bad value would waste.
+        sim_config = sim_config_from_args(args) if args.estimate else None
         try:
             eq, report = gnep.solve_gnep(spec, config)
         except SOLVER_FAILURES as exc:
@@ -433,9 +446,6 @@ def cmd_pipeline(args):
         manifest.add_output(eq_path)
 
         if args.estimate:
-            sim_config = estimation.EstimatorConfig(
-                n_trajectories=args.n_trajectories, horizon=args.horizon, seed=args.seed
-            )
             trajectories = estimation.simulate(
                 spec, eq.policy, eq.mean_field, eq.mean_field, sim_config
             )

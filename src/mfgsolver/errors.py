@@ -37,10 +37,6 @@ class NonUniqueStationary(MfgError):
     """The chain has more than one stationary distribution."""
 
 
-class BoundaryViolation(MfgError):
-    """A barrier term was evaluated at a non-positive component."""
-
-
 class ReportedFailure(MfgError):
     """A solver failure that can carry the solver's report up to the
     failing iteration (None when raised outside a solve)."""
@@ -48,6 +44,10 @@ class ReportedFailure(MfgError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+class BoundaryViolation(ReportedFailure):
+    """A barrier term was evaluated at a non-positive component."""
 
 
 class NonDescent(ReportedFailure):

@@ -1,14 +1,19 @@
 """Expert-data pathway: trajectory simulation and plug-in estimators.
 
-Each trajectory draws from its own counter-based RNG substream derived
-from (seed, trajectory index), so the set of trajectories is independent
-of generation order and reproducible bit-for-bit.
+Trajectory i draws from the PCG64 stream that numpy's
+default_rng(SeedSequence(seed, spawn_key=(i,))) gives, so the set of
+trajectories is independent of generation order and batch size and
+reproducible bit for bit. The SeedSequence hash behind those streams runs
+once over every trajectory index at the same time (_substreams), and each
+PCG64 is seeded from its row of the result by numpy's own seeding.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import EmptyData, ValidationError
 from .model import check_simplex, feature_table, transition_kernel
@@ -33,6 +38,89 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.n_trajectories < 1 or self.horizon < 1:
             raise ValueError("need at least one trajectory and one step")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+# numpy's SeedSequence hash (NEP 19): a pool of POOL_SIZE uint32 words,
+# hashed with a multiplier that steps from INIT_A by MULT_A per word, mixed
+# by MIX_MULT_L and MIX_MULT_R, and read out with a multiplier that steps
+# from INIT_B by MULT_B. The multipliers never depend on the data.
+POOL_SIZE = 4
+MASK32 = 0xFFFFFFFF
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_keys(h, mult):
+    """The (xor key, multiplier) of each successive hashmix."""
+    while True:
+        nxt = h * mult & MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(value, keys):
+    h, m = next(keys)
+    value = (value ^ h) * m
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = MIX_MULT_L * x - MIX_MULT_R * y
+    return result ^ result >> 16
+
+
+class _PcgState(ISeedSequence):
+    """Hands PCG64 the seed words that SeedSequence.generate_state(4,
+    uint64) would give, so numpy's own PCG64 seeding runs on them."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only (4, uint64) is available, not ({n_words}, {dtype})")
+        return self.words
+
+
+def _substreams(seed, d, n):
+    """The (d, n) table whose row i is
+    default_rng(SeedSequence(seed, spawn_key=(i,))).random(n).
+
+    The hash runs as uint32 array operations over all d children at once:
+    the run entropy, seed in 32-bit words from the least significant and
+    zero-padded to POOL_SIZE words, is the same for every child, and the
+    spawn word i, the last entropy word, is an array. The trajectory
+    indices fit one word: d beyond 2**32 would not fit in memory.
+    """
+    words, seed = [], int(seed)
+    while True:
+        words.append(np.array([seed & MASK32], dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    words += [np.zeros(1, dtype=np.uint32)] * (POOL_SIZE - len(words))
+    entropy = words + [np.arange(d, dtype=np.uint32)]
+    keys = _hash_keys(INIT_A, MULT_A)
+    pool = [_hashmix(word, keys) for word in entropy[:POOL_SIZE]]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], keys))
+    for word in entropy[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, keys))
+    # generate_state(4, uint64): eight uint32 words cycling over the pool,
+    # read as four little-endian uint64 words.
+    keys = _hash_keys(INIT_B, MULT_B)
+    state = np.stack([_hashmix(pool[k % POOL_SIZE], keys) for k in range(8)], axis=1)
+    state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    u = np.empty((d, n))
+    for row, out in zip(state, u):
+        np.random.Generator(np.random.PCG64(_PcgState(row))).random(out=out)
+    return u
 
 
 # Batches whose per-step table work, d * X * (X + A) entries, is at most
@@ -150,10 +238,7 @@ def simulate(spec, pi, mu, mu0, config):
 
     # One uniform per (trajectory, step, draw); draw 0 picks the action,
     # draw 1 the next state, and one extra seeds the initial state.
-    u = np.empty((d, 2 * T + 1))
-    for i in range(d):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
-        u[i] = rng.random(2 * T + 1)
+    u = _substreams(config.seed, d, 2 * T + 1)
 
     pi_cum = np.cumsum(pi, axis=1)[:, :-1]
     # kernel_cum[x, a] is the cumulative distribution of the next state.

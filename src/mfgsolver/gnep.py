@@ -388,9 +388,10 @@ def solve_gnep(spec, config=None):
     (kkt_jacobian), and hands H, its potential and the Jacobian's blocks
     to newton_direction and armijo_step. Returns (Equilibrium, KktReport);
     raises NotConverged (with both attached) when the KKT norm does not
-    reach config.tol in time, and NonDescent or LineSearchStall with the
-    report up to the failing iteration attached. The report counts the
-    failing direction and the failing line search too.
+    reach config.tol in time, and NonDescent, LineSearchStall or
+    BoundaryViolation (an iterate whose positivity block of H is not
+    positive) with the report up to the failing iteration attached. The
+    report counts the failing direction and the failing line search too.
     """
     config = config or GnepConfig()
     kkt = KktSystem(spec)
@@ -400,10 +401,13 @@ def solve_gnep(spec, config=None):
     for it in range(config.max_iter + 1):
         Hz = kkt_map(kkt, z)
         h_norm = float(np.linalg.norm(Hz))
-        psi = potential(Hz, kkt.n, kkt.K)
         report.h_norm_history.append(h_norm)
-        report.psi_history.append(psi)
         report.iterations = it
+        try:
+            psi = potential(Hz, kkt.n, kkt.K)
+        except BoundaryViolation as exc:
+            raise BoundaryViolation(f"iteration {it}: {exc}", report=report) from exc
+        report.psi_history.append(psi)
         if h_norm <= config.tol:
             report.converged = True
             break

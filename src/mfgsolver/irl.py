@@ -125,10 +125,15 @@ class SmoothnessConstants:
 # Damped Newton: the Hessian is regularized by NEWTON_REG times its trace,
 # and a trial point is accepted when it decreases the dual by at least
 # ARMIJO_C times the predicted decrease; the step halves at most
-# MAX_HALVINGS times before the search gives up.
+# MAX_HALVINGS times before the search gives up. Newton stops with
+# NotConverged once the gradient sup-norm, still above grad_tol, has not
+# halved over the last STALL_WINDOW iterations: below a floor of about
+# NEWTON_REG * tr(H), on data whose dual has no finite minimizer, it would
+# otherwise crawl to max_iter.
 NEWTON_REG = 1e-12
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
+STALL_WINDOW = 10
 
 
 @dataclass
@@ -274,7 +279,8 @@ def solve_irl(problem, config=None):
     that moves v and its exponent together. The shift c stays at the max(k)
     of the last restart, from v = 0 on the first step, and the kernel
     restarts from v exactly only when the sum of exp(k - c) leaves [1e-100,
-    1e100]. "newton" takes its steps from _newton_step. The trace is kept
+    1e100]. "newton" takes its steps from _newton_step, and raises
+    NotConverged once its gradient stalls (STALL_WINDOW). The trace is kept
     interleaved in one array of doubles, 16 bytes per step, and returned as
     a view of it.
     """
@@ -331,6 +337,13 @@ def solve_irl(problem, config=None):
                 descend(-step / s)  # v -= step * grad, and its exponent
                 g, s = evaluate()
             elif it < config.max_iter:
+                if (it >= STALL_WINDOW and grad_norm > grad_tol
+                        and grad_norm > 0.5 * trace[2 * (it - STALL_WINDOW) + 1]):
+                    raise NotConverged(
+                        f"gradient sup-norm {grad_norm:.3e} has not halved in "
+                        f"{STALL_WINDOW} Newton iterations",
+                        result=_partial(problem, v, trace),
+                    )
                 x = v.copy()
                 try:
                     g, s = newton_step(x, g, s)

@@ -6,6 +6,8 @@ each through the `acceptance` fixture; the lines are printed in a summary
 block at the end of the pytest run.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,21 @@ def non_descent_model():
         P0=np.zeros((X, X, A)), P1=vertex, F0=rng.random((X, A, k)),
         F1=rng.random((X, A, k, X)), theta=rng.uniform(0.1, 1.0, size=k),
     )
+
+
+def inject_boundary_violation(monkeypatch, iteration):
+    """Make gnep.kkt_map leave the barrier's domain at the given iteration
+    of a forward solve: the last component of the positivity block of H
+    turns negative."""
+    kkt_map, calls = m.gnep.kkt_map, itertools.count()
+
+    def off_domain(kkt, z):
+        Hz = kkt_map(kkt, z).copy()
+        if next(calls) == iteration:
+            Hz[-1] = -1.0
+        return Hz
+
+    monkeypatch.setattr(m.gnep, "kkt_map", off_domain)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import pytest
 from mfgsolver import cli, estimation, model
 from mfgsolver.errors import LineSearchStall, NonFinite
 
-from conftest import non_descent_model
+from conftest import inject_boundary_violation, non_descent_model
 
 
 MALWARE2 = model.builtin_malware(2, (0.2, 1.0, 0.4), q=0.9)
@@ -162,6 +162,51 @@ class TestSolverFailures:
         assert convergence["converged"] is False
         assert convergence["error"] == error.__name__
         assert convergence.get("stage") == stage
+
+    @pytest.mark.parametrize("argv,stage", [
+        (["solve-mfe", "--out", "{d}/eq.json"], None),
+        (["pipeline", "--out-dir", "{d}"], "solve-mfe"),
+    ])
+    def test_boundary_violation_records_forward_summary(self, tmp_path, monkeypatch,
+                                                        capsys, argv, stage):
+        inject_boundary_violation(monkeypatch, iteration=2)
+        argv = [a.format(d=tmp_path) for a in argv]
+        assert run(argv[:1] + ["--model", "builtin:malware2"] + argv[1:]) == 1
+        assert "iteration 2: min v-component" in capsys.readouterr().err
+        convergence = json.loads((tmp_path / "manifest.json").read_text())["convergence"]
+        assert convergence["error"] == "BoundaryViolation"
+        assert convergence.get("stage") == stage
+        assert convergence["iterations"] == 2 and convergence["h_norm"] > 0.0
+        assert sum(convergence["directions"].values()) == 2
+        line_search = convergence["line_search"]
+        assert (line_search["trials"] - line_search["interior_failures"]
+                - line_search["armijo_failures"]) == 2
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "seed must be a non-negative integer"),
+        (["--n-trajectories", "0"], "at least one trajectory"),
+    ])
+    def test_bad_value_is_an_input_error(self, eq_file, tmp_path, capsys,
+                                         flags, message):
+        out = tmp_path / "traj.csv"
+        assert run(["simulate", "--model", "builtin:malware2", "--equilibrium",
+                    str(eq_file), "--out", str(out)] + flags) == 2
+        assert message in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["convergence"] == {"converged": False,
+                                           "error": "ValidationError"}
+        assert not out.exists()
+
+    def test_pipeline_checks_before_solving(self, tmp_path, capsys):
+        assert run(["pipeline", "--model", "builtin:malware2", "--estimate",
+                    "--seed", "-1", "--out-dir", str(tmp_path)]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["convergence"] == {"converged": False,
+                                           "error": "ValidationError"}
+        assert manifest["outputs"] == []
 
 
 class TestSolveMfe:

@@ -48,6 +48,51 @@ class TestSimulate:
         with pytest.raises(ValueError):
             estimation.EstimatorConfig(horizon=0)
 
+    @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 2.0, "3", None])
+    def test_bad_seed_raises(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            estimation.EstimatorConfig(seed=seed)
+
+    def test_numpy_integer_seed(self, malware2):
+        trajs = [
+            estimation.simulate(malware2, PI_STAR, MU_STAR, MU_STAR,
+                                estimation.EstimatorConfig(n_trajectories=3,
+                                                           horizon=20, seed=seed))
+            for seed in (7, np.int64(7), np.uint8(7))
+        ]
+        for other in trajs[1:]:
+            for a, b in zip(trajs[0], other):
+                np.testing.assert_array_equal(a.states, b.states)
+                np.testing.assert_array_equal(a.actions, b.actions)
+
+
+class TestSubstreams:
+    """_substreams reproduces numpy's SeedSequence-spawned PCG64 streams."""
+
+    ROWS = (0, 1, 2, 3, 255, 256, 1_000, 4_095, 4_096, 7_777, 9_998, 9_999)
+
+    # Run entropy of 1, 2, 3 and 5 32-bit words; the last is more than the
+    # pool of 4.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**70 + 3, 2**140 + 11])
+    @pytest.mark.parametrize("n", [1, 201])
+    def test_rows_match_numpy(self, seed, n):
+        u = estimation._substreams(seed, 10_000, n)
+        assert u.shape == (10_000, n)
+        for i in self.ROWS:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            np.testing.assert_array_equal(u[i], rng.random(n))
+
+    def test_state_stub_serves_only_pcg64(self):
+        words = np.arange(4, dtype=np.uint64)
+        stub = estimation._PcgState(words)
+        assert stub.generate_state(4, np.uint64) is words
+        for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                               (8, np.uint64)]:
+            with pytest.raises(ValueError, match="only"):
+                stub.generate_state(n_words, dtype)
+        with pytest.raises(ValueError, match="only"):
+            stub.generate_state(4)
+
 
 def reference_simulate(spec, pi, mu, mu0, config):
     """The lockstep loop, with no estimation helpers: the reference that

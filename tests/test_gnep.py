@@ -8,7 +8,9 @@ from mfgsolver import gnep, mdp, numerics
 from mfgsolver.errors import BoundaryViolation, MissingTheta, NonDescent, NotConverged
 from mfgsolver.numerics import jacobian_fd
 
-from conftest import chain_model, non_descent_model, random_feasible_instance
+from conftest import (
+    chain_model, inject_boundary_violation, non_descent_model, random_feasible_instance,
+)
 from test_mdp import MU_STAR, PI_STAR
 
 
@@ -326,6 +328,16 @@ class TestFailureReport:
         line_search = report.line_search
         assert (line_search["trials"] - line_search["interior_failures"]
                 - line_search["armijo_failures"]) == report.iterations
+
+    def test_boundary_violation_carries_report(self, malware2, monkeypatch):
+        inject_boundary_violation(monkeypatch, iteration=2)
+        with pytest.raises(BoundaryViolation, match="^iteration 2: ") as exc_info:
+            m.solve_gnep(malware2)
+        report = exc_info.value.report
+        assert report.iterations == 2
+        # The failing iterate's KKT norm is recorded; its potential is not.
+        assert len(report.h_norm_history) == 3 and len(report.psi_history) == 2
+        assert sum(report.directions.values()) == 2
 
 
 class TestVerifyMfe:

@@ -412,6 +412,31 @@ class TestNewton:
         assert trace.shape == (4, 2)
         assert irl.dual_objective(problem2, d) == trace[-1, 0]
 
+    def test_stalled_gradient_raises_not_converged(self, problem2):
+        # Below the regularization's floor the gradient sits at about
+        # 1.13e-10 from iteration 19 on; the default max_iter would take
+        # about 47 s to reach.
+        with pytest.raises(NotConverged, match="has not halved") as exc_info:
+            irl.solve_irl(problem2, irl.IrlConfig(method="newton", grad_tol=1e-10))
+        d, trace = exc_info.value.result
+        grad, W = trace[:, 1], irl.STALL_WINDOW
+        assert len(trace) - 1 <= 100
+        assert irl.dual_objective(problem2, d) == trace[-1, 0]
+        # It stops at the first iterate whose gradient has not halved over
+        # the window, and not before.
+        stalled = grad[W:] > 0.5 * grad[:-W]
+        assert stalled[-1] and not stalled[:-1].any()
+        assert grad.min() > 1e-10
+
+    def test_stall_stop_leaves_settling_alone(self, problem2):
+        # Once the gradient meets grad_tol, a stalled gradient does not stop
+        # a solve that waits for the measure to settle.
+        _, _, _, trace = irl.solve_irl(
+            problem2, irl.IrlConfig(method="newton", grad_tol=1e-6, settle_tol=1e-15))
+        grad, W = trace[:, 1], irl.STALL_WINDOW
+        assert (grad[W:] > 0.5 * grad[:-W]).any()
+        assert grad[-1] <= 1e-6
+
     @pytest.mark.parametrize("solve,message", [
         ("singular", "Singular matrix"), ("nan", "direction is not finite"),
     ])
