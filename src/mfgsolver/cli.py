@@ -10,6 +10,7 @@ reruns are byte-identical.
 """
 
 import argparse
+import contextlib
 import hashlib
 import math
 import sys
@@ -192,6 +193,16 @@ class ManifestWriter:
 
     def add_output(self, path):
         self.payload["outputs"].append(str(path))
+
+    @contextlib.contextmanager
+    def stage(self, name):
+        """Records the block's duration as stage_seconds[name], also when
+        it raises."""
+        start = time.monotonic()
+        try:
+            yield
+        finally:
+            self.payload["stage_seconds"][name] = time.monotonic() - start
 
     def finish(self, convergence):
         self.payload["convergence"] = convergence
@@ -431,13 +442,15 @@ def cmd_pipeline(args):
     out_dir = Path(args.out_dir)
     spec, path = load_model_arg(args)
     with ManifestWriter("pipeline", vars(args).copy(), out_dir) as manifest:
+        manifest.payload["stage_seconds"] = {}
         manifest.add_input(path)
 
         config = gnep_config_from_args(args)
         # Checked before the forward solve, which a bad value would waste.
         sim_config = sim_config_from_args(args) if args.estimate else None
         try:
-            eq, report = gnep.solve_gnep(spec, config)
+            with manifest.stage("solve-mfe"):
+                eq, report = gnep.solve_gnep(spec, config)
         except SOLVER_FAILURES as exc:
             return manifest.fail(exc, "pipeline[solve-mfe]", stage="solve-mfe",
                                  **forward_failure(exc))
@@ -446,15 +459,16 @@ def cmd_pipeline(args):
         manifest.add_output(eq_path)
 
         if args.estimate:
-            trajectories = estimation.simulate(
-                spec, eq.policy, eq.mean_field, eq.mean_field, sim_config
-            )
-            mu_E = estimation.estimate_mean_field(trajectories, spec.n_states)
-            mu_E = np.clip(mu_E, 1e-12, None)
-            mu_E /= mu_E.sum()
-            f_expert, _ = estimation.estimate_feature_expectation(
-                spec, trajectories, mu_E, spec.beta
-            )
+            with manifest.stage("estimate"):
+                trajectories = estimation.simulate(
+                    spec, eq.policy, eq.mean_field, eq.mean_field, sim_config
+                )
+                mu_E = estimation.estimate_mean_field(trajectories, spec.n_states)
+                mu_E = np.clip(mu_E, 1e-12, None)
+                mu_E /= mu_E.sum()
+                f_expert, _ = estimation.estimate_feature_expectation(
+                    spec, trajectories, mu_E, spec.beta
+                )
         else:
             mu_E = eq.mean_field
             f_expert = mdp.feature_expectation(spec, eq.policy, mu_E, mu_E)
@@ -462,7 +476,8 @@ def cmd_pipeline(args):
         problem = irl.IrlProblem(spec=spec, mu_E=mu_E, f_expert=f_expert)
         method = irl_method(args, exact=not args.estimate)
         try:
-            dual, nu, pi, trace = irl.solve_irl(problem, irl_config_from_args(args, method))
+            with manifest.stage("solve-irl"):
+                dual, nu, pi, trace = irl.solve_irl(problem, irl_config_from_args(args, method))
         except SOLVER_FAILURES as exc:
             return manifest.fail(exc, "pipeline[solve-irl]", stage="solve-irl",
                                  **irl_failure(exc, method))

@@ -54,12 +54,15 @@ class GnepConfig:
     the path nears a point where strict complementarity fails. The
     truncated direction is lstsq's up to rounding. A KKT system of
     dimension numerics.LU_MIN_DIM or more gets it from one LU factorization
-    of the slack-eliminated Jacobian blocks (dimension n + m, not n + 2m):
-    the plain solve when no singular value of the whole Jacobian lies near
-    the cut, or the solve with the one dropped singular triplet removed. It
-    defers to lstsq's SVD of the assembled Jacobian when a singular value
-    lies within numerics.CUT_BAND of the cut, when two or more fall below
-    it, or when the triplet does not converge.
+    of the n x n Schur complement Fx + G diag(y/s) Hx of the Jacobian
+    blocks (not n + 2m): the plain solve when no singular value of the
+    whole Jacobian lies near the cut, or the solve with the one dropped
+    singular triplet removed, each refined once against the whole
+    Jacobian. The division by the slacks s is safe because s > 0 at every
+    interior iterate. It defers to lstsq's SVD of the assembled Jacobian
+    when some s <= 0, when a singular value lies within numerics.CUT_BAND
+    of the cut, when two or more fall below it, or when the triplet does
+    not converge.
     """
 
     sigma: float = 0.1
@@ -330,8 +333,8 @@ def newton_direction(kkt, J, Hz, config):
     DIRECTION_RCOND): the Jacobian turns singular whenever strict
     complementarity fails along the path, and a plain LU solve then
     produces runaway directions. numerics.truncated_lstsq computes it from
-    one LU factorization of the slack-eliminated blocks when the system is
-    large and at most one singular value falls clearly below the cut, and
+    one LU factorization of the Schur complement of its blocks when the
+    system is large and at most one singular value falls clearly below the cut, and
     from lstsq's SVD of the assembled J otherwise. The slope is <J' grad
     psi(H), d>, with J' applied from the blocks. Returns (d, slope, path),
     path naming how d was computed ("lu", "lu_cut1" or "svd"). Raises

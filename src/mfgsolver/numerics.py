@@ -18,14 +18,14 @@ DEFAULT_FD_STEP = 1e-6
 # truncated_lstsq solves square systems of at least this dimension from one
 # LU factorization; smaller ones go straight to lstsq. Milliseconds per
 # direction, averaged over the KKT Jacobians of a whole solve: lstsq / LU
-# of the whole J (a plain matrix) / LU of the slack-eliminated matrix (J
-# as KktBlocks), the better of two runs of best-of-three passes (chain
+# of the whole J (a plain matrix) / LU of the n x n Schur complement (J as
+# KktBlocks), the better of two runs of best-of-three passes (chain
 # models; 2-core x86_64, one OpenBLAS thread, a shared box):
-#   dim  67:  0.93 / 1.33 / 1.28    dim 197:   6.43 / 2.79 /  1.80
-#   dim 106:  2.02 / 1.67 / 1.60    dim 236:   8.37 / 2.99 /  2.05
-#   dim 132:  3.08 / 1.85 / 1.57    dim 262:  10.32 / 3.20 /  2.01
-#   dim 158:  4.03 / 1.40 / 1.06    dim 327:  17.75 / 5.24 /  3.24
-#                                   dim 652: 114.06 / 20.07 / 8.02
+#   dim  67:  0.57 / 0.85 / 0.83    dim 197:   4.71 /  1.66 / 1.37
+#   dim 106:  1.95 / 1.60 / 1.32    dim 236:   6.84 /  3.61 / 1.59
+#   dim 132:  2.93 / 1.95 / 1.29    dim 262:  10.94 /  3.92 / 1.68
+#   dim 158:  4.22 / 1.63 / 0.98    dim 327:  16.36 /  4.16 / 1.67
+#                                   dim 652:  99.25 / 18.32 / 2.47
 # The LU paths win from about dim 100. The bound sits higher, at 200, so
 # that the builtin models (dim 28 and 132) and small random models keep
 # lstsq's rounding, and with it their byte-stable outputs, for at most a
@@ -150,47 +150,62 @@ class KktBlocks:
         return J
 
 
-class _SlackEliminatedLu:
+class _SchurLu:
     """Solves with the J of KktBlocks kkt from one LU factorization of the
-    slack-eliminated matrix R = [[Fx, G], [-diag(y) Hx, diag(s)]] of
-    dimension n + m (Wright, Primal-Dual Interior-Point Methods, ch. 11).
-    The slack columns hold only an identity and a diagonal block, so they
-    are eliminated exactly, without division. With m = 0, R = J. Every
-    operand is a block of columns. `nonsingular` is False when a pivot of
-    R is zero or not finite."""
+    n x n Schur complement M = Fx + G diag(y/s) Hx (Wright, Primal-Dual
+    Interior-Point Methods, ch. 11). The slack rows give ds = B_h - Hx dx
+    and the complementarity rows dy = (c + y Hx dx) / s, so both blocks are
+    eliminated, leaving M dx = B_F - G (c / s) with c = B_c - y B_h. The
+    division by s is safe because every interior iterate has s > 0; when
+    some s <= 0 nothing is divided or factored and `nonsingular` is False,
+    as it is when a pivot of M is zero or not finite. With m = 0, M = J.
+    Every operand is a vector or a block of columns."""
 
     def __init__(self, kkt):
         self.kkt = kkt
-        n, k = kkt.n, kkt.n + kkt.m
-        R = np.empty((k, k))
-        R[:n] = kkt.FG
-        R[n:, :n] = -kkt.y[:, None] * kkt.Hx
-        R[n:, n:] = np.diagflat(kkt.s)
+        self.nonsingular = bool(np.all(kkt.s > 0.0))
+        if not self.nonsingular:
+            return
+        n = kkt.n
+        self.G = kkt.FG[:, n:]
+        M = kkt.FG[:, :n] + (self.G * (kkt.y / kkt.s)) @ kkt.Hx
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
-            self.lu_piv = lu_factor(R, overwrite_a=True, check_finite=False)
+            self.lu_piv = lu_factor(M, overwrite_a=True, check_finite=False)
         pivots = np.abs(np.diagonal(self.lu_piv[0]))
         self.nonsingular = bool(np.all(np.isfinite(pivots)) and pivots.min() > 0.0)
 
     def solve(self, B):
-        """J^-1 B: (dx, dy) = R^-1 (B_F, B_c - y B_h), ds = B_h - Hx dx."""
+        """J^-1 B: dx = M^-1 (B_F - G (c / s)), dy = (c + y Hx dx) / s and
+        ds = B_h - Hx dx, with c = B_c - y B_h."""
         kkt = self.kkt
         n, k = kkt.n, kkt.n + kkt.m
+        s, y = kkt._diagonals(B)
         B_h = B[n:k]
-        X = lu_solve(self.lu_piv, np.concatenate([B[:n], B[k:] - kkt.y[:, None] * B_h]),
-                     check_finite=False)
-        return np.concatenate([X, B_h - kkt.Hx @ X[:n]])
+        c = B[k:] - y * B_h
+        dx = lu_solve(self.lu_piv, B[:n] - self.G @ (c / s), check_finite=False)
+        Hx_dx = kkt.Hx @ dx
+        return np.concatenate([dx, (c + y * Hx_dx) / s, B_h - Hx_dx])
 
     def solve_t(self, Q):
-        """J^-T Q: (W_F, W_c) = R^-T (Q_x - Hx' Q_s, Q_y), W_h = Q_s - y W_c."""
+        """J^-T Q: p = M^-T (Q_x - Hx' (Q_s - y Q_y / s)), q = (Q_y - G' p)
+        / s and W = (p, Q_s - y q, q)."""
         kkt = self.kkt
         n, k = kkt.n, kkt.n + kkt.m
-        Q_s = Q[k:]
-        r = Q[:k].copy()
-        r[:n] -= kkt.Hx.T @ Q_s
-        W = lu_solve(self.lu_piv, r, trans=1, check_finite=False)
-        W_c = W[n:]
-        return np.concatenate([W[:n], Q_s - kkt.y[:, None] * W_c, W_c])
+        s, y = kkt._diagonals(Q)
+        Q_y, Q_s = Q[n:k], Q[k:]
+        p = lu_solve(self.lu_piv, Q[:n] - kkt.Hx.T @ (Q_s - y * (Q_y / s)),
+                     trans=1, check_finite=False)
+        q = (Q_y - self.G.T @ p) / s
+        return np.concatenate([p, Q_s - y * q, q])
+
+    def solve_refined(self, b):
+        """J^-1 b for one vector b, with one step of iterative refinement:
+        x + J^-1 (b - J x) restores the accuracy that the reduction to M
+        loses when J is ill-conditioned (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 12)."""
+        x = self.solve(b)
+        return x + self.solve(b - self.kkt.matmul(x))
 
 
 def _sigma_max(kkt):
@@ -215,7 +230,7 @@ def _lu_truncated(kkt, rhs, rcond):
 
     The two smallest singular triplets come from inverse subspace
     iteration on (J'J)^-1 = J^-1 J^-T, applied through the factors of the
-    slack-eliminated matrix. The Ritz values, the reciprocal singular
+    Schur complement M (_SchurLu). The Ritz values, the reciprocal singular
     values of Y = J^-T V, are upper bounds on the singular values they
     track and decrease towards them, so a value below `lo` is below the cut
     for certain; one above `hi` counts once RITZ_GUARD times its last change
@@ -225,9 +240,13 @@ def _lu_truncated(kkt, rhs, rcond):
     sigma_2, the Gram matrix holds the second value only to rounding noise
     of the first, and a noisy value below the cut would defer for nothing.
     J^-T V counts as rank one, and defers, only when the SVD itself cannot
-    resolve the second value (RANK_RTOL).
+    resolve the second value (RANK_RTOL). The iteration's solves go
+    unrefined: they only need to converge on the triplets. The final
+    direction solve takes one step of iterative refinement, which the
+    reduction to M needs on the ill-conditioned Jacobians near the end of
+    a solve.
     """
-    lu = _SlackEliminatedLu(kkt)
+    lu = _SchurLu(kkt)
     if not lu.nonsingular:
         return None
     cut = rcond * _sigma_max(kkt)
@@ -250,13 +269,13 @@ def _lu_truncated(kkt, rhs, rcond):
             above = guard < 1.0 - hi / sigma
             band = (sigma <= hi) & (guard < 1.0 - lo / sigma)
             if above[0]:
-                return lu.solve(rhs[:, None])[:, 0], "lu"
+                return lu.solve_refined(rhs), "lu"
             if band[0] or (sigma[0] < lo and band[1]):
                 return None                         # a value inside the band
             moved = np.linalg.norm(v - np.copysign(1.0, v @ v_old) * v_old)
             if sigma[0] < lo and above[1] and moved <= VECTOR_TOL:
                 u = U[:, 0]
-                x = lu.solve((rhs - u * (u @ rhs))[:, None])[:, 0]
+                x = lu.solve_refined(rhs - u * (u @ rhs))
                 return x - v * (v @ x), "lu_cut1"
         sigma_old, v_old = sigma, v
         V = np.linalg.qr(lu.solve(Y))[0]
@@ -274,15 +293,20 @@ def truncated_lstsq(J, rhs, rcond):
     dense J is assembled only for lstsq.
 
     A J of dimension at least LU_MIN_DIM is solved from one LU
-    factorization. The slack columns are eliminated exactly, without
-    division, and the factored matrix is R = [[Fx, G], [-diag(y) Hx,
-    diag(s)]] of dimension n + m; with no slacks it is J itself. If J's
-    smallest singular value lies clearly above the cut, x is the LU solve
-    (path "lu"). If exactly one lies clearly below, that triplet (sigma, u,
-    v) is removed: x = (I - v v') J^-1 (rhs - u u' rhs) (path "lu_cut1").
-    In every other case (a value within CUT_BAND of the cut, two or more
-    below it, no convergence within MAX_STEPS, a non-finite value, or a
-    small system) x comes from lstsq's SVD on the dense J (path "svd").
+    factorization. The slack and multiplier blocks are eliminated, and the
+    factored matrix is the Schur complement M = Fx + G diag(y/s) Hx of
+    dimension n; with no slacks it is J itself. The division by s is safe
+    because s > 0 at every interior iterate; when some s <= 0 nothing is
+    divided and x comes from lstsq. The final LU solve takes one step of
+    iterative refinement against J, which restores the accuracy that the
+    reduction loses when J is ill-conditioned. If J's smallest singular
+    value lies clearly above the cut, x is the LU solve (path "lu"). If
+    exactly one lies clearly below, that triplet (sigma, u, v) is removed:
+    x = (I - v v') J^-1 (rhs - u u' rhs) (path "lu_cut1"). In every other
+    case (a value within CUT_BAND of the cut, two or more below it, no
+    convergence within MAX_STEPS, a non-finite value, a slack s <= 0, a
+    zero pivot of M, or a small system) x comes from lstsq's SVD on the
+    dense J (path "svd").
     """
     kkt = J if isinstance(J, KktBlocks) else KktBlocks.of_matrix(J)
     rhs = np.asarray(rhs, dtype=float)

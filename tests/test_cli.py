@@ -416,6 +416,40 @@ class TestPipeline:
         assert summary["span_assumption"] == {"holds": False, "rank": 4}
 
 
+class TestStageSeconds:
+    """The pipeline manifest times every stage that ran, on success and on
+    failure."""
+
+    @pytest.mark.parametrize("case,flags,code,stages", [
+        ("success", [], 0, ["solve-mfe", "solve-irl"]),
+        ("irl-fails", ["--estimate", "--n-trajectories", "10", "--horizon", "50",
+                       "--irl-max-iter", "100"], 1, ["solve-mfe", "estimate", "solve-irl"]),
+        ("mfe-fails", [], 1, ["solve-mfe"]),
+        ("input-error", ["--estimate", "--seed", "-1"], 2, []),
+    ])
+    def test_pipeline_records_stages(self, tmp_path, monkeypatch, case, flags, code,
+                                     stages):
+        if case == "mfe-fails":
+            inject_boundary_violation(monkeypatch, iteration=2)
+        assert run(["pipeline", "--model", "builtin:malware2", "--out-dir",
+                    str(tmp_path)] + flags) == code
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["convergence"]["converged"] is (code == 0)
+        seconds = manifest["stage_seconds"]
+        assert list(seconds) == stages
+        assert all(t >= 0.0 for t in seconds.values())
+        assert sum(seconds.values()) <= manifest["duration_seconds"]
+
+    def test_only_the_manifest_carries_timings(self, tmp_path):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out_dir in runs:
+            assert run(["pipeline", "--model", "builtin:malware2",
+                        "--out-dir", str(out_dir)]) == 0
+        for name in ("equilibrium.json", "irl.json"):
+            assert "seconds" not in (runs[0] / name).read_text()
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 class TestIrlMethod:
     """--method, its default by data source, and the IRL failure manifests."""
 

@@ -306,12 +306,18 @@ class TestDirectionPaths:
         assert sum(report.directions.values()) == iterations
         assert report.directions["lu"] > 0 and report.directions["lu_cut1"] > 0
 
-    def test_chain20(self):
-        spec = chain_model(20)
+    @pytest.mark.parametrize("n_states,iterations,lu,lu_cut1", [
+        pytest.param(20, 26, 14, 12, id="chain20"),
+        pytest.param(30, 30, 17, 13, id="chain30"),
+        pytest.param(40, 34, 23, 11, id="chain40"),
+        pytest.param(50, 48, 35, 13, id="chain50"),
+    ])
+    def test_chains(self, n_states, iterations, lu, lu_cut1):
+        spec = chain_model(n_states)
         eq, report = m.solve_gnep(spec)
-        assert report.converged and report.iterations == 26
+        assert report.converged and report.iterations == iterations
         assert_a2(spec, eq)
-        assert report.directions == {"lu": 14, "lu_cut1": 12, "svd": 0}
+        assert report.directions == {"lu": lu, "lu_cut1": lu_cut1, "svd": 0}
 
 
 class TestFailureReport:

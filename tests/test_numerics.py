@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,9 +164,9 @@ def chain20_systems():
 
 
 class TestSlackEliminatedSolve:
-    """Given the Jacobian's blocks, the LU path factors the slack-eliminated
-    KKT matrix; the result and the path must be those of the unstructured
-    solve of the assembled matrix."""
+    """Given the Jacobian's blocks, the LU path factors the n x n Schur
+    complement of the KKT matrix; the result and the path must be those of
+    the unstructured solve of the assembled matrix."""
 
     def test_chain20_matches_lstsq_and_unstructured_path(self, chain20_systems):
         paths = []
@@ -178,11 +180,41 @@ class TestSlackEliminatedSolve:
             paths.append(path)
         assert {"lu", "lu_cut1"} <= set(paths)
 
+    def test_chain30_last_directions_refined(self):
+        """The last Jacobians of chain30's solve are the worst conditioned;
+        without the refinement step their directions drift up to 5e-6 off
+        lstsq's."""
+        for blocks, rhs in solve_systems(chain_model(30))[-5:]:
+            x, path = truncated_lstsq(blocks, rhs, RCOND)
+            ref = np.linalg.lstsq(blocks.dense(), rhs, rcond=RCOND)[0]
+            assert path in ("lu", "lu_cut1")
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("slack", [0.0, -1e-3])
+    def test_nonpositive_slack_defers_without_division(self, chain20_systems,
+                                                        monkeypatch, slack):
+        blocks, rhs = chain20_systems[13]
+        s = blocks.s.copy()
+        s[7] = slack
+        bad = numerics.KktBlocks(blocks.FG, blocks.Hx, s, blocks.y)
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factored a matrix with a slack <= 0")
+
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with monkeypatch.context() as mp:
+                mp.setattr(numerics, "lu_factor", no_factorization)
+                assert not numerics._SchurLu(bad).nonsingular
+                x, path = truncated_lstsq(bad, rhs, RCOND)
+        assert path == "svd"
+        assert np.array_equal(x, np.linalg.lstsq(bad.dense(), rhs, rcond=RCOND)[0])
+
     @pytest.mark.parametrize("which", [0, 13, 25])
     def test_blocks_reproduce_dense_products_and_solves(self, chain20_systems, which):
         blocks, _ = chain20_systems[which]
         J = blocks.dense()
-        lu = numerics._SlackEliminatedLu(blocks)
+        lu = numerics._SchurLu(blocks)
         rng = np.random.default_rng(which)
         B = rng.normal(size=(J.shape[0], 3))
         scale = np.abs(J).max() * np.abs(B).max()
