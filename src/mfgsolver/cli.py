@@ -222,10 +222,11 @@ class ManifestWriter:
 
 def forward_summary(report):
     """The manifest's record of a forward solve: the final KKT norm, the
-    iteration count, the Newton directions per solve path, and the
-    line-search trials with their rejections by cause."""
+    iteration count, the Newton directions per solve path, the line-search
+    trials with their rejections by cause, and the LU path's block steps."""
     return {"h_norm": report.h_norm_history[-1], "iterations": report.iterations,
-            "directions": report.directions, "line_search": report.line_search}
+            "directions": report.directions, "line_search": report.line_search,
+            "block_steps": report.block_steps}
 
 
 def forward_failure(exc):

@@ -39,11 +39,13 @@ class NonUniqueStationary(MfgError):
 
 class ReportedFailure(MfgError):
     """A solver failure that can carry the solver's report up to the
-    failing iteration (None when raised outside a solve)."""
+    failing iteration and a copy of the iterate it failed at (both None
+    when raised outside a solve)."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report=None, iterate=None):
         super().__init__(message)
         self.report = report
+        self.iterate = iterate
 
 
 class BoundaryViolation(ReportedFailure):
@@ -56,8 +58,8 @@ class NonDescent(ReportedFailure):
     path names how that direction was computed (a key of
     gnep.KktReport.directions), or is None when unknown."""
 
-    def __init__(self, message, report=None, path=None):
-        super().__init__(message, report)
+    def __init__(self, message, report=None, path=None, iterate=None):
+        super().__init__(message, report, iterate)
         self.path = path
 
 

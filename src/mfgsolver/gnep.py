@@ -27,7 +27,7 @@ from .mdp import (
     policy_evaluation,
     value_iteration,
 )
-from .numerics import KktBlocks, truncated_lstsq
+from .numerics import BLOCK_STEPS, KktBlocks, StartBlocks, truncated_lstsq
 
 MAX_BACKTRACK = 200
 # Sufficient-decrease fraction of the directional derivative in armijo_step.
@@ -62,7 +62,11 @@ class GnepConfig:
     interior iterate. It defers to lstsq's SVD of the assembled Jacobian
     when some s <= 0, when a singular value lies within numerics.CUT_BAND
     of the cut, when two or more fall below it, or when the triplet does
-    not converge.
+    not converge. The block iterations that find the largest and the two
+    smallest singular values start from the solve's numerics.StartBlocks:
+    cold on the first direction, then from the Ritz vectors the last
+    direction ended with plus one generic column. They have no setting
+    here.
     """
 
     sigma: float = 0.1
@@ -81,8 +85,10 @@ class GnepConfig:
 class KktReport:
     """Per-iteration KKT norms and potentials, the outcome, the final
     residual blocks, how many Newton directions each path of
-    numerics.truncated_lstsq computed ("lu", "lu_cut1", "svd"), and the
-    line-search trials with their rejections by cause (LINE_SEARCH)."""
+    numerics.truncated_lstsq computed ("lu", "lu_cut1", "svd"), the
+    line-search trials with their rejections by cause (LINE_SEARCH), and
+    the block steps of the LU path's singular-value estimates
+    (numerics.BLOCK_STEPS: power steps and subspace solves)."""
 
     h_norm_history: list = field(default_factory=list)
     psi_history: list = field(default_factory=list)
@@ -94,6 +100,7 @@ class KktReport:
     directions: dict = field(
         default_factory=lambda: {"lu": 0, "lu_cut1": 0, "svd": 0})
     line_search: dict = field(default_factory=lambda: dict.fromkeys(LINE_SEARCH, 0))
+    block_steps: dict = field(default_factory=lambda: dict.fromkeys(BLOCK_STEPS, 0))
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,9 @@ class KktSystem:
     The model is affine in mu, so every term of H is constant, linear or
     bilinear in z, and along any line H(z + t d) = H(z) + t J(z) d + t^2
     Q(d) holds exactly. The three are `H`, `jacobian` (as numerics.KktBlocks)
-    and `Q`. K is the constant of the barrier potential.
+    and `Q`. K is the constant of the barrier potential. `start_blocks`
+    (numerics.StartBlocks) carries the truncated direction's block
+    iterations from one Jacobian of the solve to the next.
     """
 
     def __init__(self, spec):
@@ -162,6 +171,7 @@ class KktSystem:
         a[self.n:] = 1.0
         self.centering = a / np.linalg.norm(a)
         self._tables_at = None
+        self.start_blocks = StartBlocks(self.dim)
 
     def _tables(self, z):
         """The kernel p_mu and P1[nu] = sum_(x,a) nu(x,a) P1[:, x, a, :] at
@@ -234,7 +244,7 @@ class KktSystem:
     def jacobian(self, z):
         """The analytic Jacobian of H at z as numerics.KktBlocks: J = [[Fx,
         G, 0], [Hx, 0, I], [0, diag(s), diag(y)]] over the columns (x, y,
-        s)."""
+        s), carrying the system's start_blocks."""
         z = np.asarray(z, dtype=float)
         lam, gam = z[self.s_lam], z[self.s_gam]
         X, nxa, n, m1 = self.X, self.nxa, self.n, self.m1
@@ -259,7 +269,8 @@ class KktSystem:
         # h2 rows.
         Hx[m1 + X + 1:, self.s_nu] = p.reshape(X, nxa)
         Hx[m1:, self.s_mu] = J2
-        return KktBlocks(FG, Hx, z[n + self.m:].copy(), z[n:n + self.m].copy())
+        return KktBlocks(FG, Hx, z[n + self.m:].copy(), z[n:n + self.m].copy(),
+                         self.start_blocks)
 
     def Q(self, d):
         """The quadratic part of H along d, so that H(z + t d) = H(z) + t
@@ -301,7 +312,8 @@ def kkt_map(kkt, z):
 
 
 def kkt_jacobian(kkt, z):
-    """The Jacobian of the KktSystem kkt at z, as numerics.KktBlocks."""
+    """The Jacobian of the KktSystem kkt at z, as numerics.KktBlocks with
+    kkt's start blocks attached."""
     return kkt.jacobian(z)
 
 
@@ -393,13 +405,14 @@ def solve_gnep(spec, config=None):
     raises NotConverged (with both attached) when the KKT norm does not
     reach config.tol in time, and NonDescent, LineSearchStall or
     BoundaryViolation (an iterate whose positivity block of H is not
-    positive) with the report up to the failing iteration attached. The
-    report counts the failing direction and the failing line search too.
+    positive) with the report up to the failing iteration and a copy of
+    the failing iterate z attached (`report`, `iterate`). The report
+    counts the failing direction and the failing line search too.
     """
     config = config or GnepConfig()
     kkt = KktSystem(spec)
     z = kkt.initial_point()
-    report = KktReport()
+    report = KktReport(block_steps=kkt.start_blocks.steps)
 
     for it in range(config.max_iter + 1):
         Hz = kkt_map(kkt, z)
@@ -409,7 +422,8 @@ def solve_gnep(spec, config=None):
         try:
             psi = potential(Hz, kkt.n, kkt.K)
         except BoundaryViolation as exc:
-            raise BoundaryViolation(f"iteration {it}: {exc}", report=report) from exc
+            raise BoundaryViolation(f"iteration {it}: {exc}", report=report,
+                                    iterate=z.copy()) from exc
         report.psi_history.append(psi)
         if h_norm <= config.tol:
             report.converged = True
@@ -424,9 +438,10 @@ def solve_gnep(spec, config=None):
         except NonDescent as exc:
             report.directions[exc.path] += 1
             raise NonDescent(f"iteration {it}: {exc}", report=report,
-                             path=exc.path) from exc
+                             path=exc.path, iterate=z.copy()) from exc
         except LineSearchStall as exc:
-            raise LineSearchStall(f"iteration {it}: {exc}", report=report) from exc
+            raise LineSearchStall(f"iteration {it}: {exc}", report=report,
+                                  iterate=z.copy()) from exc
 
     n, m = kkt.n, kkt.m
     report.residual_stationarity = float(np.abs(Hz[:n]).max())

@@ -1,13 +1,14 @@
 """Dense linear-algebra and numerical utilities shared by all solvers.
 
-Everything here is a pure function of its inputs. Problem sizes are at most
-a few hundred, so dense LAPACK-backed routines are used throughout.
+Everything here is a pure function of its inputs, except that
+truncated_lstsq carries its start blocks (StartBlocks) from one Jacobian
+of a solve to the next. Problem sizes are at most a few hundred, so dense
+LAPACK-backed routines are used throughout.
 """
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import EmptyInput, NonFiniteEvaluation, SingularMatrix
 
@@ -82,11 +83,50 @@ def pseudo_inverse(A, rcond=DEFAULT_RCOND):
 
 
 def _start_block(n):
-    """Fixed, well-spread start block of both block iterations: the Weyl
-    sequences frac(i sqrt(p)) - 1/2 for p = 2, 3, 5, one per column. Three
-    columns: the two wanted vectors and a guard that speeds their
-    convergence."""
+    """The cold start block W of both block iterations, fixed and well
+    spread: the Weyl sequences frac(i sqrt(p)) - 1/2 for p = 2, 3, 5, one
+    per column. Three columns: the two wanted vectors and a guard that
+    speeds their convergence. A StartBlocks computes it once; its first
+    column stays in every warm start too."""
     return np.modf(np.outer(np.arange(1.0, n + 1.0), np.sqrt([2.0, 3.0, 5.0])))[0] - 0.5
+
+
+# The StartBlocks.steps counters: power steps and subspace solves.
+BLOCK_STEPS = ("power", "subspace")
+
+
+class StartBlocks:
+    """Where the two block iterations of _lu_truncated start, carried from
+    one direction to the next. The Jacobians of one forward solve change
+    little between iterates, so the last direction's Ritz vectors are good
+    starts for the next (Saad, Numerical Methods for Large Eigenvalue
+    Problems, ch. 5); gnep.KktSystem owns one holder per solve.
+
+    A new holder is cold: the power iteration starts from J' W and the
+    subspace iteration from W, with W = _start_block(dim). Each direction
+    writes back `top`, its last top right Ritz vector of J, and `bottom`,
+    its last two smallest right Ritz vectors, and the next one starts from
+    [top, W[:, :2]] and [bottom, W[:, 0]]. The generic W columns keep a
+    start block from another matrix, or one orthogonal to the wanted
+    vectors, from hiding a singular value: every direction still finds
+    the same triplets, and only the step count depends on the start.
+    `steps` counts the power steps and the subspace solves (BLOCK_STEPS)."""
+
+    def __init__(self, dim):
+        self.W = _start_block(dim)
+        self.top = self.bottom = None
+        self.steps = dict.fromkeys(BLOCK_STEPS, 0)
+
+    def power_start(self, kkt):
+        """Orthonormal start block of the power iteration on J'J."""
+        X = kkt.rmatmul(self.W) if self.top is None else np.column_stack(
+            [self.top, self.W[:, :2]])
+        return np.linalg.qr(X)[0]
+
+    def subspace_start(self):
+        """Orthonormal start block of the inverse subspace iteration."""
+        V = self.W if self.bottom is None else np.column_stack([self.bottom, self.W[:, 0]])
+        return np.linalg.qr(V)[0]
 
 
 class KktBlocks:
@@ -98,9 +138,11 @@ class KktBlocks:
     constraint rows' primal part (m x n), and s and y the m slacks and
     their multipliers. A plain square matrix is the case m = 0
     (`of_matrix`). Products with J and J' come from the blocks; `dense`
-    assembles J. Raises ValueError when the block shapes do not fit."""
+    assembles J. `starts` is the StartBlocks that truncated_lstsq carries
+    between the Jacobians of one solve; without one, every call starts
+    cold. Raises ValueError when the block shapes do not fit."""
 
-    def __init__(self, FG, Hx, s, y):
+    def __init__(self, FG, Hx, s, y, starts=None):
         n, m = FG.shape[0], s.shape[0]
         if (FG.shape != (n, n + m) or Hx.shape != (m, n)
                 or s.shape != (m,) or y.shape != (m,)):
@@ -108,6 +150,7 @@ class KktBlocks:
                              f"{s.shape} and {y.shape}")
         self.FG, self.Hx, self.s, self.y = FG, Hx, s, y
         self.n, self.m, self.dim = n, m, n + 2 * m
+        self.starts = starts
 
     @classmethod
     def of_matrix(cls, J):
@@ -159,7 +202,9 @@ class _SchurLu:
     division by s is safe because every interior iterate has s > 0; when
     some s <= 0 nothing is divided or factored and `nonsingular` is False,
     as it is when a pivot of M is zero or not finite. With m = 0, M = J.
-    Every operand is a vector or a block of columns."""
+    Every operand is a vector or a block of columns. LAPACK's getrf and
+    getrs are called directly: lu_factor and lu_solve give the same bits
+    through a wrapper that costs more than a solve at these sizes."""
 
     def __init__(self, kkt):
         self.kkt = kkt
@@ -169,11 +214,10 @@ class _SchurLu:
         n = kkt.n
         self.G = kkt.FG[:, n:]
         M = kkt.FG[:, :n] + (self.G * (kkt.y / kkt.s)) @ kkt.Hx
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            self.lu_piv = lu_factor(M, overwrite_a=True, check_finite=False)
-        pivots = np.abs(np.diagonal(self.lu_piv[0]))
-        self.nonsingular = bool(np.all(np.isfinite(pivots)) and pivots.min() > 0.0)
+        self.lu, self.piv, info = dgetrf(M, overwrite_a=True)
+        pivots = np.abs(np.diagonal(self.lu))
+        self.nonsingular = bool(info == 0 and np.all(np.isfinite(pivots))
+                                and pivots.min() > 0.0)
 
     def solve(self, B):
         """J^-1 B: dx = M^-1 (B_F - G (c / s)), dy = (c + y Hx dx) / s and
@@ -183,7 +227,7 @@ class _SchurLu:
         s, y = kkt._diagonals(B)
         B_h = B[n:k]
         c = B[k:] - y * B_h
-        dx = lu_solve(self.lu_piv, B[:n] - self.G @ (c / s), check_finite=False)
+        dx = dgetrs(self.lu, self.piv, B[:n] - self.G @ (c / s))[0]
         Hx_dx = kkt.Hx @ dx
         return np.concatenate([dx, (c + y * Hx_dx) / s, B_h - Hx_dx])
 
@@ -194,8 +238,8 @@ class _SchurLu:
         n, k = kkt.n, kkt.n + kkt.m
         s, y = kkt._diagonals(Q)
         Q_y, Q_s = Q[n:k], Q[k:]
-        p = lu_solve(self.lu_piv, Q[:n] - kkt.Hx.T @ (Q_s - y * (Q_y / s)),
-                     trans=1, check_finite=False)
+        p = dgetrs(self.lu, self.piv, Q[:n] - kkt.Hx.T @ (Q_s - y * (Q_y / s)),
+                   trans=1)[0]
         q = (Q_y - self.G.T @ p) / s
         return np.concatenate([p, Q_s - y * q, q])
 
@@ -208,15 +252,21 @@ class _SchurLu:
         return x + self.solve(b - self.kkt.matmul(x))
 
 
-def _sigma_max(kkt):
+def _sigma_max(kkt, starts):
     """Largest singular value of J from below, to about POWER_RTOL: block
-    power iteration on J'J, started in the row space of J, with a
-    Rayleigh-Ritz estimate at each step."""
-    X = np.linalg.qr(kkt.rmatmul(_start_block(kkt.dim)))[0]
+    power iteration on J'J with a Rayleigh-Ritz estimate at each step.
+    It starts from starts.power_start: cold in the row space of J, warm
+    from the last direction's top right Ritz vector, which already lies
+    in the space J'J acts on. The last top right Ritz vector is written
+    back to starts.top."""
+    X = starts.power_start(kkt)
     est = 0.0
     for _ in range(MAX_STEPS):
+        starts.steps["power"] += 1
         Y = kkt.matmul(X)
-        s = float(np.sqrt(np.linalg.eigvalsh(Y.T @ Y)[-1]))
+        theta, E = np.linalg.eigh(Y.T @ Y)
+        s = float(np.sqrt(theta[-1]))
+        starts.top = X @ E[:, -1]
         if s <= est * (1.0 + POWER_RTOL):
             break
         est = s
@@ -230,8 +280,12 @@ def _lu_truncated(kkt, rhs, rcond):
 
     The two smallest singular triplets come from inverse subspace
     iteration on (J'J)^-1 = J^-1 J^-T, applied through the factors of the
-    Schur complement M (_SchurLu). The Ritz values, the reciprocal singular
-    values of Y = J^-T V, are upper bounds on the singular values they
+    Schur complement M (_SchurLu). Both block iterations start from
+    kkt.starts (StartBlocks), or cold from a new holder when kkt has none:
+    the first direction of a solve starts cold, and every later one from
+    the Ritz vectors the last one ended with plus one generic column of
+    the cold block, and writes its own back. The Ritz values, the
+    reciprocal singular values of Y = J^-T V, are upper bounds on the singular values they
     track and decrease towards them, so a value below `lo` is below the cut
     for certain; one above `hi` counts once RITZ_GUARD times its last change
     could not carry it to `hi`, and one inside the band once it could not
@@ -249,11 +303,13 @@ def _lu_truncated(kkt, rhs, rcond):
     lu = _SchurLu(kkt)
     if not lu.nonsingular:
         return None
-    cut = rcond * _sigma_max(kkt)
+    starts = kkt.starts or StartBlocks(kkt.dim)
+    cut = rcond * _sigma_max(kkt, starts)
     lo, hi = cut * (1.0 - CUT_BAND), cut * (1.0 + CUT_BAND)
-    V = np.linalg.qr(_start_block(kkt.dim))[0]
+    V = starts.subspace_start()
     sigma_old = v_old = None
     for _ in range(MAX_STEPS):
+        starts.steps["subspace"] += 1
         Y = lu.solve_t(V)
         if not np.all(np.isfinite(Y)):
             return None
@@ -261,9 +317,10 @@ def _lu_truncated(kkt, rhs, rcond):
         if inv_sigma[1] <= RANK_RTOL * inv_sigma[0]:
             return None                             # J^-T V is rank one
         sigma = 1.0 / inv_sigma[:2]                 # the two smallest
+        starts.bottom = V @ W[:2].T                 # their right Ritz vectors
         if sigma[1] < lo:
             return None                             # two below the cut
-        v = V @ W[0]
+        v = starts.bottom[:, 0]
         if sigma_old is not None:
             guard = RITZ_GUARD * np.abs(sigma_old - sigma) / sigma
             above = guard < 1.0 - hi / sigma
@@ -290,7 +347,12 @@ def truncated_lstsq(J, rhs, rcond):
     J is a square matrix, or a KktBlocks with its slack columns last: J =
     [[Fx, G, 0], [Hx, 0, I], [0, diag(s), diag(y)]], as
     gnep.kkt_jacobian returns it. The blocks are used as they are; the
-    dense J is assembled only for lstsq.
+    dense J is assembled only for lstsq. The LU path's block iterations
+    start from J's StartBlocks (KktBlocks.starts): cold on the first
+    direction of a solve and on a J without a holder, warm from the last
+    direction's Ritz vectors after that. The start changes only how many
+    steps they take: "lu" solves do not depend on it, and "lu_cut1" solves
+    only at rounding level, since the triplet converges to VECTOR_TOL.
 
     A J of dimension at least LU_MIN_DIM is solved from one LU
     factorization. The slack and multiplier blocks are eliminated, and the

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mfgsolver import cli, estimation, model
+import mfgsolver as m
+from mfgsolver import cli, estimation, model, numerics
 from mfgsolver.errors import LineSearchStall, NonFinite
 
 from conftest import inject_boundary_violation, non_descent_model
@@ -241,6 +242,19 @@ class TestSolveMfe:
                 - line_search["armijo_failures"]) == manifest["convergence"]["iterations"]
         assert line_search["interior_failures"] > 0 and line_search["armijo_failures"] > 0
         assert "line_search" not in json.loads(eq_file.read_text())
+
+    def test_manifest_counts_block_steps(self, tmp_path, monkeypatch, malware2, eq_file):
+        manifest = json.loads((eq_file.parent / "manifest.json").read_text())
+        assert manifest["convergence"]["block_steps"] == {"power": 0, "subspace": 0}
+        # On the LU path the manifest carries the solve's block steps.
+        monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
+        out = tmp_path / "eq.json"
+        assert run(["solve-mfe", "--model", "builtin:malware2", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        steps = m.solve_gnep(malware2)[1].block_steps
+        assert manifest["convergence"]["block_steps"] == steps
+        assert steps["power"] > 0 and steps["subspace"] > 0
+        assert "block_steps" not in json.loads(out.read_text())
 
     def test_byte_stable(self, tmp_path):
         outs = []

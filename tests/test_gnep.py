@@ -5,7 +5,9 @@ import pytest
 
 import mfgsolver as m
 from mfgsolver import gnep, mdp, numerics
-from mfgsolver.errors import BoundaryViolation, MissingTheta, NonDescent, NotConverged
+from mfgsolver.errors import (
+    BoundaryViolation, LineSearchStall, MissingTheta, NonDescent, NotConverged,
+)
 from mfgsolver.numerics import jacobian_fd
 
 from conftest import (
@@ -306,24 +308,47 @@ class TestDirectionPaths:
         assert sum(report.directions.values()) == iterations
         assert report.directions["lu"] > 0 and report.directions["lu_cut1"] > 0
 
-    @pytest.mark.parametrize("n_states,iterations,lu,lu_cut1", [
-        pytest.param(20, 26, 14, 12, id="chain20"),
-        pytest.param(30, 30, 17, 13, id="chain30"),
-        pytest.param(40, 34, 23, 11, id="chain40"),
-        pytest.param(50, 48, 35, 13, id="chain50"),
+    @pytest.mark.parametrize("n_states,iterations,lu,lu_cut1,power,subspace", [
+        pytest.param(20, 26, 14, 12, 56, 79, id="chain20"),
+        pytest.param(30, 30, 17, 13, 65, 91, id="chain30"),
+        pytest.param(40, 34, 23, 11, 77, 104, id="chain40"),
+        pytest.param(50, 48, 35, 13, 106, 143, id="chain50"),
     ])
-    def test_chains(self, n_states, iterations, lu, lu_cut1):
+    def test_chains(self, n_states, iterations, lu, lu_cut1, power, subspace):
+        """Cold starts would take 3.0 power steps and 4.2 subspace solves
+        per direction on these chains; starts carried from one direction to
+        the next take 2.2 and 3.0."""
         spec = chain_model(n_states)
         eq, report = m.solve_gnep(spec)
         assert report.converged and report.iterations == iterations
         assert_a2(spec, eq)
         assert report.directions == {"lu": lu, "lu_cut1": lu_cut1, "svd": 0}
+        assert report.block_steps == {"power": power, "subspace": subspace}
+
+    def test_start_blocks_per_solve(self):
+        """Each solve owns its start blocks: a second solve of the same
+        model starts cold and counts only its own steps."""
+        reports = [m.solve_gnep(chain_model(20))[1] for _ in range(2)]
+        assert reports[0].block_steps == reports[1].block_steps
+        assert reports[0].block_steps is not reports[1].block_steps
+
+    def test_builtins_take_no_block_steps(self, eq2, eq10):
+        assert eq2[1].block_steps == eq10[1].block_steps == {"power": 0, "subspace": 0}
 
 
 class TestFailureReport:
+    @staticmethod
+    def assert_last_iterate(spec, exc):
+        """The attached iterate is the one whose KKT norm ends the report."""
+        report, z = exc.report, exc.iterate
+        kkt = gnep.KktSystem(spec)
+        assert z.shape == (kkt.dim,)
+        assert np.linalg.norm(gnep.kkt_map(kkt, z)) == report.h_norm_history[-1]
+
     def test_non_descent_carries_report(self):
         with pytest.raises(NonDescent) as exc_info:
             m.solve_gnep(non_descent_model())
+        self.assert_last_iterate(non_descent_model(), exc_info.value)
         report = exc_info.value.report
         assert f"iteration {report.iterations}:" in str(exc_info.value)
         assert len(report.h_norm_history) == report.iterations + 1
@@ -344,6 +369,17 @@ class TestFailureReport:
         # The failing iterate's KKT norm is recorded; its potential is not.
         assert len(report.h_norm_history) == 3 and len(report.psi_history) == 2
         assert sum(report.directions.values()) == 2
+        # The iterate is the third of the unperturbed solve.
+        iterates = [z for _, z, _, _, _, _, _ in solve_path(malware2, iterations=3)]
+        assert np.array_equal(exc_info.value.iterate, iterates[2])
+
+    def test_line_search_stall_carries_iterate(self, malware2, monkeypatch):
+        # malware2's first full step leaves the interior.
+        monkeypatch.setattr(gnep, "MAX_BACKTRACK", 0)
+        with pytest.raises(LineSearchStall, match="^iteration 0: ") as exc_info:
+            m.solve_gnep(malware2)
+        self.assert_last_iterate(malware2, exc_info.value)
+        assert np.array_equal(exc_info.value.iterate, gnep.KktSystem(malware2).initial_point())
 
 
 class TestVerifyMfe:

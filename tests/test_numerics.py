@@ -6,6 +6,8 @@ import pytest
 from mfgsolver import gnep, numerics
 from mfgsolver.errors import EmptyInput, NonFiniteEvaluation, SingularMatrix
 from mfgsolver.numerics import (
+    KktBlocks,
+    StartBlocks,
     jacobian_fd,
     log_sum_exp,
     pseudo_inverse,
@@ -94,6 +96,21 @@ def assert_matches_svd(J, rhs, x):
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
+PLANTED_SPECTRA = [
+    ([0.5], "lu_cut1"),         # one value clearly below the cut
+    ([1e-8], "lu_cut1"),        # ... or far below it: J is nearly singular
+    ([2.0], "lu"),              # every value clearly above it
+    ([0.98], "svd"),            # within the band, either side
+    ([1.02], "svd"),
+    ([0.3, 0.6], "svd"),        # two below the cut
+    ([0.5, 0.98], "svd"),       # one below, the next within the band
+    # Clusters near the cut, where the subspace iteration converges slowly.
+    ([0.5, 1.2, 1.4, 1.6], "lu_cut1"),
+    ([0.98, *np.linspace(1.06, 1.5, 20)], "svd"),
+    ([1.1, 1.12, 1.14, 1.16], "lu"),
+]
+
+
 class TestTruncatedLstsq:
     """The LU path must give lstsq's truncated solution, and defer to the
     SVD whenever the cut cannot be placed clearly."""
@@ -102,23 +119,42 @@ class TestTruncatedLstsq:
     def lu_for_all_sizes(self, monkeypatch):
         monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
 
-    @pytest.mark.parametrize("smallest,path", [
-        ([0.5], "lu_cut1"),         # one value clearly below the cut
-        ([1e-8], "lu_cut1"),        # ... or far below it: J is nearly singular
-        ([2.0], "lu"),              # every value clearly above it
-        ([0.98], "svd"),            # within the band, either side
-        ([1.02], "svd"),
-        ([0.3, 0.6], "svd"),        # two below the cut
-        ([0.5, 0.98], "svd"),       # one below, the next within the band
-        # Clusters near the cut, where the subspace iteration converges slowly.
-        ([0.5, 1.2, 1.4, 1.6], "lu_cut1"),
-        ([0.98, *np.linspace(1.06, 1.5, 20)], "svd"),
-        ([1.1, 1.12, 1.14, 1.16], "lu"),
-    ])
+    @pytest.mark.parametrize("smallest,path", PLANTED_SPECTRA)
     @pytest.mark.parametrize("n", [40, 90])
     def test_planted_spectrum(self, smallest, path, n):
         J, rhs = planted(n, smallest, seed=n)
         x, taken = truncated_lstsq(J, rhs, RCOND)
+        assert taken == path
+        assert_matches_svd(J, rhs, x)
+
+    @pytest.mark.parametrize("poison", ["other_matrix", "orthogonal"])
+    @pytest.mark.parametrize("smallest,path", PLANTED_SPECTRA)
+    @pytest.mark.parametrize("n", [40, 90])
+    def test_planted_spectrum_poisoned_start(self, smallest, path, n, poison):
+        """A warm start that hides the wanted vectors still finds them: the
+        generic column of the cold block stays in every start. The other
+        matrix shares J's singular vectors (the same seed) but not its
+        spectrum, so its final blocks span singular vectors of J that are
+        not its smallest. The orthogonal blocks are seeded vectors with
+        every planted small right singular vector of J projected out."""
+        J, rhs = planted(n, smallest, seed=n)
+        starts = StartBlocks(n)
+        if poison == "other_matrix":
+            other = PLANTED_SPECTRA[(PLANTED_SPECTRA.index((smallest, path)) + 1)
+                                   % len(PLANTED_SPECTRA)][0]
+            donor = KktBlocks.of_matrix(planted(n, other, seed=n)[0])
+            donor.starts = starts
+            truncated_lstsq(donor, rhs, RCOND)
+            assert starts.top is not None and starts.bottom is not None
+        else:
+            small = np.linalg.svd(J)[2][-len(smallest):]
+            B = np.random.default_rng(n).normal(size=(n, 3))
+            B -= small.T @ (small @ B)
+            starts.bottom, starts.top = B[:, :2], B[:, 2]
+            assert np.abs(small @ B).max() <= 1e-14 * np.abs(B).max()
+        blocks = KktBlocks.of_matrix(J)
+        blocks.starts = starts
+        x, taken = truncated_lstsq(blocks, rhs, RCOND)
         assert taken == path
         assert_matches_svd(J, rhs, x)
 
@@ -143,19 +179,27 @@ class TestTruncatedLstsq:
         assert np.array_equal(x, np.linalg.lstsq(J, rhs, rcond=RCOND)[0])
 
 
-def solve_systems(spec):
-    """Every (blocks, rhs) that spec's forward solve hands to truncated_lstsq."""
-    systems = []
+def record_solve(spec, cold=False):
+    """Every (blocks, rhs, x, path) that spec's forward solve hands to and
+    gets back from truncated_lstsq. With cold=True, every call gets the
+    blocks without the solve's start blocks, so each starts cold."""
+    calls = []
     solve = gnep.truncated_lstsq
 
     def record(J, rhs, rcond):
-        systems.append((J, rhs.copy()))
-        return solve(J, rhs, rcond)
+        x, path = solve(KktBlocks(J.FG, J.Hx, J.s, J.y) if cold else J, rhs, rcond)
+        calls.append((J, rhs.copy(), x, path))
+        return x, path
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gnep, "truncated_lstsq", record)
         gnep.solve_gnep(spec)
-    return systems
+    return calls
+
+
+def solve_systems(spec):
+    """Every (blocks, rhs) that spec's forward solve hands to truncated_lstsq."""
+    return [(J, rhs) for J, rhs, _, _ in record_solve(spec)]
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +248,7 @@ class TestSlackEliminatedSolve:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             with monkeypatch.context() as mp:
-                mp.setattr(numerics, "lu_factor", no_factorization)
+                mp.setattr(numerics, "dgetrf", no_factorization)
                 assert not numerics._SchurLu(bad).nonsingular
                 x, path = truncated_lstsq(bad, rhs, RCOND)
         assert path == "svd"
@@ -256,6 +300,42 @@ class TestSlackEliminatedSolve:
     def test_square_matrix_only(self):
         with pytest.raises(ValueError, match="no KKT layout"):
             truncated_lstsq(np.ones((3, 4)), np.ones(3), RCOND)
+
+
+class TestWarmStart:
+    """The block iterations of a solve start from the Ritz vectors of its
+    last direction; the path and the direction must be those of a cold
+    start."""
+
+    @pytest.mark.parametrize("n_states", [20, 30])
+    def test_chain_directions_match_cold_start(self, n_states):
+        calls = record_solve(chain_model(n_states))
+        assert all(J.starts is calls[0][0].starts is not None for J, _, _, _ in calls)
+        for J, rhs, x, path in calls:
+            cold = KktBlocks(J.FG, J.Hx, J.s, J.y)
+            assert path == truncated_lstsq(cold, rhs, RCOND)[1]
+            ref = np.linalg.lstsq(J.dense(), rhs, rcond=RCOND)[0]
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("fixture", ["malware2", "malware10"])
+    def test_builtin_paths_match_cold_start(self, request, monkeypatch, fixture):
+        spec = request.getfixturevalue(fixture)
+        monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
+        warm = [path for _, _, _, path in record_solve(spec)]
+        assert [path for _, _, _, path in record_solve(spec, cold=True)] == warm
+        assert {"lu", "lu_cut1"} <= set(warm)
+
+    def test_holder_steps_and_blocks(self, chain20_systems):
+        J, rhs = chain20_systems[13]
+        starts = StartBlocks(J.dim)
+        truncated_lstsq(KktBlocks(J.FG, J.Hx, J.s, J.y, starts), rhs, RCOND)
+        cold = dict(starts.steps)
+        assert cold["power"] >= 2 and cold["subspace"] >= 2
+        assert starts.top.shape == (J.dim,) and starts.bottom.shape == (J.dim, 2)
+        # The same matrix again starts from its own Ritz vectors: the floor.
+        truncated_lstsq(KktBlocks(J.FG, J.Hx, J.s, J.y, starts), rhs, RCOND)
+        assert starts.steps == {"power": cold["power"] + 2,
+                                "subspace": cold["subspace"] + 2}
 
 
 class TestNearlySingular:
