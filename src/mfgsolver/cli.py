@@ -174,6 +174,7 @@ class ManifestWriter:
             "inputs": {},
             "outputs": [],
             "duration_seconds": 0.0,
+            "stage_seconds": {},
             "convergence": {},
         }
         self.out_dir = Path(out_dir)
@@ -348,15 +349,30 @@ def cmd_simulate(args):
         mu = np.asarray(doc["mean_field"], dtype=float)
         pi = np.asarray(doc["policy"], dtype=float)
         config = sim_config_from_args(args)
-        trajectories = estimation.simulate(spec, pi, mu, mu, config)
-        with out.open("w") as fh:
-            fh.write(TRAJECTORY_HEADER + "\n")
-            for i, traj in enumerate(trajectories):
-                steps = np.column_stack([np.arange(len(traj)), traj.states, traj.actions])
-                fh.write((f"{i},%d,%d,%d\n" * len(traj)) % tuple(steps.ravel().tolist()))
+        with manifest.stage("simulate"):
+            trajectories = estimation.simulate(spec, pi, mu, mu, config)
+        with manifest.stage("write_csv"):
+            _write_trajectories(out, spec, trajectories)
         manifest.add_output(out)
         manifest.finish({"n_trajectories": len(trajectories), "horizon": config.horizon})
         return 0
+
+
+def _write_trajectories(path, spec, trajectories):
+    """The trajectory CSV, its rows formatted from lookup tables: "t," per
+    step and "x,a\\n" per (state, action) code."""
+    A = spec.n_actions
+    steps = [f"{t}," for t in range(max(map(len, trajectories)))]
+    pairs = [f"{x},{a}\n" for x in range(spec.n_states) for a in range(A)]
+    with Path(path).open("w") as fh:
+        fh.write(TRAJECTORY_HEADER + "\n")
+        for i, traj in enumerate(trajectories):
+            n = len(traj)
+            # Row t is "i," + steps[t] + pairs[code].
+            parts = [f"{i},"] * (3 * n)
+            parts[1::3] = steps[:n]
+            parts[2::3] = map(pairs.__getitem__, (traj.states * A + traj.actions).tolist())
+            fh.write("".join(parts))
 
 
 def _read_trajectories(path, spec, seed=0):
@@ -386,7 +402,13 @@ def _read_trajectories(path, spec, seed=0):
             raise ValidationError(
                 f"{name} {rows[row, column]} in data row {row + 1} of {path} "
                 f"is outside 0..{size - 1}")
-    rows = rows[np.lexsort(rows.T[::-1])]
+    # Sorted unless some row is below the row before it in the first field
+    # where the two differ; simulate writes sorted files.
+    later, earlier = rows[1:], rows[:-1]
+    field = (later != earlier).argmax(axis=1)
+    pair = np.arange(len(field))
+    if (later[pair, field] < earlier[pair, field]).any():
+        rows = rows[np.lexsort(rows.T[::-1])]
     cuts = np.flatnonzero(np.diff(rows[:, 0])) + 1
     states = np.split(np.ascontiguousarray(rows[:, 2]), cuts)
     actions = np.split(np.ascontiguousarray(rows[:, 3]), cuts)
@@ -403,11 +425,13 @@ def cmd_estimate(args):
         if not traj_path.exists():
             raise MfgError(f"trajectory file not found: {traj_path}")
         manifest.add_input(traj_path)
-        trajectories = _read_trajectories(traj_path, spec)
-        mu_hat = estimation.estimate_mean_field(trajectories, spec.n_states)
-        f_hat, tail = estimation.estimate_feature_expectation(
-            spec, trajectories, mu_hat, spec.beta
-        )
+        with manifest.stage("read_csv"):
+            trajectories = _read_trajectories(traj_path, spec)
+        with manifest.stage("estimators"):
+            mu_hat = estimation.estimate_mean_field(trajectories, spec.n_states)
+            f_hat, tail = estimation.estimate_feature_expectation(
+                spec, trajectories, mu_hat, spec.beta
+            )
         write_json(out, {
             "mean_field": mu_hat,
             "feature_expectation": f_hat,
@@ -443,7 +467,6 @@ def cmd_pipeline(args):
     out_dir = Path(args.out_dir)
     spec, path = load_model_arg(args)
     with ManifestWriter("pipeline", vars(args).copy(), out_dir) as manifest:
-        manifest.payload["stage_seconds"] = {}
         manifest.add_input(path)
 
         config = gnep_config_from_args(args)

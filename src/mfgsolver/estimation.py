@@ -268,6 +268,10 @@ def estimate_mean_field(trajectories, n_states=None):
     if not trajectories:
         raise EmptyData("no trajectories")
     states = np.concatenate([t.states for t in trajectories])
+    if states.size == 0:
+        raise EmptyData("the trajectories have no steps")
+    if states.min() < 0:
+        raise ValidationError(f"state {states.min()} is negative")
     if n_states is None:
         n_states = int(states.max()) + 1
     counts = np.bincount(states, minlength=n_states)
@@ -276,24 +280,72 @@ def estimate_mean_field(trajectories, n_states=None):
     return counts / states.size
 
 
+# Steps per chunk of estimate_feature_expectation: its gathered features
+# take 8 * feature_dim bytes a step, 0.8 MB at three features.
+_CHUNK_STEPS = 1 << 15
+
+
+def _check_range(values, size, name):
+    if values.size:
+        lo, hi = values.min(), values.max()
+        if lo < 0 or hi >= size:
+            raise ValidationError(f"{name} {lo if lo < 0 else hi} is outside 0..{size - 1}")
+
+
+def _joined(arrays):
+    """The arrays end to end, without copying a single one: a trajectory
+    of a chunk or more comes alone."""
+    return np.asarray(arrays[0]) if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _discounted_rows(f, d, members):
+    """d @ f[t.states, t.actions] for each of the members, which all have
+    len(d) steps, from one flat gather and one stacked matmul; its BLAS
+    call per trajectory is the one d @ f[t.states, t.actions] makes. The
+    gathered features are freed on return, before the next chunk's."""
+    X, A, k = f.shape
+    states = _joined([t.states for t in members])
+    actions = _joined([t.actions for t in members])
+    _check_range(states, X, "state")
+    _check_range(actions, A, "action")
+    gathered = np.take(f.reshape(X * A, k), states * A + actions, axis=0)
+    return np.matmul(d, gathered.reshape(len(members), len(d), k))
+
+
 def estimate_feature_expectation(spec, trajectories, mu_hat, beta):
     """Truncated discounted feature sum averaged over trajectories.
 
     Returns (estimate, tail_bound) where tail_bound is the worst-case mass
     beyond the simulation horizon, beta^T * max ||f|| / (1 - beta).
+
+    The result has the bits of a loop that adds d @ f[states, actions],
+    d = beta ** arange(T), to a zero total one trajectory at a time.
+    Trajectories of one length are taken in chunks of about _CHUNK_STEPS
+    steps (_discounted_rows). Their rows are stored in trajectory order
+    after a zero row and added up with np.add.accumulate, which runs in
+    order; np.add.reduce would sum pairwise when the features are one
+    column.
     """
     if not trajectories:
         raise EmptyData("no trajectories")
     f = feature_table(spec, mu_hat)  # [x, a, j]
-    total = np.zeros(spec.feature_dim)
-    discounts = {}  # beta ** arange(T), once per distinct length T
-    for t in trajectories:
-        d = discounts.get(len(t))
-        if d is None:
-            d = discounts[len(t)] = beta ** np.arange(len(t))
-        total += d @ f[t.states, t.actions]
-    estimate = total / len(trajectories)
-    T = max(len(t) for t in trajectories)
+    lengths = [len(t.states) for t in trajectories]
+    n_actions = [len(t.actions) for t in trajectories]
+    if n_actions != lengths:
+        i = next(i for i, (n, m) in enumerate(zip(lengths, n_actions)) if n != m)
+        raise ValidationError(
+            f"trajectory {i} has {lengths[i]} states but {n_actions[i]} actions")
+    rows = np.zeros((len(trajectories) + 1, spec.feature_dim))
+    by_length = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(np.take(lengths, by_length))) + 1
+    for group in np.split(by_length, cuts):
+        T = lengths[group[0]]
+        d = beta ** np.arange(T)
+        batch = max(1, _CHUNK_STEPS // max(T, 1))
+        for start in range(0, len(group), batch):
+            ids = group[start:start + batch]
+            rows[ids + 1] = _discounted_rows(f, d, [trajectories[i] for i in ids.tolist()])
+    estimate = np.add.accumulate(rows, axis=0)[-1] / len(trajectories)
     f_max = float(np.linalg.norm(f, axis=2).max())
-    tail = beta**T * f_max / (1.0 - beta)
+    tail = beta**max(lengths) * f_max / (1.0 - beta)
     return estimate, tail

@@ -102,6 +102,8 @@ class TestExitCodes:
         manifest = json.loads((out.parent / "manifest.json").read_text())
         assert manifest["command"] == case
         assert manifest["convergence"] == {"converged": False, "error": expected[0]}
+        # The stage that raised is timed.
+        assert list(manifest["stage_seconds"]) == (["read_csv"] if case == "estimate" else [])
         assert manifest["outputs"] == []
         assert not out.exists()
 
@@ -278,6 +280,25 @@ class TestVerify:
         assert doc["invariance_residual"] <= 1e-6
 
 
+def assert_reads_like_dict_reader(tmp_path, rows):
+    """_read_trajectories of a CSV of rows gives the trajectories of a
+    dict keyed by id, each sorted by (t, state, action)."""
+    path = tmp_path / "traj.csv"
+    path.write_text("trajectory_id,t,state,action\n"
+                    + "".join(f"{i},{t},{x},{a}\n" for i, t, x, a in rows))
+    by_id = {}
+    for i, t, x, a in rows:
+        by_id.setdefault(i, []).append((t, x, a))
+    read = cli._read_trajectories(path, MALWARE2, seed=9)
+    assert len(read) == len(by_id)
+    for traj, i in zip(read, sorted(by_id)):
+        steps = sorted(by_id[i])
+        assert traj.seed == 9
+        assert traj.states.dtype == np.int64 and traj.actions.dtype == np.int64
+        np.testing.assert_array_equal(traj.states, [s[1] for s in steps])
+        np.testing.assert_array_equal(traj.actions, [s[2] for s in steps])
+
+
 class TestSimulateEstimate:
     def test_chain(self, eq_file, tmp_path):
         traj = tmp_path / "traj.csv"
@@ -327,21 +348,63 @@ class TestSimulateEstimate:
                 for i, T in ((7, 30), (2, 1), (40, 12)) for t in range(T)]
         rows = [rows[k] for k in rng.permutation(len(rows))]
         rows += [(40, 3, 1, 1), (40, 3, 1, 0), (40, 3, 0, 1)]
-        path = tmp_path / "traj.csv"
-        path.write_text("trajectory_id,t,state,action\n"
-                        + "".join(f"{i},{t},{x},{a}\n" for i, t, x, a in rows))
+        assert_reads_like_dict_reader(tmp_path, rows)
 
-        by_id = {}
-        for i, t, x, a in rows:
-            by_id.setdefault(i, []).append((t, x, a))
-        read = cli._read_trajectories(path, MALWARE2, seed=9)
-        assert len(read) == len(by_id)
-        for traj, i in zip(read, sorted(by_id)):
-            steps = sorted(by_id[i])
-            assert traj.seed == 9
-            assert traj.states.dtype == np.int64 and traj.actions.dtype == np.int64
-            np.testing.assert_array_equal(traj.states, [s[1] for s in steps])
-            np.testing.assert_array_equal(traj.actions, [s[2] for s in steps])
+    @pytest.mark.parametrize("rows", [
+        [(1, 0, 1, 0), (0, 0, 0, 1)],                  # out of order in the id,
+        [(0, 1, 1, 0), (0, 0, 0, 1)],                  # the step,
+        [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)],    # the state
+        [(0, 0, 1, 1), (0, 0, 1, 0), (0, 1, 0, 0)],    # or the action only
+        [(0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 1)],    # sorted
+    ])
+    def test_reader_sorts_rows_out_of_order_in_any_field(self, tmp_path, rows):
+        assert_reads_like_dict_reader(tmp_path, rows)
+
+    def test_sorted_and_shuffled_files_read_alike(self, eq_file, tmp_path, monkeypatch):
+        # simulate writes its rows sorted, which the reader takes as they
+        # are; a shuffled copy of the same rows is sorted on reading.
+        sorted_csv, shuffled_csv = tmp_path / "sorted.csv", tmp_path / "shuffled.csv"
+        assert run(["simulate", "--model", "builtin:malware2", "--equilibrium",
+                    str(eq_file), "--n-trajectories", "30", "--horizon", "25",
+                    "--seed", "8", "--out", str(sorted_csv)]) == 0
+        header, *rows = sorted_csv.read_text().splitlines()
+        order = np.random.default_rng(0).permutation(len(rows))
+        shuffled_csv.write_text("\n".join([header] + [rows[k] for k in order]) + "\n")
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        a = cli._read_trajectories(sorted_csv, MALWARE2)
+        assert sorts == []
+        b = cli._read_trajectories(shuffled_csv, MALWARE2)
+        assert sorts == [1]
+        assert len(a) == len(b) == 30
+        for ta, tb in zip(a, b):
+            assert len(ta) == 25
+            np.testing.assert_array_equal(ta.states, tb.states)
+            np.testing.assert_array_equal(ta.actions, tb.actions)
+
+    def test_roundtrip_digests(self, tmp_path):
+        # simulate -> estimate on malware10 at 1,000 x 200, seed 1: the CSV
+        # and the estimate keep the bytes of the per-trajectory writer,
+        # sorting reader and estimator loop they replaced.
+        eq, csv, est = (tmp_path / "eq" / "eq.json", tmp_path / "sim" / "traj.csv",
+                        tmp_path / "est" / "estimate.json")
+        assert run(["solve-mfe", "--model", "builtin:malware10", "--out", str(eq)]) == 0
+        assert run(["simulate", "--model", "builtin:malware10", "--equilibrium", str(eq),
+                    "--n-trajectories", "1000", "--horizon", "200", "--seed", "1",
+                    "--out", str(csv)]) == 0
+        assert run(["estimate", "--model", "builtin:malware10",
+                    "--trajectories", str(csv), "--out", str(est)]) == 0
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv, est)]
+        assert digests == [
+            "6275fae8e7df7f50f1821fe510b4752b2bf99e7160e8dd485a154db5b65afc06",
+            "7af962e1d8b448cc490241b85676e8cd128226c1622a3c3c5a4e2e586a0e01a2",
+        ]
+        for path, stages in ((csv, ["simulate", "write_csv"]),
+                             (est, ["read_csv", "estimators"])):
+            manifest = json.loads((path.parent / "manifest.json").read_text())
+            assert list(manifest["stage_seconds"]) == stages
+            assert sum(manifest["stage_seconds"].values()) <= manifest["duration_seconds"]
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "traj.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,16 @@ def mixed_length_trajectories(spec):
         t for batch in batches for t in batch[2:]]
 
 
+def assert_feature_expectation_matches_loop(spec, trajs):
+    mu_hat = estimation.estimate_mean_field(trajs, n_states=spec.n_states)
+    f = model.feature_table(spec, mu_hat)
+    total = np.zeros(spec.feature_dim)
+    for t in trajs:
+        total += spec.beta ** np.arange(len(t)) @ f[t.states, t.actions]
+    est, _ = estimation.estimate_feature_expectation(spec, trajs, mu_hat, spec.beta)
+    np.testing.assert_array_equal(est, total / len(trajs))
+
+
 class TestEstimatorsMatchLoops:
     """Both estimators give exactly what a loop over trajectories gives."""
 
@@ -229,14 +241,41 @@ class TestEstimatorsMatchLoops:
 
     def test_feature_expectation(self, malware2):
         trajs = mixed_length_trajectories(malware2)
-        mu_hat = estimation.estimate_mean_field(trajs, n_states=2)
-        f = model.feature_table(malware2, mu_hat)
-        total = np.zeros(malware2.feature_dim)
-        for t in trajs:
-            total += malware2.beta ** np.arange(len(t)) @ f[t.states, t.actions]
-        est, _ = estimation.estimate_feature_expectation(
-            malware2, trajs, mu_hat, malware2.beta)
-        np.testing.assert_array_equal(est, total / len(trajs))
+        assert_feature_expectation_matches_loop(malware2, trajs)
+        # 14 steps a chunk: the 5 trajectories of 7 steps take three
+        # chunks, and the longer ones go one at a time.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_CHUNK_STEPS", 14)
+            assert_feature_expectation_matches_loop(malware2, trajs)
+        empty = estimation.Trajectory(states=np.zeros(0, dtype=np.int64),
+                                      actions=np.zeros(0, dtype=np.int64), seed=0)
+        assert_feature_expectation_matches_loop(
+            malware2, [empty] + trajs[:5] + [empty] + trajs[5:])
+        # With one feature column np.add.reduce would sum pairwise.
+        spec, pi, mu = random_chain(np.random.default_rng(3), 4, 3)
+        assert_feature_expectation_matches_loop(spec, estimation.simulate(
+            spec, pi, mu, mu, estimation.EstimatorConfig(n_trajectories=300, horizon=20,
+                                                         seed=2)))
+
+    def test_feature_expectation_memory_is_chunked(self, malware2):
+        # At A9's 10,000 x 51 shape the gathered features alone would take
+        # 12 MB in one batch; in chunks the estimator stays under 4 MB.
+        trajs = estimation.simulate(malware2, PI_STAR, MU_STAR, MU_STAR,
+                                    estimation.EstimatorConfig(n_trajectories=10_000,
+                                                               horizon=51, seed=0))
+
+        def peak_mb():
+            tracemalloc.start()
+            try:
+                estimation.estimate_feature_expectation(malware2, trajs, MU_STAR, 0.8)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        assert peak_mb() < 4.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_CHUNK_STEPS", 1 << 40)
+            assert peak_mb() > 4.0
 
 
 class TestEstimateMeanField:
@@ -277,6 +316,20 @@ class TestEstimateMeanField:
         with pytest.raises(EmptyData):
             estimation.estimate_mean_field([])
 
+    @pytest.mark.parametrize("n_states", [2, None])
+    def test_no_steps_raises(self, n_states):
+        t = estimation.Trajectory(states=np.zeros(0, dtype=np.int64),
+                                  actions=np.zeros(0, dtype=np.int64), seed=0)
+        with pytest.raises(EmptyData, match="no steps"):
+            estimation.estimate_mean_field([t, t], n_states=n_states)
+
+    @pytest.mark.parametrize("n_states", [2, None])
+    def test_negative_state_raises(self, n_states):
+        t = estimation.Trajectory(states=np.array([0, -1]), actions=np.zeros(2, dtype=int),
+                                  seed=0)
+        with pytest.raises(ValidationError, match="state -1"):
+            estimation.estimate_mean_field([t], n_states=n_states)
+
 
 class TestEstimateFeatureExpectation:
     def test_tiny_beta_reads_first_step(self, malware2):
@@ -309,6 +362,23 @@ class TestEstimateFeatureExpectation:
             estimation.estimate_feature_expectation(
                 malware2, [], np.array([0.5, 0.5]), 0.8
             )
+
+    @pytest.mark.parametrize("states,actions,message", [
+        ([0, -1], [0, 0], "state -1 is outside 0..1"),    # would wrap to state 1
+        ([0, 2], [0, 0], "state 2 is outside 0..1"),
+        ([0, 1], [0, 2], "action 2 is outside 0..1"),     # would read state 1's row
+        ([1, 0], [-1, 0], "action -1 is outside 0..1"),
+        ([0, 1], [0], "trajectory 1 has 2 states but 1 actions"),
+        ([0, 1], [0, 1, 1], "trajectory 1 has 2 states but 3 actions"),
+    ])
+    def test_bad_trajectory_raises(self, malware2, states, actions, message):
+        good = estimation.Trajectory(states=np.array([0, 1]), actions=np.array([1, 0]),
+                                     seed=0)
+        bad = estimation.Trajectory(states=np.array(states), actions=np.array(actions),
+                                    seed=0)
+        with pytest.raises(ValidationError, match=message):
+            estimation.estimate_feature_expectation(
+                malware2, [good, bad], np.array([0.5, 0.5]), 0.8)
 
     def test_error_shrinks_with_more_trajectories(self, malware2):
         # Averaged over a few seeds, the estimator error decreases over
