@@ -11,7 +11,9 @@ reruns are byte-identical.
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
+import json
 import math
 import sys
 import time
@@ -51,8 +53,6 @@ def _format_value(value, indent):
         # JSON has no NaN or infinity; a diverged solve's last values are null.
         return f"{float(value):.12e}" if math.isfinite(value) else "null"
     if isinstance(value, str):
-        import json
-
         return json.dumps(value)
     if isinstance(value, np.ndarray):
         value = value.tolist()
@@ -101,15 +101,20 @@ def load_model_arg(args):
     if not path.exists():
         raise MfgError(f"model file not found: {path}")
     spec = model.load_model(path.read_text())
-    if args.beta is not None or args.theta:
-        beta = args.beta if args.beta is not None else spec.beta
-        theta = np.asarray(args.theta) if args.theta else spec.theta
-        spec = model.ModelSpec(
-            n_states=spec.n_states, n_actions=spec.n_actions,
-            feature_dim=spec.feature_dim, beta=beta, P0=spec.P0, P1=spec.P1,
-            F0=spec.F0, F1=spec.F1, theta=theta, state_labels=spec.state_labels,
-        )
-    return spec, path
+    overrides = {k: v for k, v in (("beta", args.beta), ("theta", args.theta))
+                 if v is not None}
+    return (dataclasses.replace(spec, **overrides) if overrides else spec), path
+
+
+def read_equilibrium(path, manifest):
+    """The (mean_field, policy) arrays of an equilibrium file, recorded as
+    an input of manifest; a missing file is an input error."""
+    path = Path(path)
+    if not path.exists():
+        raise MfgError(f"equilibrium file not found: {path}")
+    manifest.add_input(path)
+    doc = json.loads(path.read_text())
+    return tuple(np.asarray(doc[key], dtype=float) for key in ("mean_field", "policy"))
 
 
 def equilibrium_payload(eq, report):
@@ -237,21 +242,23 @@ def forward_failure(exc):
     return forward_summary(report) if report is not None else {}
 
 
+def _config(make, **values):
+    """make(**values), a config; a value it rejects is an input error."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+
+
 def gnep_config_from_args(args):
-    return gnep.GnepConfig(
-        sigma=args.sigma, kappa=args.kappa, tol=args.tol, max_iter=args.max_iter
-    )
+    return _config(gnep.GnepConfig, sigma=args.sigma, kappa=args.kappa, tol=args.tol,
+                   max_iter=args.max_iter)
 
 
 def sim_config_from_args(args):
-    """The EstimatorConfig of --n-trajectories, --horizon and --seed; a
-    value it rejects is an input error."""
-    try:
-        return estimation.EstimatorConfig(
-            n_trajectories=args.n_trajectories, horizon=args.horizon, seed=args.seed
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    """The EstimatorConfig of --n-trajectories, --horizon and --seed."""
+    return _config(estimation.EstimatorConfig, n_trajectories=args.n_trajectories,
+                   horizon=args.horizon, seed=args.seed)
 
 
 def irl_method(args, exact):
@@ -262,10 +269,16 @@ def irl_method(args, exact):
 
 
 def irl_config_from_args(args, method):
-    return irl.IrlConfig(
-        step=args.step, grad_tol=args.grad_tol, max_iter=args.irl_max_iter,
-        settle_tol=args.settle_tol, method=method,
-    )
+    return _config(irl.IrlConfig, step=args.step, grad_tol=args.grad_tol,
+                   max_iter=args.irl_max_iter, settle_tol=args.settle_tol, method=method)
+
+
+def _floats(flag, text):
+    """The numbers of a comma-separated list; a malformed list is an input error."""
+    try:
+        return np.asarray([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ValidationError(f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +306,12 @@ def cmd_solve_mfe(args):
 
 
 def _irl_problem_from_args(args, spec, manifest):
-    import json
-
     if args.equilibrium:
-        path = Path(args.equilibrium)
-        if not path.exists():
-            raise MfgError(f"equilibrium file not found: {path}")
-        manifest.add_input(path)
-        doc = json.loads(path.read_text())
-        mu_E = np.asarray(doc["mean_field"], dtype=float)
-        pi_E = np.asarray(doc["policy"], dtype=float)
+        mu_E, pi_E = read_equilibrium(args.equilibrium, manifest)
         f_expert = mdp.feature_expectation(spec, pi_E, mu_E, mu_E)
     elif args.mean_field and args.feature_expectation:
-        mu_E = np.asarray([float(v) for v in args.mean_field.split(",")])
-        f_expert = np.asarray([float(v) for v in args.feature_expectation.split(",")])
+        mu_E = _floats("--mean-field", args.mean_field)
+        f_expert = _floats("--feature-expectation", args.feature_expectation)
     else:
         raise MfgError(
             "solve-irl needs --equilibrium or both --mean-field and "
@@ -322,8 +327,9 @@ def cmd_solve_irl(args):
         manifest.add_input(path)
         problem = _irl_problem_from_args(args, spec, manifest)
         method = irl_method(args, exact=bool(args.equilibrium))
+        config = irl_config_from_args(args, method)
         try:
-            dual, nu, pi, trace = irl.solve_irl(problem, irl_config_from_args(args, method))
+            dual, nu, pi, trace = irl.solve_irl(problem, config)
         except SOLVER_FAILURES as exc:
             return manifest.fail(exc, "solve-irl", **irl_failure(exc, method))
         residuals = irl.verify_irl(problem, nu)
@@ -335,19 +341,11 @@ def cmd_solve_irl(args):
 
 
 def cmd_simulate(args):
-    import json
-
     spec, path = load_model_arg(args)
     out = Path(args.out)
     with ManifestWriter("simulate", vars(args).copy(), out.parent) as manifest:
         manifest.add_input(path)
-        eq_path = Path(args.equilibrium)
-        if not eq_path.exists():
-            raise MfgError(f"equilibrium file not found: {eq_path}")
-        manifest.add_input(eq_path)
-        doc = json.loads(eq_path.read_text())
-        mu = np.asarray(doc["mean_field"], dtype=float)
-        pi = np.asarray(doc["policy"], dtype=float)
+        mu, pi = read_equilibrium(args.equilibrium, manifest)
         config = sim_config_from_args(args)
         with manifest.stage("simulate"):
             trajectories = estimation.simulate(spec, pi, mu, mu, config)
@@ -443,19 +441,11 @@ def cmd_estimate(args):
 
 
 def cmd_verify(args):
-    import json
-
     spec, path = load_model_arg(args)
     out = Path(args.out)
     with ManifestWriter("verify", vars(args).copy(), out.parent) as manifest:
         manifest.add_input(path)
-        eq_path = Path(args.equilibrium)
-        if not eq_path.exists():
-            raise MfgError(f"equilibrium file not found: {eq_path}")
-        manifest.add_input(eq_path)
-        doc = json.loads(eq_path.read_text())
-        mu = np.asarray(doc["mean_field"], dtype=float)
-        pi = np.asarray(doc["policy"], dtype=float)
+        mu, pi = read_equilibrium(args.equilibrium, manifest)
         gap, residual = gnep.verify_mfe(spec, pi, mu)
         write_json(out, {"optimality_gap": gap, "invariance_residual": residual})
         manifest.add_output(out)
@@ -469,9 +459,11 @@ def cmd_pipeline(args):
     with ManifestWriter("pipeline", vars(args).copy(), out_dir) as manifest:
         manifest.add_input(path)
 
+        # All configs are checked before the forward solve, which a bad value would waste.
         config = gnep_config_from_args(args)
-        # Checked before the forward solve, which a bad value would waste.
         sim_config = sim_config_from_args(args) if args.estimate else None
+        method = irl_method(args, exact=not args.estimate)
+        irl_config = irl_config_from_args(args, method)
         try:
             with manifest.stage("solve-mfe"):
                 eq, report = gnep.solve_gnep(spec, config)
@@ -498,10 +490,9 @@ def cmd_pipeline(args):
             f_expert = mdp.feature_expectation(spec, eq.policy, mu_E, mu_E)
 
         problem = irl.IrlProblem(spec=spec, mu_E=mu_E, f_expert=f_expert)
-        method = irl_method(args, exact=not args.estimate)
         try:
             with manifest.stage("solve-irl"):
-                dual, nu, pi, trace = irl.solve_irl(problem, irl_config_from_args(args, method))
+                dual, nu, pi, trace = irl.solve_irl(problem, irl_config)
         except SOLVER_FAILURES as exc:
             return manifest.fail(exc, "pipeline[solve-irl]", stage="solve-irl",
                                  **irl_failure(exc, method))
@@ -628,12 +619,9 @@ def dispatch(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SOLVER_FAILURES as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MfgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SOLVER_FAILURES) else 2
 
 
 def main():

@@ -79,6 +79,8 @@ class GnepConfig:
             raise ValueError(f"sigma must lie in [0,1), got {self.sigma}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
 
 
 @dataclass
@@ -162,8 +164,8 @@ class KktSystem:
         self.theta_f1 = np.einsum("xajz,j->xaz", spec.F1, spec.theta)
         self.marginal = np.kron(np.eye(X), np.ones(A))     # 1{x = y}, X x XA
         self.neg_eye_X = -np.eye(X)
-        # J1 = [-I ; beta p_mu - 1{x=.}] and J2 = [-I ; -1' ; -I + P1[nu]]
-        # with their constant rows filled; _jac_h1_nu and _jac_h2_mu write
+        # J1 = dh1/dnu = [-I ; beta p_mu - 1{x=.}] and J2 = dh2/dmu = [-I ;
+        # -1' ; -I + P1[nu]] with their constant rows filled; _tables writes
         # the rest.
         self._J1 = np.vstack([-np.eye(nxa), np.empty((X, nxa))])
         self._J2 = np.vstack([-np.eye(X), -np.ones((1, X)), np.empty((X, X))])
@@ -175,13 +177,17 @@ class KktSystem:
 
     def _tables(self, z):
         """The kernel p_mu and P1[nu] = sum_(x,a) nu(x,a) P1[:, x, a, :] at
-        z. Both depend on x = (nu, mu) alone and are kept for the last x:
-        the solver asks for H and then for J at each iterate."""
+        z, with J1 and J2 written into their buffers from them. All depend
+        on x = (nu, mu) alone and are kept for the last x: the solver asks
+        for H and then for J at each iterate."""
         x = z[:self.n]
         if self._tables_at is None or not np.array_equal(self._tables_at[0], x):
             nu_tab = x[self.s_nu].reshape(self.X, self.A)
-            self._tables_at = (x.copy(), self._kernel(x[self.s_mu]),
-                               np.einsum("yxaz,xa->yz", self.P1, nu_tab))
+            p = self._kernel(x[self.s_mu])
+            nu_P1 = np.einsum("yxaz,xa->yz", self.P1, nu_tab)
+            self._J1[self.nxa:] = self.beta * p.reshape(self.X, self.nxa) - self.marginal
+            self._J2[self.X + 1:] = self.neg_eye_X + nu_P1
+            self._tables_at = (x.copy(), p, nu_P1)
         return self._tables_at[1:]
 
     def _kernel(self, mu):
@@ -209,16 +215,6 @@ class KktSystem:
         mu = np.asarray(mu, dtype=float)
         return self._constraints(nu_tab, mu, self._kernel(mu))
 
-    def _jac_h1_nu(self, p):
-        """J1 = dh1/dnu, in a buffer the next call overwrites."""
-        self._J1[self.nxa:] = self.beta * p.reshape(self.X, self.nxa) - self.marginal
-        return self._J1
-
-    def _jac_h2_mu(self, nu_P1):
-        """J2 = dh2/dmu from P1[nu], in a buffer the next call overwrites."""
-        self._J2[self.X + 1:] = self.neg_eye_X + nu_P1
-        return self._J2
-
     def H(self, z):
         """The stacked KKT residual H(z)."""
         z = np.asarray(z, dtype=float)
@@ -226,12 +222,12 @@ class KktSystem:
         mu = z[self.s_mu]
         lam, gam = z[self.s_lam], z[self.s_gam]
         spec = self.spec
-        p, nu_P1 = self._tables(z)
+        p, _ = self._tables(z)
         h1, h2 = self._constraints(nu_tab, mu, p)
         c = ((spec.F0 + np.einsum("xajz,z->xaj", spec.F1, mu)) @ spec.theta).ravel()
-        grad_nu_L1 = c + self._jac_h1_nu(p).T @ lam
+        grad_nu_L1 = c + self._J1.T @ lam
         cost_mu_grad = np.einsum("xaz,xa->z", self.theta_f1, nu_tab)
-        grad_mu_L2 = cost_mu_grad + self._jac_h2_mu(nu_P1).T @ gam
+        grad_mu_L2 = cost_mu_grad + self._J2.T @ gam
         return np.concatenate([
             grad_nu_L1,
             grad_mu_L2,
@@ -250,25 +246,23 @@ class KktSystem:
         X, nxa, n, m1 = self.X, self.nxa, self.n, self.m1
         beta, tf1 = self.beta, self.theta_f1
         p, nu_P1 = self._tables(z)
-        J1 = self._jac_h1_nu(p)
-        J2 = self._jac_h2_mu(nu_P1)
 
         FG = np.zeros((n, n + self.m))
         # grad_nu L1 rows: c_mu + J1' lam.
         FG[:nxa, self.s_mu] = (tf1 + beta * np.einsum("yxaz,y->xaz", self.P1, lam[nxa:])
                                ).reshape(nxa, X)
-        FG[:nxa, self.s_lam] = J1.T
+        FG[:nxa, self.s_lam] = self._J1.T
         # grad_mu L2 rows: the cost's mu-gradient + J2' gam.
         FG[nxa:, self.s_nu] = (tf1 + np.einsum("yxaz,y->xaz", self.P1, gam[X + 1:])
                                ).reshape(nxa, X).T
-        FG[nxa:, self.s_gam] = J2.T
+        FG[nxa:, self.s_gam] = self._J2.T
         Hx = np.zeros((self.m, n))
         # h1 rows.
-        Hx[:m1, self.s_nu] = J1
+        Hx[:m1, self.s_nu] = self._J1
         Hx[nxa:m1, self.s_mu] = (1.0 - beta) * np.eye(X) + beta * nu_P1
         # h2 rows.
         Hx[m1 + X + 1:, self.s_nu] = p.reshape(X, nxa)
-        Hx[m1:, self.s_mu] = J2
+        Hx[m1:, self.s_mu] = self._J2
         return KktBlocks(FG, Hx, z[n + self.m:].copy(), z[n:n + self.m].copy(),
                          self.start_blocks)
 
@@ -421,27 +415,22 @@ def solve_gnep(spec, config=None):
         report.iterations = it
         try:
             psi = potential(Hz, kkt.n, kkt.K)
-        except BoundaryViolation as exc:
-            raise BoundaryViolation(f"iteration {it}: {exc}", report=report,
-                                    iterate=z.copy()) from exc
-        report.psi_history.append(psi)
-        if h_norm <= config.tol:
-            report.converged = True
-            break
-        if it == config.max_iter:
-            break
-        try:
+            report.psi_history.append(psi)
+            if h_norm <= config.tol:
+                report.converged = True
+                break
+            if it == config.max_iter:
+                break
             J = kkt_jacobian(kkt, z)
             d, slope, path = newton_direction(kkt, J, Hz, config)
             report.directions[path] += 1
             _, z = armijo_step(kkt, J, z, Hz, psi, d, slope, config, report.line_search)
-        except NonDescent as exc:
-            report.directions[exc.path] += 1
-            raise NonDescent(f"iteration {it}: {exc}", report=report,
-                             path=exc.path, iterate=z.copy()) from exc
-        except LineSearchStall as exc:
-            raise LineSearchStall(f"iteration {it}: {exc}", report=report,
-                                  iterate=z.copy()) from exc
+        except (BoundaryViolation, NonDescent, LineSearchStall) as exc:
+            if isinstance(exc, NonDescent):
+                report.directions[exc.path] += 1
+            exc.args = (f"iteration {it}: {exc}",)
+            exc.report, exc.iterate = report, z.copy()
+            raise
 
     n, m = kkt.n, kkt.m
     report.residual_stationarity = float(np.abs(Hz[:n]).max())

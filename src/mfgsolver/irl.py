@@ -149,6 +149,9 @@ class IrlConfig:
     occupation measure still converges while the gradient plateaus at a
     small positive norm, and the plateau can dip under grad_tol long
     before the measure has settled.
+
+    Rejects, with ValueError, a method other than "gd" and "newton", a
+    step <= 0 (whatever the method) and a negative max_iter.
     """
 
     step: float | None = None
@@ -156,6 +159,14 @@ class IrlConfig:
     max_iter: int = 1_000_000
     settle_tol: float | None = None
     method: str = "gd"
+
+    def __post_init__(self):
+        if self.method not in ("gd", "newton"):
+            raise ValueError(f"method must be 'gd' or 'newton', got {self.method!r}")
+        if self.step is not None and self.step <= 0.0:
+            raise ValueError(f"step must be positive, got {self.step}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
 
 
 def dual_kernel(problem):
@@ -285,14 +296,10 @@ def solve_irl(problem, config=None):
     a view of it.
     """
     config = config or IrlConfig()
-    if config.method not in ("gd", "newton"):
-        raise ValueError(f"method must be 'gd' or 'newton', got {config.method!r}")
     newton = config.method == "newton"
     if not newton:
         consts = smoothness_constants(problem)
         step = config.step if config.step is not None else 1.0 / consts.L
-        if step <= 0.0:
-            raise ValueError(f"step must be positive, got {step}")
         if step > 1.0 / consts.L:
             warnings.warn(
                 f"step {step:g} exceeds 1/L = {1.0 / consts.L:g}; "

@@ -41,6 +41,19 @@ def policy_chain(spec, pi, mu):
     return np.einsum("xa,yxa->xy", np.asarray(pi, dtype=float), p)
 
 
+def _bellman(spec, table, mu, backup, tol, max_iter):
+    """V <- backup(Q), Q = table + beta * sum_y p(y|.,.,mu) V(y), from V = 0
+    until a step moves V by at most tol * (1 + ||V||_inf) in sup norm or
+    after max_iter steps. Returns V and its Q."""
+    p = transition_kernel(spec, mu)
+    V = np.zeros(spec.n_states)
+    for _ in range(max_iter):
+        V, V_prev = backup(table + spec.beta * np.einsum("yxa,y->xa", p, V)), V
+        if np.abs(V - V_prev).max() <= tol * (1.0 + np.abs(V).max()):
+            break
+    return V, table + spec.beta * np.einsum("yxa,y->xa", p, V)
+
+
 def value_iteration(spec, mu, tol=1e-12, max_iter=100_000):
     """Optimal cost-to-go for the frozen-mu MDP.
 
@@ -50,18 +63,8 @@ def value_iteration(spec, mu, tol=1e-12, max_iter=100_000):
     """
     if spec.theta is None:
         raise MissingTheta("value iteration needs reward weights")
-    c = cost_table(spec, mu)
-    p = transition_kernel(spec, mu)
-    beta = spec.beta
-    V = np.zeros(spec.n_states)
-    for _ in range(max_iter):
-        Q = c + beta * np.einsum("yxa,y->xa", p, V)
-        V_next = Q.min(axis=1)
-        if np.abs(V_next - V).max() <= tol * (1.0 + np.abs(V_next).max()):
-            V = V_next
-            break
-        V = V_next
-    Q = c + beta * np.einsum("yxa,y->xa", p, V)
+    V, Q = _bellman(spec, cost_table(spec, mu), mu, lambda Q: Q.min(axis=1),
+                    tol, max_iter)
     greedy = np.zeros((spec.n_states, spec.n_actions))
     greedy[np.arange(spec.n_states), Q.argmin(axis=1)] = 1.0
     return ValueFunctions(V=V, Q=Q), greedy
@@ -162,19 +165,12 @@ def soft_value_iteration(spec, mu, theta, tol=1e-12, max_iter=1_000_000):
     adaptation (the undiscounted fixed point does not exist). Returns the
     Boltzmann policy pi(a|x) = exp(Q(x,a) - V(x)).
     """
-    theta = np.asarray(theta, dtype=float)
-    r = feature_table(spec, mu) @ theta
-    p = transition_kernel(spec, mu)
-    beta = spec.beta
-    V = np.zeros(spec.n_states)
-    for _ in range(max_iter):
-        Q = r + beta * np.einsum("yxa,y->xa", p, V)
-        V_next = np.array([log_sum_exp(Q[x]) for x in range(spec.n_states)])
-        if np.abs(V_next - V).max() <= tol * (1.0 + np.abs(V_next).max()):
-            V = V_next
-            break
-        V = V_next
-    Q = r + beta * np.einsum("yxa,y->xa", p, V)
-    V = np.array([log_sum_exp(Q[x]) for x in range(spec.n_states)])
+    r = feature_table(spec, mu) @ np.asarray(theta, dtype=float)
+
+    def soft_max(Q):
+        return np.array([log_sum_exp(row) for row in Q])
+
+    _, Q = _bellman(spec, r, mu, soft_max, tol, max_iter)
+    V = soft_max(Q)
     pi = np.exp(Q - V[:, None])
     return ValueFunctions(V=V, Q=Q), pi

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -81,26 +83,29 @@ class TestExitCodes:
         # One direction per step taken, plus the failing one.
         assert sum(convergence["directions"].values()) == convergence["iterations"] + 1
 
-    @pytest.mark.parametrize("case", ["solve-irl", "estimate", "simulate"])
+    @pytest.mark.parametrize("case", ["solve-irl", "estimate", "simulate", "verify",
+                                      "solve-irl-equilibrium"])
     def test_input_error_writes_failure_manifest(self, tmp_path, capsys, case):
         # Each input error comes after the output directory exists.
+        command = case.removesuffix("-equilibrium")
         out = tmp_path / "out" / "result.json"
-        argv = [case, "--model", "builtin:malware2", "--out", str(out)]
+        argv = [command, "--model", "builtin:malware2", "--out", str(out)]
         if case == "estimate":
             traj = tmp_path / "traj.csv"
             traj.write_text("trajectory_id,t,state,action\n0,0,5,0\n")
             argv += ["--trajectories", str(traj)]
             expected = ("ValidationError", "state 5 in data row 1")
-        elif case == "simulate":
+        elif case == "solve-irl":
+            expected = ("MfgError", "needs --equilibrium")
+        else:
+            # The three readers of an equilibrium file report one error.
             argv += ["--equilibrium", str(tmp_path / "nope.json")]
             expected = ("MfgError", "equilibrium file not found")
-        else:
-            expected = ("MfgError", "needs --equilibrium")
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.count(expected[1]) == 1
         manifest = json.loads((out.parent / "manifest.json").read_text())
-        assert manifest["command"] == case
+        assert manifest["command"] == command
         assert manifest["convergence"] == {"converged": False, "error": expected[0]}
         # The stage that raised is timed.
         assert list(manifest["stage_seconds"]) == (["read_csv"] if case == "estimate" else [])
@@ -184,6 +189,72 @@ class TestSolverFailures:
         line_search = convergence["line_search"]
         assert (line_search["trials"] - line_search["interior_failures"]
                 - line_search["armijo_failures"]) == 2
+
+
+class TestSolverFlags:
+    """Out-of-range solver flags and malformed lists are input errors: exit
+    2 and a failure manifest, not a traceback."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve-mfe", "--sigma", "2", "--out", "{d}/eq.json"], "sigma must lie in [0,1)"),
+        (["solve-mfe", "--kappa", "0", "--out", "{d}/eq.json"], "kappa must lie in (0,1)"),
+        (["solve-mfe", "--max-iter", "-1", "--out", "{d}/eq.json"],
+         "max_iter must be non-negative"),
+        (["solve-irl", "--equilibrium", "{eq}", "--irl-max-iter", "-1",
+          "--out", "{d}/irl.json"], "max_iter must be non-negative"),
+        (["solve-irl", "--mean-field", "0.65,0.35", "--feature-expectation",
+          "1.75,0.6125,3.0175", "--step", "-1", "--out", "{d}/irl.json"],
+         "step must be positive"),
+        (["solve-irl", "--mean-field", "0.65,abc", "--feature-expectation",
+          "1.75,0.6125,3.0175", "--out", "{d}/irl.json"],
+         "--mean-field needs comma-separated numbers"),
+        (["pipeline", "--step", "-1", "--out-dir", "{d}"], "step must be positive"),
+    ], ids=["sigma", "kappa", "max-iter", "irl-max-iter", "step", "mean-field",
+            "pipeline-step"])
+    def test_bad_value_is_an_input_error(self, eq_file, tmp_path, capsys, argv, message):
+        argv = [a.format(d=tmp_path, eq=eq_file) for a in argv]
+        assert run(argv[:1] + ["--model", "builtin:malware2"] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 1 and "Traceback" not in err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["convergence"] == {"converged": False,
+                                           "error": "ValidationError"}
+        assert manifest["outputs"] == []
+        if argv[0] == "pipeline":
+            # Rejected before the forward solve.
+            assert manifest["stage_seconds"] == {}
+
+
+class TestModelOverrides:
+    """--beta and --theta on a model file."""
+
+    @pytest.mark.parametrize("flags,beta,theta", [
+        (["--beta", "0.7"], 0.7, MALWARE2.theta),
+        (["--theta", "0.3", "1.0", "0.5"], MALWARE2.beta, [0.3, 1.0, 0.5]),
+        (["--beta", "0.7", "--theta", "0.3", "1.0", "0.5"], 0.7, [0.3, 1.0, 0.5]),
+    ])
+    def test_override_gives_the_hand_built_spec(self, model_file, flags, beta, theta):
+        args = cli.build_parser().parse_args(
+            ["solve-mfe", "--model", str(model_file), "--out", "eq.json"] + flags)
+        spec, path = cli.load_model_arg(args)
+        assert path == model_file
+        expected = model.ModelSpec(
+            n_states=2, n_actions=2, feature_dim=3, beta=beta, P0=MALWARE2.P0,
+            P1=MALWARE2.P1, F0=MALWARE2.F0, F1=MALWARE2.F1, theta=theta,
+            state_labels=MALWARE2.state_labels)
+        for f in dataclasses.fields(model.ModelSpec):
+            got, want = getattr(spec, f.name), getattr(expected, f.name)
+            assert type(got) is type(want), f.name
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, f.name
+                np.testing.assert_array_equal(got, want, err_msg=f.name)
+            else:
+                assert got == want, f.name
+
+    def test_beta_out_of_range_is_an_input_error(self, model_file, tmp_path, capsys):
+        assert run(["solve-mfe", "--model", str(model_file), "--beta", "1.5",
+                    "--out", str(tmp_path / "eq.json")]) == 2
+        assert "beta must lie in (0,1), got 1.5" in capsys.readouterr().err
 
 
 class TestSimConfig:
@@ -577,8 +648,15 @@ class TestIrlMethod:
                     "--irl-max-iter", "2", "--out", str(tmp_path / "irl.json")]
             expected = ("NotConverged", "newton", 2)
         elif case == "singular":
+            solve = np.linalg.solve
+
             def singular(a, b):
-                raise np.linalg.LinAlgError("Singular matrix")
+                # Only the inverse solver's Newton system is singular; any
+                # other caller gets the real solver.
+                if sys._getframe(1).f_globals.get("__name__") == "mfgsolver.irl":
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(a, b)
+
             monkeypatch.setattr(np.linalg, "solve", singular)
             argv = ["pipeline", "--model", "builtin:malware2", "--out-dir", str(tmp_path)]
             expected = ("NonFinite", "newton", 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mfgsolver as m
-from mfgsolver import gnep, mdp, numerics
+from mfgsolver import gnep, irl, mdp, numerics
 from mfgsolver.errors import (
     BoundaryViolation, LineSearchStall, MissingTheta, NonDescent, NotConverged,
 )
@@ -402,3 +402,10 @@ class TestConfigValidation:
     def test_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             gnep.GnepConfig(**kwargs)
+
+    @pytest.mark.parametrize("config", [gnep.GnepConfig, irl.IrlConfig])
+    def test_negative_max_iter(self, config):
+        # Zero iterations is a valid cap; -1 would leave the solve no iterate.
+        config(max_iter=0)
+        with pytest.raises(ValueError, match="max_iter must be non-negative"):
+            config(max_iter=-1)

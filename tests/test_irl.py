@@ -296,6 +296,13 @@ class TestSolveIrl:
         with pytest.raises(ValueError):
             irl.solve_irl(problem2, irl.IrlConfig(step=-1.0))
 
+    @pytest.mark.parametrize("method", ["gd", "newton"])
+    def test_config_rejects_non_positive_step(self, method):
+        # Checked when the config is built, whatever the method.
+        for step in (0.0, -1.0):
+            with pytest.raises(ValueError, match="step must be positive"):
+                irl.IrlConfig(step=step, method=method)
+
     def test_settle_tol_requires_static_measure(self, problem2):
         loose = irl.solve_irl(problem2, irl.IrlConfig(step=0.5, grad_tol=5e-3))
         settled = irl.solve_irl(
