@@ -87,7 +87,12 @@ def _digest(path):
 # Shared pieces
 
 def load_model_arg(args):
+    """(spec, path) of --model, with the --beta, --theta and --q overrides,
+    and path None for a builtin. --q sets the infection probability of
+    builtin:malware2 and is an input error with any other model."""
     name = args.model
+    if args.q is not None and name != "builtin:malware2":
+        raise ValidationError(f"--q applies to builtin:malware2 only, not {name}")
     if name.startswith("builtin:"):
         key = name.split(":", 1)[1]
         if key not in BUILTIN_DEFAULTS:
@@ -285,9 +290,9 @@ def _floats(flag, text):
 # Subcommands
 
 def cmd_solve_mfe(args):
-    spec, path = load_model_arg(args)
     out = Path(args.out)
     with ManifestWriter("solve-mfe", vars(args).copy(), out.parent) as manifest:
+        spec, path = load_model_arg(args)
         manifest.add_input(path)
         config = gnep_config_from_args(args)
         try:
@@ -321,9 +326,9 @@ def _irl_problem_from_args(args, spec, manifest):
 
 
 def cmd_solve_irl(args):
-    spec, path = load_model_arg(args)
     out = Path(args.out)
     with ManifestWriter("solve-irl", vars(args).copy(), out.parent) as manifest:
+        spec, path = load_model_arg(args)
         manifest.add_input(path)
         problem = _irl_problem_from_args(args, spec, manifest)
         method = irl_method(args, exact=bool(args.equilibrium))
@@ -341,9 +346,9 @@ def cmd_solve_irl(args):
 
 
 def cmd_simulate(args):
-    spec, path = load_model_arg(args)
     out = Path(args.out)
     with ManifestWriter("simulate", vars(args).copy(), out.parent) as manifest:
+        spec, path = load_model_arg(args)
         manifest.add_input(path)
         mu, pi = read_equilibrium(args.equilibrium, manifest)
         config = sim_config_from_args(args)
@@ -379,14 +384,15 @@ def _read_trajectories(path, spec, seed=0):
     with Path(path).open() as fh:
         if fh.readline().strip() != TRAJECTORY_HEADER:
             raise MfgError(f"unexpected trajectory header in {path}")
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is empty data, reported by the estimators.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None,
-                                  ndmin=2)
-        except ValueError as exc:
-            raise ParseError(f"bad trajectory row in {path}: {exc}") from None
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is empty data, reported by the estimators.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # From the path, not the open file: loadtxt reads a path faster.
+            rows = np.loadtxt(path, dtype=np.int64, delimiter=",", comments=None,
+                              skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"bad trajectory row in {path}: {exc}") from None
     if rows.size == 0:
         return []
     if rows.shape[1] != 4:
@@ -415,9 +421,9 @@ def _read_trajectories(path, spec, seed=0):
 
 
 def cmd_estimate(args):
-    spec, path = load_model_arg(args)
     out = Path(args.out)
     with ManifestWriter("estimate", vars(args).copy(), out.parent) as manifest:
+        spec, path = load_model_arg(args)
         manifest.add_input(path)
         traj_path = Path(args.trajectories)
         if not traj_path.exists():
@@ -441,9 +447,9 @@ def cmd_estimate(args):
 
 
 def cmd_verify(args):
-    spec, path = load_model_arg(args)
     out = Path(args.out)
     with ManifestWriter("verify", vars(args).copy(), out.parent) as manifest:
+        spec, path = load_model_arg(args)
         manifest.add_input(path)
         mu, pi = read_equilibrium(args.equilibrium, manifest)
         gap, residual = gnep.verify_mfe(spec, pi, mu)
@@ -455,8 +461,8 @@ def cmd_verify(args):
 
 def cmd_pipeline(args):
     out_dir = Path(args.out_dir)
-    spec, path = load_model_arg(args)
     with ManifestWriter("pipeline", vars(args).copy(), out_dir) as manifest:
+        spec, path = load_model_arg(args)
         manifest.add_input(path)
 
         # All configs are checked before the forward solve, which a bad value would waste.

@@ -79,6 +79,8 @@ class GnepConfig:
             raise ValueError(f"sigma must lie in [0,1), got {self.sigma}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be non-negative, got {self.tol}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg.blas import daxpy, idamax
 
 from .errors import NonFinite, NotConverged, ValidationError
 from .mdp import disintegrate, OccupationMeasure
@@ -151,7 +150,8 @@ class IrlConfig:
     before the measure has settled.
 
     Rejects, with ValueError, a method other than "gd" and "newton", a
-    step <= 0 (whatever the method) and a negative max_iter.
+    step <= 0 (whatever the method), a negative max_iter, and a grad_tol or
+    settle_tol that is negative or NaN.
     """
 
     step: float | None = None
@@ -167,6 +167,31 @@ class IrlConfig:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
+        for name in ("grad_tol", "settle_tol"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def _import_blas():
+    """scipy's BLAS (daxpy, idamax), with this module's daxpy bound to it.
+    Only "gd" steps with them, and scipy.linalg's import takes longer than
+    a whole Newton solve, so it waits for the first "gd" solve."""
+    global daxpy
+    from scipy.linalg.blas import daxpy, idamax
+    return daxpy, idamax
+
+
+def daxpy(*args):
+    """BLAS daxpy, which replaces this stub on the first call. solve_irl
+    imports it before it builds a "gd" kernel, so that kernel's step binds
+    the BLAS function itself."""
+    return _import_blas()[0](*args)
+
+
+def _idamax(x):
+    """The index of the first largest |x_i|: idamax's, on a finite x."""
+    return np.abs(x).argmax()
 
 
 def dual_kernel(problem):
@@ -182,7 +207,9 @@ def dual_kernel(problem):
     returns (g, s), g = log Z / (1 - beta) - <v, linear> with log Z = c +
     log s. step(-t / s) is one daxpy that moves all of u but the 1 by a
     times that product: v -= t grad, with its exponent update. A closure
-    over locals, so the gradient loop does no attribute lookups.
+    over locals, so the gradient loop does no attribute lookups. step binds
+    the module's daxpy as it is when the kernel is built: the stub until
+    scipy's BLAS is imported, the BLAS function after.
     """
     Bext, M = problem._matrices
     m, n = M.shape[1], Bext.shape[1] - 1
@@ -290,14 +317,17 @@ def solve_irl(problem, config=None):
     that moves v and its exponent together. The shift c stays at the max(k)
     of the last restart, from v = 0 on the first step, and the kernel
     restarts from v exactly only when the sum of exp(k - c) leaves [1e-100,
-    1e100]. "newton" takes its steps from _newton_step, and raises
-    NotConverged once its gradient stalls (STALL_WINDOW). The trace is kept
-    interleaved in one array of doubles, 16 bytes per step, and returned as
-    a view of it.
+    1e100]; BLAS idamax finds the gradient sup-norm. "newton" takes its
+    steps from _newton_step, and raises NotConverged once its gradient
+    stalls (STALL_WINDOW). It finds the sup-norm with numpy, the same value
+    on a finite gradient, and so imports nothing from scipy. The trace is
+    kept interleaved in one array of doubles, 16 bytes per step, and
+    returned as a view of it.
     """
     config = config or IrlConfig()
     newton = config.method == "newton"
     if not newton:
+        _, idamax = _import_blas()    # before dual_kernel binds daxpy
         consts = smoothness_constants(problem)
         step = config.step if config.step is not None else 1.0 / consts.L
         if step > 1.0 / consts.L:
@@ -312,6 +342,7 @@ def solve_irl(problem, config=None):
     restart, evaluate, descend, v, e, sg = kernel
     if newton:
         newton_step = _newton_step(problem, kernel)
+        idamax = _idamax
     restart(v)                # from the zero start, shifted at max(k)
     s_grad = sg[:-1]
     grad_tol, settle = config.grad_tol, config.settle_tol

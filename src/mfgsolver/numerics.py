@@ -4,11 +4,14 @@ Everything here is a pure function of its inputs, except that
 truncated_lstsq carries its start blocks (StartBlocks) from one Jacobian
 of a solve to the next. Problem sizes are at most a few hundred, so dense
 LAPACK-backed routines are used throughout.
+
+scipy.linalg is imported only where it runs: by the LU path of
+truncated_lstsq (dgetrf and dgetrs), and by solve_linear on a matrix whose
+pivots it cannot certify. Its import takes longer than importing numpy and
+the whole package together.
 """
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import EmptyInput, NonFiniteEvaluation, SingularMatrix
 
@@ -50,6 +53,21 @@ def solve_linear(A, b):
 
     Raises SingularMatrix when elimination produces no pivot above
     PIVOT_RTOL relative to the largest entry of A.
+
+    numpy does not return the pivots, so a certificate stands in for them
+    where it can. Let delta be the larger of the smallest row margin and
+    the smallest column margin, a margin being |a_ii| - sum_{j != i}
+    |a_ij|. If delta > 0, ||A^-1|| <= 1 / delta in the matching norm, the
+    infinity norm for rows and the 1-norm for columns (Varah, Linear
+    Algebra Appl. 11, 1975). Partial pivoting gives PA = LU with |l_ij| <=
+    1, so ||L|| <= n and ||U^-1|| = ||A^-1 P' L|| <= n / delta; each
+    1 / |u_kk| is an entry of U^-1, so every pivot is at least delta / n.
+    When delta > n * PIVOT_RTOL * max|A|, no pivot can fail the test, and
+    np.linalg.solve solves A x = b. Both mdp callers pass I - beta P (row
+    margins 1 - beta) or I - beta P' (column margins 1 - beta), so they
+    take this branch whenever 1 - beta > n * PIVOT_RTOL. Any other matrix
+    is factored by scipy's lu_factor, and its pivots are tested as they
+    are.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -57,9 +75,17 @@ def solve_linear(A, b):
         raise ValueError(f"expected square matrix, got shape {A.shape}")
     if b.shape != (A.shape[0],):
         raise ValueError(f"dimension mismatch: A is {A.shape}, b is {b.shape}")
-    scale = np.abs(A).max()
+    abs_A = np.abs(A)
+    scale = abs_A.max()
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
+    twice_diag = 2.0 * abs_A.diagonal()
+    delta = max((twice_diag - abs_A.sum(axis=1)).min(),
+                (twice_diag - abs_A.sum(axis=0)).min())
+    if delta > len(A) * PIVOT_RTOL * scale:
+        return np.linalg.solve(A, b)
+    from scipy.linalg import lu_factor, lu_solve
+
     try:
         lu, piv = lu_factor(A)
     except np.linalg.LinAlgError as exc:
@@ -191,6 +217,25 @@ class KktBlocks:
         J[k:, n:k] = np.diag(self.s)
         J[k:, k:] = np.diag(self.y)
         return J
+
+
+def _import_lapack():
+    """Bind this module's dgetrf and dgetrs to LAPACK's, from scipy."""
+    global dgetrf, dgetrs
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+
+def dgetrf(*args, **kwargs):
+    """LAPACK's dgetrf, which replaces this stub on the first call, as it
+    does dgetrs: only KKT systems of dimension LU_MIN_DIM or more factor."""
+    _import_lapack()
+    return dgetrf(*args, **kwargs)
+
+
+def dgetrs(*args, **kwargs):
+    """LAPACK's dgetrs, which replaces this stub on the first call."""
+    _import_lapack()
+    return dgetrs(*args, **kwargs)
 
 
 class _SchurLu:

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,12 +40,78 @@ def eq_file(tmp_path_factory):
     return out
 
 
+# Runs the argvs of sys.argv[1] (a JSON object) with the CLI in a fresh
+# process and prints, as JSON, the exit code of each and the scipy modules
+# loaded after the import and after each run.
+SCIPY_PROBE = """
+import json, sys
+from mfgsolver import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import": [None, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]).items():
+    seen[name] = [cli.dispatch(argv), scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+class TestScipyStaysUnloaded:
+    """scipy.linalg's import is the largest part of the package's start-up,
+    so only the code that needs it imports it: the LU direction at KKT
+    dimension numerics.LU_MIN_DIM or more, solve_linear on a matrix whose
+    pivots it cannot certify, and --method gd."""
+
+    def test_cli_paths_on_numpy_load_no_scipy(self, tmp_path):
+        d = str(tmp_path)
+        runs = {
+            "a1-pipeline": ["pipeline", "--model", "builtin:malware2", "--sigma", "0.1",
+                            "--kappa", "0.001", "--max-iter", "10000", "--step", "0.5",
+                            "--out-dir", f"{d}/a1"],
+            "a4-pipeline": ["pipeline", "--model", "builtin:malware10", "--step", "0.0025",
+                            "--method", "newton", "--out-dir", f"{d}/a4"],
+            "simulate": ["simulate", "--model", "builtin:malware10", "--equilibrium",
+                         f"{d}/a4/equilibrium.json", "--n-trajectories", "100",
+                         "--horizon", "50", "--out", f"{d}/sim/traj.csv"],
+            "estimate": ["estimate", "--model", "builtin:malware10", "--trajectories",
+                         f"{d}/sim/traj.csv", "--out", f"{d}/est/estimate.json"],
+            # The control: the constant-step loop steps with BLAS daxpy.
+            "gd": ["solve-irl", "--model", "builtin:malware10", "--equilibrium",
+                   f"{d}/a4/equilibrium.json", "--method", "gd", "--irl-max-iter", "1",
+                   "--out", f"{d}/gd/irl.json"],
+        }
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        expected = {"import": [None, []], "a1-pipeline": [0, []], "a4-pipeline": [0, []],
+                    "simulate": [0, []], "estimate": [0, []]}
+        assert {k: v for k, v in seen.items() if k != "gd"} == expected
+        code, modules = seen["gd"]
+        assert code == 1 and "scipy.linalg" in modules   # NotConverged after one step
+
+
 class TestExitCodes:
     def test_missing_model_file(self, tmp_path, capsys):
         code = run(["solve-mfe", "--model", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "eq.json")])
         assert code == 2
         assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,error", [
+        (["--model", "{d}/nope.json"], "MfgError"),
+        (["--model", "builtin:nope"], "MfgError"),
+        (["--model", "builtin:malware2", "--beta", "1.5"], "ValidationError"),
+    ], ids=["missing-file", "unknown-builtin", "beta"])
+    def test_model_error_writes_failure_manifest(self, tmp_path, flags, error):
+        # --model is loaded inside the manifest's block, as every input is.
+        flags = [f.format(d=tmp_path) for f in flags]
+        assert run(["solve-mfe", *flags, "--out", str(tmp_path / "eq.json")]) == 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["convergence"] == {"converged": False, "error": error}
 
     def test_solve_irl_without_inputs(self, tmp_path):
         code = run(["solve-irl", "--model", "builtin:malware2",
@@ -209,8 +278,14 @@ class TestSolverFlags:
           "1.75,0.6125,3.0175", "--out", "{d}/irl.json"],
          "--mean-field needs comma-separated numbers"),
         (["pipeline", "--step", "-1", "--out-dir", "{d}"], "step must be positive"),
+        (["solve-mfe", "--tol", "-1", "--out", "{d}/eq.json"], "tol must be non-negative"),
+        (["solve-mfe", "--tol", "nan", "--out", "{d}/eq.json"], "tol must be non-negative"),
+        (["solve-irl", "--equilibrium", "{eq}", "--grad-tol", "-1",
+          "--out", "{d}/irl.json"], "grad_tol must be non-negative"),
+        (["pipeline", "--settle-tol", "-1", "--out-dir", "{d}"],
+         "settle_tol must be non-negative"),
     ], ids=["sigma", "kappa", "max-iter", "irl-max-iter", "step", "mean-field",
-            "pipeline-step"])
+            "pipeline-step", "tol", "tol-nan", "grad-tol", "settle-tol"])
     def test_bad_value_is_an_input_error(self, eq_file, tmp_path, capsys, argv, message):
         argv = [a.format(d=tmp_path, eq=eq_file) for a in argv]
         assert run(argv[:1] + ["--model", "builtin:malware2"] + argv[1:]) == 2
@@ -223,6 +298,32 @@ class TestSolverFlags:
         if argv[0] == "pipeline":
             # Rejected before the forward solve.
             assert manifest["stage_seconds"] == {}
+
+
+class TestQFlag:
+    """--q sets the infection probability of builtin:malware2 alone; with
+    any other model it is an input error, not a flag silently dropped."""
+
+    @pytest.mark.parametrize("which", ["file", "malware10"])
+    def test_q_elsewhere_is_an_input_error(self, model_file, tmp_path, capsys, which):
+        name = str(model_file) if which == "file" else "builtin:malware10"
+        assert run(["solve-mfe", "--model", name, "--q", "0.5",
+                    "--out", str(tmp_path / "eq.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("--q applies to builtin:malware2 only") == 1
+        assert "Traceback" not in err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["convergence"] == {"converged": False,
+                                           "error": "ValidationError"}
+        assert manifest["outputs"] == [] and not (tmp_path / "eq.json").exists()
+
+    def test_q_sets_malware2(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["solve-mfe", "--model", "builtin:malware2", "--q", "0.5", "--out", "eq.json"])
+        spec, path = cli.load_model_arg(args)
+        assert path is None
+        np.testing.assert_array_equal(
+            spec.P0, model.builtin_malware(2, (0.2, 1.0, 0.4), q=0.5).P0)
 
 
 class TestModelOverrides:

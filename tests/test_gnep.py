@@ -409,3 +409,10 @@ class TestConfigValidation:
         config(max_iter=0)
         with pytest.raises(ValueError, match="max_iter must be non-negative"):
             config(max_iter=-1)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_tol_must_be_non_negative(self, tol):
+        # A tolerance no KKT norm can meet is an input error, not a solve.
+        gnep.GnepConfig(tol=0.0)
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            gnep.GnepConfig(tol=tol)

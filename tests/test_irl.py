@@ -303,6 +303,13 @@ class TestSolveIrl:
             with pytest.raises(ValueError, match="step must be positive"):
                 irl.IrlConfig(step=step, method=method)
 
+    @pytest.mark.parametrize("name", ["grad_tol", "settle_tol"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_config_rejects_negative_tolerance(self, name, value):
+        irl.IrlConfig(**{name: 0.0})
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            irl.IrlConfig(**{name: value})
+
     def test_settle_tol_requires_static_measure(self, problem2):
         loose = irl.solve_irl(problem2, irl.IrlConfig(step=0.5, grad_tol=5e-3))
         settled = irl.solve_irl(

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +57,99 @@ class TestSolveLinear:
             b = rng.normal(size=n)
             x = solve_linear(A, b)
             assert np.abs(A @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+
+
+def _margin(A):
+    """delta of solve_linear's certificate: the larger of the smallest row
+    and the smallest column margin |a_ii| - sum_{j != i} |a_ij|."""
+    abs_A = np.abs(A)
+    twice_diag = 2.0 * abs_A.diagonal()
+    return max((twice_diag - abs_A.sum(axis=1)).min(),
+               (twice_diag - abs_A.sum(axis=0)).min())
+
+
+# Solves I - beta P and I - beta P' for random row-stochastic P and prints,
+# as JSON, the largest residual relative to 1 + |x| and the scipy modules
+# loaded.
+MDP_SYSTEMS = """
+import json, sys
+import numpy as np
+from mfgsolver import numerics
+
+rng = np.random.default_rng(11)
+worst = 0.0
+for beta in (0.0, 0.5, 0.8, 0.99, 0.999999):
+    for n in (1, 2, 10, 50, 200):
+        P = rng.random((n, n)) ** 4
+        P /= P.sum(axis=1, keepdims=True)
+        for A in (np.eye(n) - beta * P, np.eye(n) - beta * P.T):
+            b = rng.random(n)
+            x = numerics.solve_linear(A, b)
+            worst = max(worst, np.abs(A @ x - b).max() / (np.abs(x).max() + 1.0))
+print(json.dumps([worst, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+class TestSolveLinearCertificate:
+    """solve_linear solves a matrix whose margins certify its pivots with
+    numpy alone, and factors any other with scipy's lu_factor, whose pivot
+    test stays the contract."""
+
+    def test_mdp_systems_load_no_scipy(self):
+        # mdp's I - beta P (row margins 1 - beta) and I - beta P' (column
+        # margins 1 - beta) solve, in a fresh process, to a small residual
+        # with no scipy module loaded.
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", MDP_SYSTEMS], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        worst, scipy_modules = json.loads(proc.stdout)
+        assert worst <= 1e-12 and scipy_modules == []
+
+    def test_planted_small_pivot_raises(self):
+        # A last column that is a combination of the others, up to
+        # rounding: its pivot is far below PIVOT_RTOL * max|A|, the margins
+        # certify nothing, and lu_factor's pivot test rejects it.
+        rng = np.random.default_rng(5)
+        for n in (3, 6, 12):
+            A = rng.normal(size=(n, n))
+            A[:, -1] = A[:, :-1] @ rng.normal(size=n - 1)
+            assert _margin(A) <= n * numerics.PIVOT_RTOL * np.abs(A).max()
+            with pytest.raises(SingularMatrix, match="below 1e-14"):
+                solve_linear(A, rng.normal(size=n))
+
+    def test_non_dominant_residual_bound(self):
+        # Gaussian matrices are not diagonally dominant, so lu_factor solves
+        # them: backward errors at rounding level.
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            A = rng.normal(size=(n, n))
+            b = rng.normal(size=n)
+            assert _margin(A) <= n * numerics.PIVOT_RTOL * np.abs(A).max()
+            x = solve_linear(A, b)
+            bound = 1e-13 * n * (np.abs(A).sum(axis=1).max() * np.abs(x).max()
+                                 + np.abs(b).max())
+            assert np.abs(A @ x - b).max() <= bound
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_margin_bounds_every_pivot(self, transpose):
+        # The certificate's claim: with partial pivoting, every pivot of a
+        # row (or column) dominant matrix is at least delta / n.
+        from scipy.linalg import lu_factor
+
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            A = rng.normal(size=(n, n))
+            off = np.abs(A).sum(axis=1) - np.abs(A.diagonal())
+            np.fill_diagonal(A, np.sign(rng.normal(size=n)) * off
+                             * (1.0 + rng.random(n) ** 3))
+            A = A.T if transpose else A
+            delta = _margin(A)
+            assert delta > 0.0
+            pivots = np.abs(np.diag(lu_factor(A)[0]))
+            assert pivots.min() >= delta / n * (1.0 - 1e-12)
 
 
 class TestPseudoInverse:
