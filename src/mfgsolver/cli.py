@@ -1,12 +1,16 @@
 """Command-line front end.
 
 Subcommands: solve-mfe, solve-irl, simulate, estimate, verify, pipeline.
-Exit codes: 0 success, 1 solver failure (non-convergence, a non-descent
-Newton direction, a stalled line search, an iterate off the barrier's
-domain, or divergence), 2 input or validation error. Every run that gets
-as far as creating its output directory writes a manifest there, on
-failure too, and all floats are serialized in fixed scientific notation so
-reruns are byte-identical.
+dispatch is the one run skeleton. It creates the output directory and its
+ManifestWriter, loads --model, and calls the subcommand, which writes its
+outputs through the manifest and returns its success record. On a package
+error dispatch writes the failure manifest, prints one stderr line and
+exits 1 for a solver failure (non-convergence, a non-descent Newton
+direction, a stalled line search, an iterate off the barrier's domain, or
+divergence) or 2 for an input or validation error. The forward and inverse
+stages run the two solvers for solve-mfe, solve-irl and pipeline alike.
+All floats are serialized in fixed scientific notation so reruns are
+byte-identical.
 """
 
 import argparse
@@ -79,10 +83,6 @@ def write_json(path, payload):
     Path(path).write_text(_format_value(payload, 0) + "\n")
 
 
-def _digest(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Shared pieces
 
@@ -111,15 +111,28 @@ def load_model_arg(args):
     return (dataclasses.replace(spec, **overrides) if overrides else spec), path
 
 
-def read_equilibrium(path, manifest):
+def read_equilibrium(path, spec, manifest):
     """The (mean_field, policy) arrays of an equilibrium file, recorded as
-    an input of manifest; a missing file is an input error."""
+    an input of manifest and passed on as parsed. A missing or malformed
+    file is an input error, and so is a mean field that is not a
+    distribution on the model's states or a policy that
+    model.check_policy rejects."""
     path = Path(path)
     if not path.exists():
         raise MfgError(f"equilibrium file not found: {path}")
     manifest.add_input(path)
-    doc = json.loads(path.read_text())
-    return tuple(np.asarray(doc[key], dtype=float) for key in ("mean_field", "policy"))
+    try:
+        doc = json.loads(path.read_text())
+        mu, pi = (np.asarray(doc[key], dtype=float) for key in ("mean_field", "policy"))
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ParseError(f"cannot read equilibrium file {path}: "
+                         f"{type(exc).__name__}: {exc}") from None
+    if mu.shape != (spec.n_states,):
+        raise ValidationError(f"mean_field has shape {mu.shape}, "
+                              f"expected {(spec.n_states,)}")
+    model.check_simplex(mu, "mean_field")
+    model.check_policy(spec, pi)
+    return mu, pi
 
 
 def equilibrium_payload(eq, report):
@@ -134,45 +147,21 @@ def equilibrium_payload(eq, report):
     }
 
 
-def irl_payload(dual, nu, pi, residuals, trace):
-    return {
-        "dual": {"theta": dual.theta, "lambda": dual.lam, "xi": dual.xi},
-        "occupation": nu.nu,
-        "policy": pi,
-        "residuals": residuals,
-        "iterations": len(trace) - 1,
-        "g_final": float(trace[-1][0]),
-    }
-
-
 def irl_progress(method, trace):
     """The method that ran, and the length and last gradient norm of its trace."""
     return {"method": method, "iterations": len(trace) - 1,
             "grad_norm": float(trace[-1][1])}
 
 
-def irl_summary(problem, residuals, trace, method):
-    """The manifest's account of an inverse solve: irl_progress, the
-    verify_irl residuals and the span-assumption rank test."""
-    holds, rank = irl.check_span_assumption(problem)
-    return {**irl_progress(method, trace), "residuals": residuals,
-            "span_assumption": {"holds": holds, "rank": rank}}
-
-
-def irl_failure(exc, method):
-    """The manifest's account of a failed inverse solve: the method, and
-    irl_progress of the last iterate the error carries, if any."""
-    result = getattr(exc, "result", None)
-    return {"method": method} if result is None else irl_progress(method, result[1])
-
-
 class ManifestWriter:
-    """Collects run metadata and writes manifest.json on exit, success or not.
+    """Collects run metadata for manifest.json, which dispatch writes with
+    finish, success or not.
 
-    Creates the output directory up front, so a subcommand can write its
-    outputs there before the manifest. As a context manager it records a
-    package error that leaves its block, an input error for instance, as a
-    failure; dispatch then prints it and exits 2 (1 for a solver failure).
+    Creates the output directory up front. A subcommand records its inputs
+    with add_input and writes each output with write, which lists it.
+    `failure` holds what is known of a failed solve: stage names the
+    stage, and the forward and inverse stages add the solver's last
+    record. dispatch adds it to the manifest of a solver failure.
     """
 
     def __init__(self, command, config, out_dir):
@@ -187,28 +176,31 @@ class ManifestWriter:
             "stage_seconds": {},
             "convergence": {},
         }
+        self.failure = {}
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.start = time.monotonic()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, MfgError):
-            self.fail(exc)
-
     def add_input(self, path):
         if path is not None:
-            self.payload["inputs"][str(path)] = _digest(path)
+            self.payload["inputs"][str(path)] = hashlib.sha256(
+                Path(path).read_bytes()).hexdigest()
 
-    def add_output(self, path):
+    def write(self, path, payload):
+        """Writes the JSON document payload to path, or calls payload(path)
+        when it is a function that writes the file, and lists path as an
+        output."""
+        if callable(payload):
+            payload(path)
+        else:
+            write_json(path, payload)
         self.payload["outputs"].append(str(path))
 
     @contextlib.contextmanager
     def stage(self, name):
         """Records the block's duration as stage_seconds[name], also when
-        it raises."""
+        it raises, and names it as the stage of a failure raised in it."""
+        self.failure = {"stage": name}
         start = time.monotonic()
         try:
             yield
@@ -220,16 +212,6 @@ class ManifestWriter:
         self.payload["duration_seconds"] = time.monotonic() - self.start
         write_json(self.out_dir / "manifest.json", self.payload)
 
-    def fail(self, exc, label=None, **convergence):
-        """Record a failure and, given a label, report it on stderr.
-        Returns the exit code: 1 for a solver failure, 2 for an input
-        error."""
-        self.finish({"converged": False, **convergence,
-                     "error": type(exc).__name__})
-        if label is not None:
-            print(f"{label}: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, SOLVER_FAILURES) else 2
-
 
 def forward_summary(report):
     """The manifest's record of a forward solve: the final KKT norm, the
@@ -238,13 +220,6 @@ def forward_summary(report):
     return {"h_norm": report.h_norm_history[-1], "iterations": report.iterations,
             "directions": report.directions, "line_search": report.line_search,
             "block_steps": report.block_steps}
-
-
-def forward_failure(exc):
-    """forward_summary of the solve a forward-solver error interrupted, or
-    nothing when the error carries no KktReport."""
-    report = exc.result[1] if isinstance(exc, NotConverged) else getattr(exc, "report", None)
-    return forward_summary(report) if report is not None else {}
 
 
 def _config(make, **values):
@@ -266,16 +241,14 @@ def sim_config_from_args(args):
                    horizon=args.horizon, seed=args.seed)
 
 
-def irl_method(args, exact):
-    """--method, or by default "newton" on exact expert data, computed from
-    an equilibrium, and "gd" on supplied or estimated data: such data is not
-    exactly consistent, so the dual has no finite minimizer."""
-    return args.method or ("newton" if exact else "gd")
-
-
-def irl_config_from_args(args, method):
+def irl_config_from_args(args, exact):
+    """The IrlConfig of the inverse flags. --method defaults to "newton" on
+    exact expert data, computed from an equilibrium, and to "gd" on
+    supplied or estimated data: such data is not exactly consistent, so
+    the dual has no finite minimizer."""
     return _config(irl.IrlConfig, step=args.step, grad_tol=args.grad_tol,
-                   max_iter=args.irl_max_iter, settle_tol=args.settle_tol, method=method)
+                   max_iter=args.irl_max_iter, settle_tol=args.settle_tol,
+                   method=args.method or ("newton" if exact else "gd"))
 
 
 def _floats(flag, text):
@@ -289,30 +262,61 @@ def _floats(flag, text):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_solve_mfe(args):
-    out = Path(args.out)
-    with ManifestWriter("solve-mfe", vars(args).copy(), out.parent) as manifest:
-        spec, path = load_model_arg(args)
-        manifest.add_input(path)
-        config = gnep_config_from_args(args)
-        try:
-            eq, report = gnep.solve_gnep(spec, config)
-        except NotConverged as exc:
-            eq, report = exc.result
-            write_json(out, equilibrium_payload(eq, report))
-            manifest.add_output(out)
-            return manifest.fail(exc, "solve-mfe: not converged", **forward_summary(report))
-        except SOLVER_FAILURES as exc:
-            return manifest.fail(exc, "solve-mfe", **forward_failure(exc))
-        write_json(out, equilibrium_payload(eq, report))
-        manifest.add_output(out)
-        manifest.finish({"converged": True, **forward_summary(report)})
-        return 0
+def forward(spec, config, manifest, out):
+    """The forward stage: solve_gnep, with the equilibrium written to out.
+    Returns (eq, report). A solve that hits its iteration cap writes its
+    partial equilibrium too. On a solver failure, manifest.failure gets the
+    forward_summary of the KktReport the error carries, if any."""
+    try:
+        eq, report = gnep.solve_gnep(spec, config)
+    except NotConverged as exc:
+        manifest.write(out, equilibrium_payload(*exc.result))
+        manifest.failure.update(forward_summary(exc.result[1]))
+        raise
+    except SOLVER_FAILURES as exc:
+        if getattr(exc, "report", None) is not None:
+            manifest.failure.update(forward_summary(exc.report))
+        raise
+    manifest.write(out, equilibrium_payload(eq, report))
+    return eq, report
+
+
+def inverse(problem, config, manifest, out):
+    """The inverse stage: solve_irl and verify_irl, with irl.json written to
+    out. Returns the manifest's account of the solve: irl_progress, the
+    verify_irl residuals and the span-assumption rank test. On a solver
+    failure, manifest.failure gets the method, and irl_progress of the last
+    iterate the error carries, if any."""
+    method = config.method
+    try:
+        dual, nu, pi, trace = irl.solve_irl(problem, config)
+    except SOLVER_FAILURES as exc:
+        result = getattr(exc, "result", None)
+        manifest.failure.update({"method": method} if result is None
+                                else irl_progress(method, result[1]))
+        raise
+    residuals = irl.verify_irl(problem, nu)
+    manifest.write(out, {
+        "dual": {"theta": dual.theta, "lambda": dual.lam, "xi": dual.xi},
+        "occupation": nu.nu,
+        "policy": pi,
+        "residuals": residuals,
+        "iterations": len(trace) - 1,
+        "g_final": float(trace[-1][0]),
+    })
+    holds, rank = irl.check_span_assumption(problem)
+    return {**irl_progress(method, trace), "residuals": residuals,
+            "span_assumption": {"holds": holds, "rank": rank}}
+
+
+def cmd_solve_mfe(args, spec, manifest):
+    _, report = forward(spec, gnep_config_from_args(args), manifest, Path(args.out))
+    return {"converged": True, **forward_summary(report)}
 
 
 def _irl_problem_from_args(args, spec, manifest):
     if args.equilibrium:
-        mu_E, pi_E = read_equilibrium(args.equilibrium, manifest)
+        mu_E, pi_E = read_equilibrium(args.equilibrium, spec, manifest)
         f_expert = mdp.feature_expectation(spec, pi_E, mu_E, mu_E)
     elif args.mean_field and args.feature_expectation:
         mu_E = _floats("--mean-field", args.mean_field)
@@ -325,40 +329,21 @@ def _irl_problem_from_args(args, spec, manifest):
     return irl.IrlProblem(spec=spec, mu_E=mu_E, f_expert=f_expert)
 
 
-def cmd_solve_irl(args):
-    out = Path(args.out)
-    with ManifestWriter("solve-irl", vars(args).copy(), out.parent) as manifest:
-        spec, path = load_model_arg(args)
-        manifest.add_input(path)
-        problem = _irl_problem_from_args(args, spec, manifest)
-        method = irl_method(args, exact=bool(args.equilibrium))
-        config = irl_config_from_args(args, method)
-        try:
-            dual, nu, pi, trace = irl.solve_irl(problem, config)
-        except SOLVER_FAILURES as exc:
-            return manifest.fail(exc, "solve-irl", **irl_failure(exc, method))
-        residuals = irl.verify_irl(problem, nu)
-        write_json(out, irl_payload(dual, nu, pi, residuals, trace))
-        manifest.add_output(out)
-        manifest.finish({"converged": True,
-                         **irl_summary(problem, residuals, trace, method)})
-        return 0
+def cmd_solve_irl(args, spec, manifest):
+    problem = _irl_problem_from_args(args, spec, manifest)
+    config = irl_config_from_args(args, exact=bool(args.equilibrium))
+    return {"converged": True, **inverse(problem, config, manifest, Path(args.out))}
 
 
-def cmd_simulate(args):
-    out = Path(args.out)
-    with ManifestWriter("simulate", vars(args).copy(), out.parent) as manifest:
-        spec, path = load_model_arg(args)
-        manifest.add_input(path)
-        mu, pi = read_equilibrium(args.equilibrium, manifest)
-        config = sim_config_from_args(args)
-        with manifest.stage("simulate"):
-            trajectories = estimation.simulate(spec, pi, mu, mu, config)
-        with manifest.stage("write_csv"):
-            _write_trajectories(out, spec, trajectories)
-        manifest.add_output(out)
-        manifest.finish({"n_trajectories": len(trajectories), "horizon": config.horizon})
-        return 0
+def cmd_simulate(args, spec, manifest):
+    mu, pi = read_equilibrium(args.equilibrium, spec, manifest)
+    config = sim_config_from_args(args)
+    with manifest.stage("simulate"):
+        trajectories = estimation.simulate(spec, pi, mu, mu, config)
+    with manifest.stage("write_csv"):
+        manifest.write(Path(args.out),
+                       lambda path: _write_trajectories(path, spec, trajectories))
+    return {"n_trajectories": len(trajectories), "horizon": config.horizon}
 
 
 def _write_trajectories(path, spec, trajectories):
@@ -420,101 +405,69 @@ def _read_trajectories(path, spec, seed=0):
             for x, a in zip(states, actions)]
 
 
-def cmd_estimate(args):
-    out = Path(args.out)
-    with ManifestWriter("estimate", vars(args).copy(), out.parent) as manifest:
-        spec, path = load_model_arg(args)
-        manifest.add_input(path)
-        traj_path = Path(args.trajectories)
-        if not traj_path.exists():
-            raise MfgError(f"trajectory file not found: {traj_path}")
-        manifest.add_input(traj_path)
-        with manifest.stage("read_csv"):
-            trajectories = _read_trajectories(traj_path, spec)
-        with manifest.stage("estimators"):
-            mu_hat = estimation.estimate_mean_field(trajectories, spec.n_states)
-            f_hat, tail = estimation.estimate_feature_expectation(
-                spec, trajectories, mu_hat, spec.beta
+def cmd_estimate(args, spec, manifest):
+    traj_path = Path(args.trajectories)
+    if not traj_path.exists():
+        raise MfgError(f"trajectory file not found: {traj_path}")
+    manifest.add_input(traj_path)
+    with manifest.stage("read_csv"):
+        trajectories = _read_trajectories(traj_path, spec)
+    with manifest.stage("estimators"):
+        mu_hat = estimation.estimate_mean_field(trajectories, spec.n_states)
+        f_hat, tail = estimation.estimate_feature_expectation(
+            spec, trajectories, mu_hat, spec.beta
+        )
+    manifest.write(Path(args.out), {
+        "mean_field": mu_hat,
+        "feature_expectation": f_hat,
+        "tail_bound": tail,
+    })
+    return {"tail_bound": tail}
+
+
+def cmd_verify(args, spec, manifest):
+    mu, pi = read_equilibrium(args.equilibrium, spec, manifest)
+    gap, residual = gnep.verify_mfe(spec, pi, mu)
+    result = {"optimality_gap": gap, "invariance_residual": residual}
+    manifest.write(Path(args.out), result)
+    return result
+
+
+def cmd_pipeline(args, spec, manifest):
+    """solve-mfe, then solve-irl on the equilibrium's exact or estimated
+    data, each in its own stage of the manifest."""
+    # All configs are checked before the forward solve, which a bad value would waste.
+    config = gnep_config_from_args(args)
+    sim_config = sim_config_from_args(args) if args.estimate else None
+    irl_config = irl_config_from_args(args, exact=not args.estimate)
+    with manifest.stage("solve-mfe"):
+        eq, report = forward(spec, config, manifest, manifest.out_dir / "equilibrium.json")
+
+    if args.estimate:
+        with manifest.stage("estimate"):
+            trajectories = estimation.simulate(
+                spec, eq.policy, eq.mean_field, eq.mean_field, sim_config
             )
-        write_json(out, {
-            "mean_field": mu_hat,
-            "feature_expectation": f_hat,
-            "tail_bound": tail,
-        })
-        manifest.add_output(out)
-        manifest.finish({"tail_bound": tail})
-        return 0
+            mu_E = estimation.estimate_mean_field(trajectories, spec.n_states)
+            mu_E = np.clip(mu_E, 1e-12, None)
+            mu_E /= mu_E.sum()
+            f_expert, _ = estimation.estimate_feature_expectation(
+                spec, trajectories, mu_E, spec.beta
+            )
+    else:
+        mu_E = eq.mean_field
+        f_expert = mdp.feature_expectation(spec, eq.policy, mu_E, mu_E)
 
-
-def cmd_verify(args):
-    out = Path(args.out)
-    with ManifestWriter("verify", vars(args).copy(), out.parent) as manifest:
-        spec, path = load_model_arg(args)
-        manifest.add_input(path)
-        mu, pi = read_equilibrium(args.equilibrium, manifest)
-        gap, residual = gnep.verify_mfe(spec, pi, mu)
-        write_json(out, {"optimality_gap": gap, "invariance_residual": residual})
-        manifest.add_output(out)
-        manifest.finish({"optimality_gap": gap, "invariance_residual": residual})
-        return 0
-
-
-def cmd_pipeline(args):
-    out_dir = Path(args.out_dir)
-    with ManifestWriter("pipeline", vars(args).copy(), out_dir) as manifest:
-        spec, path = load_model_arg(args)
-        manifest.add_input(path)
-
-        # All configs are checked before the forward solve, which a bad value would waste.
-        config = gnep_config_from_args(args)
-        sim_config = sim_config_from_args(args) if args.estimate else None
-        method = irl_method(args, exact=not args.estimate)
-        irl_config = irl_config_from_args(args, method)
-        try:
-            with manifest.stage("solve-mfe"):
-                eq, report = gnep.solve_gnep(spec, config)
-        except SOLVER_FAILURES as exc:
-            return manifest.fail(exc, "pipeline[solve-mfe]", stage="solve-mfe",
-                                 **forward_failure(exc))
-        eq_path = out_dir / "equilibrium.json"
-        write_json(eq_path, equilibrium_payload(eq, report))
-        manifest.add_output(eq_path)
-
-        if args.estimate:
-            with manifest.stage("estimate"):
-                trajectories = estimation.simulate(
-                    spec, eq.policy, eq.mean_field, eq.mean_field, sim_config
-                )
-                mu_E = estimation.estimate_mean_field(trajectories, spec.n_states)
-                mu_E = np.clip(mu_E, 1e-12, None)
-                mu_E /= mu_E.sum()
-                f_expert, _ = estimation.estimate_feature_expectation(
-                    spec, trajectories, mu_E, spec.beta
-                )
-        else:
-            mu_E = eq.mean_field
-            f_expert = mdp.feature_expectation(spec, eq.policy, mu_E, mu_E)
-
-        problem = irl.IrlProblem(spec=spec, mu_E=mu_E, f_expert=f_expert)
-        try:
-            with manifest.stage("solve-irl"):
-                dual, nu, pi, trace = irl.solve_irl(problem, irl_config)
-        except SOLVER_FAILURES as exc:
-            return manifest.fail(exc, "pipeline[solve-irl]", stage="solve-irl",
-                                 **irl_failure(exc, method))
-        residuals = irl.verify_irl(problem, nu)
-        irl_path = out_dir / "irl.json"
-        write_json(irl_path, irl_payload(dual, nu, pi, residuals, trace))
-        manifest.add_output(irl_path)
-
-        manifest.finish({
-            "converged": True,
-            "mfe": {**forward_summary(report),
-                    "optimality_gap": eq.optimality_gap,
-                    "invariance_residual": eq.invariance_residual},
-            "irl": irl_summary(problem, residuals, trace, method),
-        })
-        return 0
+    problem = irl.IrlProblem(spec=spec, mu_E=mu_E, f_expert=f_expert)
+    with manifest.stage("solve-irl"):
+        summary = inverse(problem, irl_config, manifest, manifest.out_dir / "irl.json")
+    return {
+        "converged": True,
+        "mfe": {**forward_summary(report),
+                "optimality_gap": eq.optimality_gap,
+                "invariance_residual": eq.invariance_residual},
+        "irl": summary,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -617,17 +570,29 @@ def build_parser():
 
 
 def dispatch(argv=None):
+    """Runs one subcommand in the run skeleton the module docstring
+    describes, and returns its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, matching the input-error code.
         return int(exc.code or 0)
+    out_dir = Path(args.out_dir) if args.subcommand == "pipeline" else Path(args.out).parent
+    manifest = ManifestWriter(args.subcommand, vars(args), out_dir)
     try:
-        return args.func(args)
+        spec, path = load_model_arg(args)
+        manifest.add_input(path)
+        manifest.finish(args.func(args, spec, manifest))
+        return 0
     except MfgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, SOLVER_FAILURES) else 2
+        solver = isinstance(exc, SOLVER_FAILURES)
+        failure = manifest.failure if solver else {}
+        manifest.finish({"converged": False, **failure, "error": type(exc).__name__})
+        stage = f"[{failure['stage']}]" if "stage" in failure else ""
+        label = f"{args.subcommand}{stage}" if solver else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return 1 if solver else 2
 
 
 def main():

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import EmptyData, ValidationError
-from .model import check_simplex, feature_table, transition_kernel
+from .model import check_policy, check_simplex, feature_table, transition_kernel
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,7 @@ def simulate(spec, pi, mu, mu0, config):
     X, A = spec.n_states, spec.n_actions
     # Validated row by row, but the caller's values are drawn from, not
     # check_simplex's clipped copies.
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (X, A):
-        raise ValidationError(f"pi has shape {pi.shape}, expected {(X, A)}")
-    for x, row in enumerate(pi):
-        check_simplex(row, f"pi row {x}")
+    pi = check_policy(spec, pi)
     mu0 = check_simplex(mu0, "mu0")
     p = transition_kernel(spec, mu)  # [y, x, a]
     d, T = config.n_trajectories, config.horizon

@@ -34,6 +34,19 @@ def check_simplex(v, name="mu"):
     return np.clip(v, 0.0, None)
 
 
+def check_policy(spec, pi):
+    """Validate a policy table: shape (n_states, n_actions), every row a
+    probability vector (check_simplex). Returns pi as a float array,
+    unclipped."""
+    pi = np.asarray(pi, dtype=float)
+    shape = (spec.n_states, spec.n_actions)
+    if pi.shape != shape:
+        raise ValidationError(f"pi has shape {pi.shape}, expected {shape}")
+    for x, row in enumerate(pi):
+        check_simplex(row, f"pi row {x}")
+    return pi
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Immutable description of a finite MFG instance.

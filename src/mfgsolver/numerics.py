@@ -5,11 +5,13 @@ truncated_lstsq carries its start blocks (StartBlocks) from one Jacobian
 of a solve to the next. Problem sizes are at most a few hundred, so dense
 LAPACK-backed routines are used throughout.
 
-scipy.linalg is imported only where it runs: by the LU path of
-truncated_lstsq (dgetrf and dgetrs), and by solve_linear on a matrix whose
-pivots it cannot certify. Its import takes longer than importing numpy and
-the whole package together.
+scipy.linalg is imported only where it runs, through the dgetrf and dgetrs
+stubs: by the LU path of truncated_lstsq, and by solve_linear on a matrix
+whose pivots it cannot certify. Its import takes longer than importing
+numpy and the whole package together.
 """
+
+import math
 
 import numpy as np
 
@@ -66,8 +68,10 @@ def solve_linear(A, b):
     np.linalg.solve solves A x = b. Both mdp callers pass I - beta P (row
     margins 1 - beta) or I - beta P' (column margins 1 - beta), so they
     take this branch whenever 1 - beta > n * PIVOT_RTOL. Any other matrix
-    is factored by scipy's lu_factor, and its pivots are tested as they
-    are.
+    is factored by LAPACK's getrf (dgetrf), and its pivots are tested as
+    they are; getrf reports an exactly zero pivot in its info, with no
+    warning. A non-finite A is a ValueError, and so is a non-finite b on
+    this branch.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -79,23 +83,20 @@ def solve_linear(A, b):
     scale = abs_A.max()
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
+    if not math.isfinite(scale):
+        raise ValueError("array must not contain infs or NaNs")
     twice_diag = 2.0 * abs_A.diagonal()
     delta = max((twice_diag - abs_A.sum(axis=1)).min(),
                 (twice_diag - abs_A.sum(axis=0)).min())
     if delta > len(A) * PIVOT_RTOL * scale:
         return np.linalg.solve(A, b)
-    from scipy.linalg import lu_factor, lu_solve
-
-    try:
-        lu, piv = lu_factor(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
+    lu, piv, _ = dgetrf(A)
     pivots = np.abs(np.diag(lu))
     if pivots.min() <= PIVOT_RTOL * scale:
         raise SingularMatrix(
             f"pivot {pivots.min():.3e} below {PIVOT_RTOL:g} * {scale:.3e}"
         )
-    return lu_solve((lu, piv), b)
+    return dgetrs(lu, piv, np.asarray_chkfinite(b))[0]
 
 
 def pseudo_inverse(A, rcond=DEFAULT_RCOND):
@@ -227,7 +228,8 @@ def _import_lapack():
 
 def dgetrf(*args, **kwargs):
     """LAPACK's dgetrf, which replaces this stub on the first call, as it
-    does dgetrs: only KKT systems of dimension LU_MIN_DIM or more factor."""
+    does dgetrs: only KKT systems of dimension LU_MIN_DIM or more, and
+    solve_linear's uncertified matrices, factor."""
     _import_lapack()
     return dgetrf(*args, **kwargs)
 

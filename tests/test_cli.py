@@ -452,6 +452,47 @@ class TestVerify:
         assert doc["invariance_residual"] <= 1e-6
 
 
+class TestEquilibriumFileChecks:
+    """verify, solve-irl --equilibrium and simulate check an equilibrium
+    file against the model before they use it. A bad file is an input
+    error: not a wrong answer, a solver failure or a traceback."""
+
+    @pytest.mark.parametrize("command", ["verify", "solve-irl", "simulate"])
+    @pytest.mark.parametrize("case,name,error,message", [
+        ("negative", "malware2", "ValidationError",
+         "pi row 0 has negative entry -5.000e-01"),
+        ("row-sum", "malware2", "ValidationError",
+         "pi row 1 sums to 2.000000000000, expected 1"),
+        ("policy-shape", "malware2", "ValidationError",
+         "pi has shape (3, 2), expected (2, 2)"),
+        ("model-shape", "malware10", "ValidationError",
+         "mean_field has shape (2,), expected (10,)"),
+        ("no-policy", "malware2", "ParseError", "KeyError: 'policy'"),
+        ("not-json", "malware2", "ParseError", "JSONDecodeError: Expecting value"),
+    ])
+    def test_bad_file_is_an_input_error(self, eq_file, tmp_path, capsys, command,
+                                        case, name, error, message):
+        doc = json.loads(eq_file.read_text())
+        doc["policy"] = {"negative": [[1.5, -0.5], [0.0, 1.0]],
+                         "row-sum": [[1.0, 0.0], [1.0, 1.0]],
+                         "policy-shape": [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                         }.get(case, doc["policy"])
+        if case == "no-policy":
+            del doc["policy"]
+        bad = tmp_path / "eq.json"
+        bad.write_text("not json" if case == "not-json" else json.dumps(doc))
+        out = tmp_path / "out" / "result"
+        assert run([command, "--model", f"builtin:{name}", "--equilibrium", str(bad),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count(message) == 1
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["convergence"] == {"converged": False, "error": error}
+        assert str(bad) in manifest["inputs"]
+        assert manifest["outputs"] == [] and not out.exists()
+
+
 def assert_reads_like_dict_reader(tmp_path, rows):
     """_read_trajectories of a CSV of rows gives the trajectories of a
     dict keyed by id, each sorted by (t, state, action)."""
@@ -663,6 +704,39 @@ class TestPipeline:
         doc = json.loads((out_dir / "irl.json").read_text())
         assert summary["residuals"] == doc["residuals"]
         assert summary["span_assumption"] == {"holds": False, "rank": 4}
+
+
+class TestSharedStages:
+    """pipeline runs the forward stage of solve-mfe and the inverse stage of
+    solve-irl, so it writes the same equilibrium, on success and when the
+    forward solve stops at its iteration cap."""
+
+    @pytest.mark.parametrize("name", ["malware2", "malware10"])
+    def test_equilibrium_matches_solve_mfe(self, tmp_path, name):
+        flags = ["--model", f"builtin:{name}", "--sigma", "0.2", "--tol", "1e-9"]
+        eq = tmp_path / "mfe" / "eq.json"
+        assert run(["solve-mfe", *flags, "--out", str(eq)]) == 0
+        assert run(["pipeline", *flags, "--out-dir", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "equilibrium.json").read_bytes() == eq.read_bytes()
+
+    def test_forward_cap_writes_partial_equilibrium(self, tmp_path, capsys):
+        eq, out_dir = tmp_path / "mfe" / "eq.json", tmp_path / "run"
+        flags = ["--model", "builtin:malware2", "--max-iter", "2"]
+        assert run(["solve-mfe", *flags, "--out", str(eq)]) == 1
+        assert run(["pipeline", *flags, "--out-dir", str(out_dir)]) == 1
+        mfe_err, pipeline_err = capsys.readouterr().err.splitlines()
+        assert mfe_err.startswith("solve-mfe: |H| = ")
+        assert pipeline_err == mfe_err.replace("solve-mfe", "pipeline[solve-mfe]")
+        partial = out_dir / "equilibrium.json"
+        assert partial.read_bytes() == eq.read_bytes()
+        assert not (out_dir / "irl.json").exists()
+        mfe = json.loads((eq.parent / "manifest.json").read_text())
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert mfe["outputs"] == [str(eq)] and manifest["outputs"] == [str(partial)]
+        convergence = manifest["convergence"]
+        assert list(convergence)[:2] == ["converged", "stage"]
+        assert convergence == {**mfe["convergence"], "stage": "solve-mfe"}
+        assert convergence["error"] == "NotConverged" and convergence["iterations"] == 2
 
 
 class TestStageSeconds:

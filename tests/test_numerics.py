@@ -43,6 +43,21 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix):
             solve_linear(np.zeros((2, 2)), np.ones(2))
 
+    def test_singular_raises_without_warning(self):
+        # LAPACK's getrf reports the zero pivot in its info and warns
+        # nothing, so even under "error" the caller gets SingularMatrix.
+        A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="below 1e-14"):
+                solve_linear(A, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, bad):
+        A = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_linear(A, np.ones(2))
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             solve_linear(np.eye(2), np.ones(3))
@@ -92,7 +107,7 @@ print(json.dumps([worst, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 
 class TestSolveLinearCertificate:
     """solve_linear solves a matrix whose margins certify its pivots with
-    numpy alone, and factors any other with scipy's lu_factor, whose pivot
+    numpy alone, and factors any other with LAPACK's getrf, whose pivot
     test stays the contract."""
 
     def test_mdp_systems_load_no_scipy(self):
@@ -109,7 +124,7 @@ class TestSolveLinearCertificate:
     def test_planted_small_pivot_raises(self):
         # A last column that is a combination of the others, up to
         # rounding: its pivot is far below PIVOT_RTOL * max|A|, the margins
-        # certify nothing, and lu_factor's pivot test rejects it.
+        # certify nothing, and getrf's pivot test rejects it.
         rng = np.random.default_rng(5)
         for n in (3, 6, 12):
             A = rng.normal(size=(n, n))
@@ -119,7 +134,7 @@ class TestSolveLinearCertificate:
                 solve_linear(A, rng.normal(size=n))
 
     def test_non_dominant_residual_bound(self):
-        # Gaussian matrices are not diagonally dominant, so lu_factor solves
+        # Gaussian matrices are not diagonally dominant, so getrf solves
         # them: backward errors at rounding level.
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -136,8 +151,6 @@ class TestSolveLinearCertificate:
     def test_margin_bounds_every_pivot(self, transpose):
         # The certificate's claim: with partial pivoting, every pivot of a
         # row (or column) dominant matrix is at least delta / n.
-        from scipy.linalg import lu_factor
-
         rng = np.random.default_rng(13)
         for _ in range(200):
             n = int(rng.integers(2, 30))
@@ -148,7 +161,7 @@ class TestSolveLinearCertificate:
             A = A.T if transpose else A
             delta = _margin(A)
             assert delta > 0.0
-            pivots = np.abs(np.diag(lu_factor(A)[0]))
+            pivots = np.abs(np.diag(numerics.dgetrf(A)[0]))
             assert pivots.min() >= delta / n * (1.0 - 1e-12)
 
 
