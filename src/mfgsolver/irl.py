@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NonFinite, NotConverged, ValidationError
 from .mdp import disintegrate, OccupationMeasure
 from .model import check_simplex, feature_table, transition_kernel
+from .numerics import scipy_extension
 
 
 @dataclass(frozen=True)
@@ -175,11 +176,15 @@ class IrlConfig:
 
 def _import_blas():
     """scipy's BLAS (daxpy, idamax), with this module's daxpy bound to it.
-    Only "gd" steps with them, and scipy.linalg's import takes longer than
-    a whole Newton solve, so it waits for the first "gd" solve."""
+    They come from scipy's compiled _fblas module
+    (numerics.scipy_extension), the routines that scipy.linalg.blas
+    exposes, without the scipy.linalg package. Only "gd" steps with them,
+    so they are loaded by the first "gd" solve, and Newton loads no scipy
+    module."""
     global daxpy
-    from scipy.linalg.blas import daxpy, idamax
-    return daxpy, idamax
+    fblas = scipy_extension("_fblas")
+    daxpy = fblas.daxpy
+    return daxpy, fblas.idamax
 
 
 def daxpy(*args):
@@ -209,7 +214,7 @@ def dual_kernel(problem):
     times that product: v -= t grad, with its exponent update. A closure
     over locals, so the gradient loop does no attribute lookups. step binds
     the module's daxpy as it is when the kernel is built: the stub until
-    scipy's BLAS is imported, the BLAS function after.
+    scipy's BLAS is loaded, the BLAS function after.
     """
     Bext, M = problem._matrices
     m, n = M.shape[1], Bext.shape[1] - 1

@@ -5,13 +5,19 @@ truncated_lstsq carries its start blocks (StartBlocks) from one Jacobian
 of a solve to the next. Problem sizes are at most a few hundred, so dense
 LAPACK-backed routines are used throughout.
 
-scipy.linalg is imported only where it runs, through the dgetrf and dgetrs
-stubs: by the LU path of truncated_lstsq, and by solve_linear on a matrix
-whose pivots it cannot certify. Its import takes longer than importing
-numpy and the whole package together.
+scipy's LAPACK and BLAS are loaded only where they run, and then only as
+the compiled modules scipy.linalg._flapack and _fblas (scipy_extension):
+the scipy.linalg package is never imported, since its import takes longer
+than importing numpy and the whole package together. The dgetrf and dgetrs
+stubs load _flapack on the first call, from the LU path of truncated_lstsq
+or from solve_linear on a matrix whose pivots it cannot certify.
 """
 
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -70,8 +76,8 @@ def solve_linear(A, b):
     take this branch whenever 1 - beta > n * PIVOT_RTOL. Any other matrix
     is factored by LAPACK's getrf (dgetrf), and its pivots are tested as
     they are; getrf reports an exactly zero pivot in its info, with no
-    warning. A non-finite A is a ValueError, and so is a non-finite b on
-    this branch.
+    warning. A non-finite A or b is a ValueError on either branch, checked
+    before the margins.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -83,7 +89,7 @@ def solve_linear(A, b):
     scale = abs_A.max()
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    if not math.isfinite(scale):
+    if not (math.isfinite(scale) and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     twice_diag = 2.0 * abs_A.diagonal()
     delta = max((twice_diag - abs_A.sum(axis=1)).min(),
@@ -96,7 +102,7 @@ def solve_linear(A, b):
         raise SingularMatrix(
             f"pivot {pivots.min():.3e} below {PIVOT_RTOL:g} * {scale:.3e}"
         )
-    return dgetrs(lu, piv, np.asarray_chkfinite(b))[0]
+    return dgetrs(lu, piv, b)[0]
 
 
 def pseudo_inverse(A, rcond=DEFAULT_RCOND):
@@ -220,10 +226,44 @@ class KktBlocks:
         return J
 
 
+def scipy_extension(name):
+    """The compiled module scipy.linalg.<name> (_flapack or _fblas), loaded
+    without importing the scipy.linalg package.
+
+    The top-level scipy package is imported first: its path locates the
+    file, and its _distributor_init prepares the bundled libraries on the
+    builds that need it. The extension file is then found in scipy's linalg
+    directory, executed on its own and registered in sys.modules under its
+    full name, so a later import of scipy.linalg (or of scipy.linalg.lapack
+    or .blas) reuses it instead of initialising it again: their routines
+    are then the same objects as this module's. A module already in
+    sys.modules is returned as it is. Raises ImportError, naming the
+    module, when scipy has no such file.
+    """
+    full_name = f"scipy.linalg.{name}"
+    module = sys.modules.get(full_name)
+    if module is not None:
+        return module
+    import scipy
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full_name)
+    if spec is None:
+        raise ImportError(f"no compiled module {full_name} in {directory}", name=full_name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython registers a single-phase extension as it creates it; one
+    # with multi-phase initialisation is registered only here.
+    sys.modules[full_name] = module
+    return module
+
+
 def _import_lapack():
-    """Bind this module's dgetrf and dgetrs to LAPACK's, from scipy."""
+    """Bind this module's dgetrf and dgetrs to LAPACK's, from scipy's
+    compiled _flapack module (scipy_extension): the routines that
+    scipy.linalg.lapack exposes, without the scipy.linalg package."""
     global dgetrf, dgetrs
-    from scipy.linalg.lapack import dgetrf, dgetrs
+    flapack = scipy_extension("_flapack")
+    dgetrf, dgetrs = flapack.dgetrf, flapack.dgetrs
 
 
 def dgetrf(*args, **kwargs):

@@ -14,7 +14,7 @@ import mfgsolver as m
 from mfgsolver import cli, estimation, model, numerics
 from mfgsolver.errors import LineSearchStall, NonFinite
 
-from conftest import inject_boundary_violation, non_descent_model
+from conftest import chain_model, inject_boundary_violation, non_descent_model
 
 
 MALWARE2 = model.builtin_malware(2, (0.2, 1.0, 0.4), q=0.9)
@@ -59,12 +59,17 @@ print(json.dumps(seen))
 
 class TestScipyStaysUnloaded:
     """scipy.linalg's import is the largest part of the package's start-up,
-    so only the code that needs it imports it: the LU direction at KKT
-    dimension numerics.LU_MIN_DIM or more, solve_linear on a matrix whose
-    pivots it cannot certify, and --method gd."""
+    so the package never imports it. Only the code that needs LAPACK or
+    BLAS loads scipy's compiled modules, scipy.linalg._flapack and _fblas
+    (numerics.scipy_extension), and nothing else of scipy.linalg: the LU
+    direction at KKT dimension numerics.LU_MIN_DIM or more and
+    solve_linear on a matrix whose pivots it cannot certify load _flapack,
+    and --method gd loads _fblas."""
 
     def test_cli_paths_on_numpy_load_no_scipy(self, tmp_path):
         d = str(tmp_path)
+        chain20 = tmp_path / "chain20.json"
+        chain20.write_text(model.dump_model(chain_model(20)))   # KKT dimension 262
         runs = {
             "a1-pipeline": ["pipeline", "--model", "builtin:malware2", "--sigma", "0.1",
                             "--kappa", "0.001", "--max-iter", "10000", "--step", "0.5",
@@ -76,7 +81,9 @@ class TestScipyStaysUnloaded:
                          "--horizon", "50", "--out", f"{d}/sim/traj.csv"],
             "estimate": ["estimate", "--model", "builtin:malware10", "--trajectories",
                          f"{d}/sim/traj.csv", "--out", f"{d}/est/estimate.json"],
-            # The control: the constant-step loop steps with BLAS daxpy.
+            # The forward LU direction factors with LAPACK dgetrf.
+            "lu": ["solve-mfe", "--model", str(chain20), "--out", f"{d}/lu/eq.json"],
+            # The constant-step loop steps with BLAS daxpy.
             "gd": ["solve-irl", "--model", "builtin:malware10", "--equilibrium",
                    f"{d}/a4/equilibrium.json", "--method", "gd", "--irl-max-iter", "1",
                    "--out", f"{d}/gd/irl.json"],
@@ -87,11 +94,20 @@ class TestScipyStaysUnloaded:
                               env={**os.environ, "PYTHONPATH": src}, timeout=300)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        expected = {"import": [None, []], "a1-pipeline": [0, []], "a4-pipeline": [0, []],
-                    "simulate": [0, []], "estimate": [0, []]}
-        assert {k: v for k, v in seen.items() if k != "gd"} == expected
-        code, modules = seen["gd"]
-        assert code == 1 and "scipy.linalg" in modules   # NotConverged after one step
+        numpy_only = {"import": [None, []], "a1-pipeline": [0, []], "a4-pipeline": [0, []],
+                      "simulate": [0, []], "estimate": [0, []]}
+        assert {k: seen[k] for k in numpy_only} == numpy_only
+
+        def linalg_modules(name):
+            return [m for m in seen[name][1] if m.split(".")[:2] == ["scipy", "linalg"]]
+
+        assert seen["lu"][0] == 0
+        assert linalg_modules("lu") == ["scipy.linalg._flapack"]
+        directions = json.loads((tmp_path / "lu" / "manifest.json").read_text())[
+            "convergence"]["directions"]
+        assert directions["lu"] + directions["lu_cut1"] > 0
+        assert seen["gd"][0] == 1                   # NotConverged after one step
+        assert linalg_modules("gd") == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
 
 
 class TestExitCodes:

@@ -58,6 +58,19 @@ class TestSolveLinear:
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_linear(A, np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("A,certified", [
+        ([[2.0, 0.5], [0.3, 1.0]], True),    # numpy's branch
+        ([[1.0, 2.0], [3.0, 1.0]], False),   # getrf's branch
+    ], ids=["certified", "uncertified"])
+    def test_non_finite_rhs_raises_on_both_branches(self, A, certified, bad):
+        # b is checked once, before the margins pick a branch, so numpy's
+        # branch refuses it as getrf's does and returns no NaN.
+        A = np.array(A)
+        assert (_margin(A) > 0.0) == certified
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_linear(A, np.array([bad, 1.0]))
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             solve_linear(np.eye(2), np.ones(3))
@@ -163,6 +176,69 @@ class TestSolveLinearCertificate:
             assert delta > 0.0
             pivots = np.abs(np.diag(numerics.dgetrf(A)[0]))
             assert pivots.min() >= delta / n * (1.0 - 1e-12)
+
+
+# Factors with LAPACK through solve_linear, takes one "gd" step, and only
+# then imports scipy.linalg.lapack and .blas; prints, as JSON, which of the
+# package's bound routines are scipy's own, whether the compiled modules
+# were reused, and the scipy.linalg modules loaded before that import.
+CONTRACT_PIN = """
+import json, sys
+import numpy as np
+from mfgsolver import irl, mdp, model, numerics
+from mfgsolver.errors import NotConverged
+
+numerics.solve_linear([[1.0, 2.0], [3.0, 1.0]], [1.0, 1.0])    # uncertified: getrf
+spec = model.builtin_malware(2, (0.2, 1.0, 0.4), q=0.9)
+mu = np.array([0.6, 0.4])
+pi = np.array([[0.7, 0.3], [0.2, 0.8]])
+problem = irl.IrlProblem(spec=spec, mu_E=mu,
+                         f_expert=mdp.feature_expectation(spec, pi, mu, mu))
+try:
+    irl.solve_irl(problem, irl.IrlConfig(method="gd", max_iter=1))
+except NotConverged:
+    pass
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+compiled = [sys.modules["scipy.linalg._flapack"], sys.modules["scipy.linalg._fblas"]]
+import scipy.linalg.blas, scipy.linalg.lapack
+lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+print(json.dumps({
+    "loaded": loaded,
+    "same": [numerics.dgetrf is lapack.dgetrf, numerics.dgetrs is lapack.dgetrs,
+             irl.daxpy is blas.daxpy, irl._import_blas()[1] is blas.idamax],
+    "reused": [sys.modules["scipy.linalg._flapack"] is compiled[0],
+               sys.modules["scipy.linalg._fblas"] is compiled[1]],
+}))
+"""
+
+
+class TestScipyExtension:
+    """numerics.scipy_extension loads scipy's compiled LAPACK and BLAS
+    modules without the scipy.linalg package. It relies on scipy's module
+    layout, so these tests fail loudly when that layout changes."""
+
+    def test_routines_are_scipy_linalgs_own(self):
+        # In a fresh process: after an LU solve and a "gd" step, importing
+        # scipy.linalg.lapack and .blas reuses the loaded modules, and the
+        # package's dgetrf, dgetrs, daxpy and idamax are the very routines
+        # they expose, so the bits are the same and nothing was initialised
+        # twice.
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", CONTRACT_PIN], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen == {"loaded": ["scipy.linalg._fblas", "scipy.linalg._flapack"],
+                        "same": [True] * 4, "reused": [True, True]}
+
+    def test_missing_module_is_an_import_error(self):
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module"):
+            numerics.scipy_extension("_no_such_module")
+
+    def test_loaded_module_is_returned_as_it_is(self, monkeypatch):
+        loaded = object()
+        monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", loaded)
+        assert numerics.scipy_extension("_flapack") is loaded
 
 
 class TestPseudoInverse:
