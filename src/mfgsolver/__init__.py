@@ -22,6 +22,7 @@ from .errors import (
     NotConverged,
     ParseError,
     SingularMatrix,
+    SolverFailure,
     ValidationError,
 )
 from .estimation import (
@@ -85,6 +86,7 @@ __all__ = [
     "ParseError",
     "SingularMatrix",
     "SmoothnessConstants",
+    "SolverFailure",
     "Trajectory",
     "ValidationError",
     "ValueFunctions",

@@ -5,10 +5,11 @@ dispatch is the one run skeleton. It creates the output directory and its
 ManifestWriter, loads --model, and calls the subcommand, which writes its
 outputs through the manifest and returns its success record. On a package
 error dispatch writes the failure manifest, prints one stderr line and
-exits 1 for a solver failure (non-convergence, a non-descent Newton
-direction, a stalled line search, an iterate off the barrier's domain, or
-divergence) or 2 for an input or validation error. The forward and inverse
-stages run the two solvers for solve-mfe, solve-irl and pipeline alike.
+exits 1 for a solver failure (errors.SolverFailure: non-convergence, a
+non-descent Newton direction, a stalled line search, an iterate off the
+barrier's domain, or divergence) or 2 for an input or validation error.
+The forward and inverse stages run the two solvers for solve-mfe,
+solve-irl and pipeline alike, and record what a failed solve reached.
 All floats are serialized in fixed scientific notation so reruns are
 byte-identical.
 """
@@ -27,14 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation, gnep, irl, mdp, model
-from .errors import (
-    BoundaryViolation, LineSearchStall, MfgError, NonDescent, NonFinite,
-    NotConverged, ParseError, ValidationError,
-)
-
-# Errors that mean the solver ran and failed, not that its input was bad.
-SOLVER_FAILURES = (NotConverged, NonDescent, LineSearchStall, BoundaryViolation,
-                   NonFinite)
+from .errors import MfgError, ParseError, SolverFailure, ValidationError
 
 TRAJECTORY_HEADER = "trajectory_id,t,state,action"
 
@@ -264,18 +258,17 @@ def _floats(flag, text):
 
 def forward(spec, config, manifest, out):
     """The forward stage: solve_gnep, with the equilibrium written to out.
-    Returns (eq, report). A solve that hits its iteration cap writes its
-    partial equilibrium too. On a solver failure, manifest.failure gets the
-    forward_summary of the KktReport the error carries, if any."""
+    Returns (eq, report). A failure that carries its last iterate and
+    report writes the partial equilibrium read off that iterate
+    (gnep.equilibrium_at) to out too, and adds the report's
+    forward_summary to manifest.failure."""
     try:
         eq, report = gnep.solve_gnep(spec, config)
-    except NotConverged as exc:
-        manifest.write(out, equilibrium_payload(*exc.result))
-        manifest.failure.update(forward_summary(exc.result[1]))
-        raise
-    except SOLVER_FAILURES as exc:
-        if getattr(exc, "report", None) is not None:
-            manifest.failure.update(forward_summary(exc.report))
+    except SolverFailure as exc:
+        if exc.result is not None:
+            z, report = exc.result
+            manifest.failure.update(forward_summary(report))
+            manifest.write(out, equilibrium_payload(gnep.equilibrium_at(spec, z), report))
         raise
     manifest.write(out, equilibrium_payload(eq, report))
     return eq, report
@@ -290,10 +283,9 @@ def inverse(problem, config, manifest, out):
     method = config.method
     try:
         dual, nu, pi, trace = irl.solve_irl(problem, config)
-    except SOLVER_FAILURES as exc:
-        result = getattr(exc, "result", None)
-        manifest.failure.update({"method": method} if result is None
-                                else irl_progress(method, result[1]))
+    except SolverFailure as exc:
+        manifest.failure.update({"method": method} if exc.result is None
+                                else irl_progress(method, exc.result[1]))
         raise
     residuals = irl.verify_irl(problem, nu)
     manifest.write(out, {
@@ -586,7 +578,7 @@ def dispatch(argv=None):
         manifest.finish(args.func(args, spec, manifest))
         return 0
     except MfgError as exc:
-        solver = isinstance(exc, SOLVER_FAILURES)
+        solver = isinstance(exc, SolverFailure)
         failure = manifest.failure if solver else {}
         manifest.finish({"converged": False, **failure, "error": type(exc).__name__})
         stage = f"[{failure['stage']}]" if "stage" in failure else ""

@@ -1,4 +1,7 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules.
+
+A SolverFailure means that a solver ran and failed, and carries what it
+reached; the command line exits 1 on it and 2 on any other MfgError."""
 
 
 class MfgError(Exception):
@@ -37,51 +40,35 @@ class NonUniqueStationary(MfgError):
     """The chain has more than one stationary distribution."""
 
 
-class ReportedFailure(MfgError):
-    """A solver failure that can carry the solver's report up to the
-    failing iteration and a copy of the iterate it failed at (both None
-    when raised outside a solve)."""
-
-    def __init__(self, message, report=None, iterate=None):
-        super().__init__(message)
-        self.report = report
-        self.iterate = iterate
-
-
-class BoundaryViolation(ReportedFailure):
-    """A barrier term was evaluated at a non-positive component."""
-
-
-class NonDescent(ReportedFailure):
-    """The Newton direction is not a descent direction for the potential.
-
-    path names how that direction was computed (a key of
-    gnep.KktReport.directions), or is None when unknown."""
-
-    def __init__(self, message, report=None, path=None, iterate=None):
-        super().__init__(message, report, iterate)
-        self.path = path
-
-
-class LineSearchStall(ReportedFailure):
-    """Backtracking exhausted its budget without an acceptable step."""
-
-
-class PartialResult(MfgError):
-    """A solver failure that carries the solver's partial result (None when
-    raised outside a solve), so callers can inspect the last iterate."""
+class SolverFailure(MfgError):
+    """A solver ran and failed. result is what it reached, None when the
+    error is raised outside a solve: gnep.solve_gnep attaches (z,
+    KktReport), a copy of the last iterate and the report up to it, and
+    irl.solve_irl attaches (DualPoint, trace) of its last iterate."""
 
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
 
 
-class NotConverged(PartialResult):
+class BoundaryViolation(SolverFailure):
+    """A barrier term was evaluated at a non-positive component."""
+
+
+class NonDescent(SolverFailure):
+    """A Newton direction is not a descent direction."""
+
+
+class LineSearchStall(SolverFailure):
+    """Backtracking exhausted its budget without an acceptable step."""
+
+
+class NotConverged(SolverFailure):
     """An iterative solver hit its iteration cap before reaching tolerance,
-    or its line search found no decrease."""
+    or its progress stalled."""
 
 
-class NonFinite(PartialResult):
+class NonFinite(SolverFailure):
     """An iterative solver diverged to NaN or infinity, or its linear
     system had no finite solution."""
 

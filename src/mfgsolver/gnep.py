@@ -19,6 +19,7 @@ from .errors import (
     MissingTheta,
     NonDescent,
     NotConverged,
+    SolverFailure,
 )
 from .mdp import (
     OccupationMeasure,
@@ -87,20 +88,17 @@ class GnepConfig:
 
 @dataclass
 class KktReport:
-    """Per-iteration KKT norms and potentials, the outcome, the final
-    residual blocks, how many Newton directions each path of
-    numerics.truncated_lstsq computed ("lu", "lu_cut1", "svd"), the
-    line-search trials with their rejections by cause (LINE_SEARCH), and
-    the block steps of the LU path's singular-value estimates
-    (numerics.BLOCK_STEPS: power steps and subspace solves)."""
+    """Per-iteration KKT norms and potentials, the outcome, how many Newton
+    directions each path of numerics.truncated_lstsq computed ("lu",
+    "lu_cut1", "svd"), the line-search trials with their rejections by
+    cause (LINE_SEARCH), and the block steps of the LU path's
+    singular-value estimates (numerics.BLOCK_STEPS: power steps and
+    subspace solves)."""
 
     h_norm_history: list = field(default_factory=list)
     psi_history: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    residual_stationarity: float = np.nan
-    residual_feasibility: float = np.nan
-    residual_complementarity: float = np.nan
     directions: dict = field(
         default_factory=lambda: {"lu": 0, "lu_cut1": 0, "svd": 0})
     line_search: dict = field(default_factory=lambda: dict.fromkeys(LINE_SEARCH, 0))
@@ -331,7 +329,7 @@ def potential_gradient(Hz, n, K):
     return np.concatenate([2.0 * K * u / sq, 2.0 * K * v / sq - 1.0 / v])
 
 
-def newton_direction(kkt, J, Hz, config):
+def newton_direction(kkt, J, Hz, config, directions):
     """Potential-reduction Newton direction and its directional derivative.
 
     d = J^{-1} (sigma <a, H> a - H), with J = kkt_jacobian(kkt, z) given as
@@ -344,22 +342,22 @@ def newton_direction(kkt, J, Hz, config):
     one LU factorization of the Schur complement of its blocks when the
     system is large and at most one singular value falls clearly below the cut, and
     from lstsq's SVD of the assembled J otherwise. The slope is <J' grad
-    psi(H), d>, with J' applied from the blocks. Returns (d, slope, path),
-    path naming how d was computed ("lu", "lu_cut1" or "svd"). Raises
-    NonDescent, carrying that path, if the slope is not negative.
+    psi(H), d>, with J' applied from the blocks. Counts d into the dict
+    directions under the path that computed it ("lu", "lu_cut1" or "svd"),
+    and returns (d, slope). Raises NonDescent if the slope is not negative.
     """
     a = kkt.centering
     rhs = config.sigma * (a @ Hz) * a - Hz
     grad_psi = J.rmatmul(potential_gradient(Hz, kkt.n, kkt.K))
     d, path = truncated_lstsq(J, rhs, DIRECTION_RCOND)
+    directions[path] += 1
     slope = float(grad_psi @ d)
     if slope >= 0.0:
-        raise NonDescent(f"directional derivative {slope:.3e} is not negative",
-                         path=path)
-    return d, slope, path
+        raise NonDescent(f"directional derivative {slope:.3e} is not negative")
+    return d, slope
 
 
-def armijo_step(kkt, J, z, Hz, psi0, d, slope, config, line_search=None):
+def armijo_step(kkt, J, z, Hz, psi0, d, slope, config, line_search):
     """Largest step t = kappa^l keeping the iterate interior and achieving
     the sufficient-decrease fraction ARMIJO_ALPHA of the directional
     derivative. Returns (t, z + t d).
@@ -368,41 +366,41 @@ def armijo_step(kkt, J, z, Hz, psi0, d, slope, config, line_search=None):
     trial is H(z + t d) = Hz + t J d + t^2 Q(d), from J d and Q(d) formed
     once; no trial evaluates kkt_map. A trial is interior when the
     multipliers and slacks of z + t d and the positivity block of H are
-    all positive. The trials are counted into the dict line_search, if
-    given: "trials", and the rejections "interior_failures" and
+    all positive. The trials are counted into the dict line_search:
+    "trials", and the rejections "interior_failures" and
     "armijo_failures". Raises LineSearchStall after MAX_BACKTRACK
     backtracks.
     """
-    counts = line_search if line_search is not None else dict.fromkeys(LINE_SEARCH, 0)
     n, K = kkt.n, kkt.K
     Jd = J.matmul(d)
     Qd = kkt.Q(d)
     mult, d_mult = z[n:], d[n:]
     t = 1.0
     for _ in range(MAX_BACKTRACK + 1):
-        counts["trials"] += 1
+        line_search["trials"] += 1
         H_next = Hz + t * Jd + t * t * Qd
         if np.all(mult + t * d_mult > 0.0) and np.all(H_next[n:] > 0.0):
             if potential(H_next, n, K) <= psi0 + ARMIJO_ALPHA * t * slope:
                 return t, z + t * d
-            counts["armijo_failures"] += 1
+            line_search["armijo_failures"] += 1
         else:
-            counts["interior_failures"] += 1
+            line_search["interior_failures"] += 1
         t *= config.kappa
     raise LineSearchStall(f"no acceptable step above kappa^{MAX_BACKTRACK}")
 
 
 def solve_gnep(spec, config=None):
-    """Run the potential-reduction iteration and extract the equilibrium.
+    """Run the potential-reduction iteration and read off the equilibrium.
 
     Each iteration evaluates H once (kkt_map) and its Jacobian once
     (kkt_jacobian), and hands H, its potential and the Jacobian's blocks
-    to newton_direction and armijo_step. Returns (Equilibrium, KktReport);
-    raises NotConverged (with both attached) when the KKT norm does not
-    reach config.tol in time, and NonDescent, LineSearchStall or
+    to newton_direction and armijo_step. Returns (Equilibrium, KktReport)
+    with the equilibrium from equilibrium_at. Every failure carries (z,
+    KktReport) as its result, a copy of the last iterate and the report up
+    to it: NotConverged when the KKT norm does not reach config.tol within
+    config.max_iter iterations, and NonDescent, LineSearchStall or
     BoundaryViolation (an iterate whose positivity block of H is not
-    positive) with the report up to the failing iteration and a copy of
-    the failing iterate z attached (`report`, `iterate`). The report
+    positive), whose messages name the failing iteration. The report
     counts the failing direction and the failing line search too.
     """
     config = config or GnepConfig()
@@ -424,42 +422,37 @@ def solve_gnep(spec, config=None):
             if it == config.max_iter:
                 break
             J = kkt_jacobian(kkt, z)
-            d, slope, path = newton_direction(kkt, J, Hz, config)
-            report.directions[path] += 1
+            d, slope = newton_direction(kkt, J, Hz, config, report.directions)
             _, z = armijo_step(kkt, J, z, Hz, psi, d, slope, config, report.line_search)
-        except (BoundaryViolation, NonDescent, LineSearchStall) as exc:
-            if isinstance(exc, NonDescent):
-                report.directions[exc.path] += 1
+        except SolverFailure as exc:
             exc.args = (f"iteration {it}: {exc}",)
-            exc.report, exc.iterate = report, z.copy()
+            exc.result = (z.copy(), report)
             raise
+    if not report.converged:
+        raise NotConverged(f"|H| = {h_norm:.3e} after {it} iterations",
+                           result=(z.copy(), report))
+    return equilibrium_at(spec, z), report
 
-    n, m = kkt.n, kkt.m
-    report.residual_stationarity = float(np.abs(Hz[:n]).max())
-    report.residual_feasibility = float(np.abs(Hz[n:n + m]).max())
-    report.residual_complementarity = float(np.abs(Hz[n + m:]).max())
 
-    nu_tab = z[kkt.s_nu].reshape(kkt.X, kkt.A)
-    mu = z[kkt.s_mu].copy()
-    nu_tab = np.clip(nu_tab, 0.0, None)
-    mu = np.clip(mu, 0.0, None)
+def equilibrium_at(spec, z):
+    """The Equilibrium read off an iterate z of solve_gnep, which starts
+    with nu and mu (KktSystem's layout): both clipped at zero and
+    normalized, the policy by disintegrating nu, and the verify_mfe gap
+    and residual of that policy and mean field."""
+    X, A = spec.n_states, spec.n_actions
+    nu_tab = np.clip(z[:X * A].reshape(X, A), 0.0, None)
+    mu = np.clip(z[X * A:X * A + X], 0.0, None)
     nu_tab /= nu_tab.sum()
     mu /= mu.sum()
     pi = disintegrate(nu_tab)
     gap, residual = verify_mfe(spec, pi, mu)
-    eq = Equilibrium(
+    return Equilibrium(
         policy=pi,
         mean_field=mu,
         occupation=OccupationMeasure(nu=nu_tab, beta=spec.beta, mu0=mu),
         optimality_gap=gap,
         invariance_residual=residual,
     )
-    if not report.converged:
-        raise NotConverged(
-            f"|H| = {h_norm:.3e} after {report.iterations} iterations",
-            result=(eq, report),
-        )
-    return eq, report
 
 
 def verify_mfe(spec, pi, mu):

@@ -15,7 +15,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import NonFinite, NotConverged, ValidationError
+from .errors import (
+    LineSearchStall, NonDescent, NonFinite, NotConverged, SolverFailure, ValidationError,
+)
 from .mdp import disintegrate, OccupationMeasure
 from .model import check_simplex, feature_table, transition_kernel
 from .numerics import scipy_extension
@@ -125,11 +127,11 @@ class SmoothnessConstants:
 # Damped Newton: the Hessian is regularized by NEWTON_REG times its trace,
 # and a trial point is accepted when it decreases the dual by at least
 # ARMIJO_C times the predicted decrease; the step halves at most
-# MAX_HALVINGS times before the search gives up. Newton stops with
-# NotConverged once the gradient sup-norm, still above grad_tol, has not
-# halved over the last STALL_WINDOW iterations: below a floor of about
-# NEWTON_REG * tr(H), on data whose dual has no finite minimizer, it would
-# otherwise crawl to max_iter.
+# MAX_HALVINGS times before the search gives up (LineSearchStall). Newton
+# stops with NotConverged once the gradient sup-norm, still above grad_tol,
+# has not halved over the last STALL_WINDOW iterations: below a floor of
+# about NEWTON_REG * tr(H), on data whose dual has no finite minimizer, it
+# would otherwise crawl to max_iter.
 NEWTON_REG = 1e-12
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
@@ -314,8 +316,12 @@ def solve_irl(problem, config=None):
     Stops when the sup-norm of the gradient drops below grad_tol (and, if
     settle_tol is set, the occupation measure has stopped moving). Returns
     (DualPoint, OccupationMeasure, Policy, trace) where trace rows are
-    (g value, sup-norm of gradient) per iteration. NotConverged and
-    NonFinite carry (DualPoint, trace) of the last iterate as their result.
+    (g value, sup-norm of gradient) per iteration. Raises NotConverged at
+    max_iter, where no step is taken, and NonFinite on divergence; Newton
+    also raises NotConverged when it stalls, and NonDescent and
+    LineSearchStall from _newton_step. Every failure carries (DualPoint,
+    trace) of the last iterate, the point of the trace's last row, as its
+    result.
 
     Each "gd" step makes three array calls through dual_kernel: exp of the
     carried exponent, one product with the stacked matrix, and one daxpy
@@ -323,8 +329,8 @@ def solve_irl(problem, config=None):
     of the last restart, from v = 0 on the first step, and the kernel
     restarts from v exactly only when the sum of exp(k - c) leaves [1e-100,
     1e100]; BLAS idamax finds the gradient sup-norm. "newton" takes its
-    steps from _newton_step, and raises NotConverged once its gradient
-    stalls (STALL_WINDOW). It finds the sup-norm with numpy, the same value
+    steps from _newton_step, and stops once its gradient stalls
+    (STALL_WINDOW). It finds the sup-norm with numpy, the same value
     on a finite gradient, and so imports nothing from scipy. The trace is
     kept interleaved in one array of doubles, 16 bytes per step, and
     returned as a view of it.
@@ -350,7 +356,7 @@ def solve_irl(problem, config=None):
         idamax = _idamax
     restart(v)                # from the zero start, shifted at max(k)
     s_grad = sg[:-1]
-    grad_tol, settle = config.grad_tol, config.settle_tol
+    grad_tol, settle, max_iter = config.grad_tol, config.settle_tol, config.max_iter
     if settle is not None:
         nu, prev_nu = np.empty_like(e), np.empty_like(e)
     trace = array("d")        # (g, gradient sup-norm) per step, interleaved
@@ -358,7 +364,7 @@ def solve_irl(problem, config=None):
     # exp(k - c) may overflow before the re-shift; NonFinite catches the rest.
     with np.errstate(over="ignore", invalid="ignore"):
         g, s = evaluate()
-        for it in range(config.max_iter + 1):
+        for it in range(max_iter + 1):
             grad_norm = abs(s_grad.item(idamax(s_grad))) / s
             push(g)
             push(grad_norm)
@@ -376,25 +382,27 @@ def solve_irl(problem, config=None):
                     nu=(e / s).reshape(X, A), beta=spec.beta, mu0=problem.mu_E
                 )
                 return d, occupation, disintegrate(occupation), _trace(trace)
+            if it == max_iter:
+                break
             if not newton:
                 descend(-step / s)  # v -= step * grad, and its exponent
                 g, s = evaluate()
-            elif it < config.max_iter:
-                if (it >= STALL_WINDOW and grad_norm > grad_tol
-                        and grad_norm > 0.5 * trace[2 * (it - STALL_WINDOW) + 1]):
-                    raise NotConverged(
-                        f"gradient sup-norm {grad_norm:.3e} has not halved in "
-                        f"{STALL_WINDOW} Newton iterations",
-                        result=_partial(problem, v, trace),
-                    )
-                x = v.copy()
-                try:
-                    g, s = newton_step(x, g, s)
-                except (NonFinite, NotConverged) as exc:
-                    exc.result = _partial(problem, x, trace)
-                    raise
+                continue
+            if (it >= STALL_WINDOW and grad_norm > grad_tol
+                    and grad_norm > 0.5 * trace[2 * (it - STALL_WINDOW) + 1]):
+                raise NotConverged(
+                    f"gradient sup-norm {grad_norm:.3e} has not halved in "
+                    f"{STALL_WINDOW} Newton iterations",
+                    result=_partial(problem, v, trace),
+                )
+            x = v.copy()
+            try:
+                g, s = newton_step(x, g, s)
+            except SolverFailure as exc:
+                exc.result = _partial(problem, x, trace)
+                raise
     raise NotConverged(
-        f"gradient sup-norm {grad_norm:.3e} after {config.max_iter} iterations",
+        f"gradient sup-norm {grad_norm:.3e} after {max_iter} iterations",
         result=_partial(problem, v, trace),
     )
 
@@ -409,8 +417,9 @@ def _newton_step(problem, kernel):
     Newton direction and halves the step from 1 until the Armijo test
     holds. It makes one restart and one evaluate per trial point, so the
     kernel is left at the accepted point, and returns its (g, s). Raises
-    NonFinite on a singular or non-finite system or a non-finite value, and
-    NotConverged when no trial decreases g within MAX_HALVINGS halvings.
+    NonFinite on a singular or non-finite system or a non-finite value,
+    NonDescent when the direction's slope is not negative, and
+    LineSearchStall when no trial decreases g within MAX_HALVINGS halvings.
     """
     restart, evaluate, _, v, e, sg = kernel
     Bv = problem._matrices[0][:-1, : v.size]
@@ -430,7 +439,7 @@ def _newton_step(problem, kernel):
         if not (math.isfinite(slope) and np.isfinite(d).all()):
             raise NonFinite("Newton direction is not finite")
         if slope >= 0.0:
-            raise NotConverged(f"Newton direction has slope {slope:.3e} >= 0")
+            raise NonDescent(f"Newton direction has slope {slope:.3e} >= 0")
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             restart(x + t * d)
@@ -440,8 +449,8 @@ def _newton_step(problem, kernel):
             if g_t <= g + ARMIJO_C * t * slope:
                 return g_t, s_t
             t *= 0.5
-        raise NotConverged(f"no decrease within {MAX_HALVINGS} halvings "
-                           f"(slope {slope:.3e})")
+        raise LineSearchStall(f"no decrease within {MAX_HALVINGS} halvings "
+                              f"(slope {slope:.3e})")
 
     return step
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import mfgsolver as m
-from mfgsolver import cli, estimation, model, numerics
-from mfgsolver.errors import LineSearchStall, NonFinite
+from mfgsolver import cli, estimation, gnep, model, numerics
+from mfgsolver.errors import SolverFailure
 
 from conftest import chain_model, inject_boundary_violation, non_descent_model
 
@@ -231,7 +231,8 @@ class TestMissingOutputDirectory:
 class TestSolverFailures:
     """Every solver failure exits 1 and leaves a manifest naming it."""
 
-    @pytest.mark.parametrize("error", [LineSearchStall, NonFinite])
+    @pytest.mark.parametrize("error", SolverFailure.__subclasses__(),
+                             ids=lambda error: error.__name__)
     @pytest.mark.parametrize("argv,solver,stage", [
         (["solve-mfe", "--out", "{d}/eq.json"], "gnep.solve_gnep", None),
         (["solve-irl", "--mean-field", "0.65,0.35",
@@ -753,6 +754,53 @@ class TestSharedStages:
         assert list(convergence)[:2] == ["converged", "stage"]
         assert convergence == {**mfe["convergence"], "stage": "solve-mfe"}
         assert convergence["error"] == "NotConverged" and convergence["iterations"] == 2
+
+
+class TestPartialEquilibrium:
+    """Every forward failure writes the equilibrium read off the iterate it
+    carries, as the iteration cap does, and lists it among the outputs."""
+
+    @pytest.mark.parametrize("error", ["NonDescent", "BoundaryViolation",
+                                       "LineSearchStall"])
+    def test_written_and_listed(self, tmp_path, monkeypatch, capsys, error):
+        spec, flags, kkt_map = MALWARE2, ["--model", "builtin:malware2"], gnep.kkt_map
+        if error == "NonDescent":
+            spec = non_descent_model()
+            path = tmp_path / "model.json"
+            path.write_text(model.dump_model(spec))
+            flags = ["--model", str(path)]
+        elif error == "LineSearchStall":
+            # malware2's first full step leaves the interior.
+            monkeypatch.setattr(gnep, "MAX_BACKTRACK", 0)
+
+        def arm():
+            """A fresh injection for each solve."""
+            if error == "BoundaryViolation":
+                monkeypatch.setattr(gnep, "kkt_map", kkt_map)
+                inject_boundary_violation(monkeypatch, iteration=2)
+
+        arm()
+        with pytest.raises(SolverFailure) as exc_info:
+            gnep.solve_gnep(spec)
+        assert type(exc_info.value).__name__ == error
+        z, report = exc_info.value.result
+        expected = tmp_path / "expected.json"
+        cli.write_json(expected, cli.equilibrium_payload(gnep.equilibrium_at(spec, z),
+                                                         report))
+        eq, out_dir = tmp_path / "mfe" / "eq.json", tmp_path / "run"
+        arm()
+        assert run(["solve-mfe", *flags, "--out", str(eq)]) == 1
+        arm()
+        assert run(["pipeline", *flags, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.count(f"iteration {report.iterations}: ") == 2
+        partial = out_dir / "equilibrium.json"
+        assert eq.read_bytes() == partial.read_bytes() == expected.read_bytes()
+        for out, manifest_dir in ((eq, eq.parent), (partial, out_dir)):
+            manifest = json.loads((manifest_dir / "manifest.json").read_text())
+            assert manifest["outputs"] == [str(out)]
+            assert manifest["convergence"]["error"] == error
+            assert manifest["convergence"]["iterations"] == report.iterations
+        assert not (out_dir / "irl.json").exists()
 
 
 class TestStageSeconds:

@@ -29,15 +29,16 @@ def solve_path(spec, config=None, iterations=None):
     config = config or gnep.GnepConfig()
     kkt = gnep.KktSystem(spec)
     z = kkt.initial_point()
+    report = gnep.KktReport()
     for _ in range(config.max_iter if iterations is None else iterations):
         Hz = gnep.kkt_map(kkt, z)
         if np.linalg.norm(Hz) <= config.tol:
             return
         psi = gnep.potential(Hz, kkt.n, kkt.K)
         J = gnep.kkt_jacobian(kkt, z)
-        d, slope, _ = gnep.newton_direction(kkt, J, Hz, config)
+        d, slope = gnep.newton_direction(kkt, J, Hz, config, report.directions)
         yield kkt, z, Hz, psi, J, d, slope
-        _, z = gnep.armijo_step(kkt, J, z, Hz, psi, d, slope, config)
+        _, z = gnep.armijo_step(kkt, J, z, Hz, psi, d, slope, config, report.line_search)
 
 
 class TestConstraints:
@@ -275,9 +276,10 @@ class TestSolveGnep:
     def test_not_converged_carries_result(self, malware2):
         with pytest.raises(NotConverged) as exc_info:
             m.solve_gnep(malware2, gnep.GnepConfig(max_iter=3))
-        eq, report = exc_info.value.result
-        assert not report.converged
-        assert eq.mean_field.shape == (2,)
+        z, report = exc_info.value.result
+        assert not report.converged and report.iterations == 3
+        TestFailureReport.assert_last_iterate(malware2, exc_info.value)
+        assert gnep.equilibrium_at(malware2, z).mean_field.shape == (2,)
 
     def test_missing_theta_raises(self):
         spec = m.builtin_malware(2, None, q=0.9)
@@ -340,7 +342,7 @@ class TestFailureReport:
     @staticmethod
     def assert_last_iterate(spec, exc):
         """The attached iterate is the one whose KKT norm ends the report."""
-        report, z = exc.report, exc.iterate
+        z, report = exc.result
         kkt = gnep.KktSystem(spec)
         assert z.shape == (kkt.dim,)
         assert np.linalg.norm(gnep.kkt_map(kkt, z)) == report.h_norm_history[-1]
@@ -349,12 +351,12 @@ class TestFailureReport:
         with pytest.raises(NonDescent) as exc_info:
             m.solve_gnep(non_descent_model())
         self.assert_last_iterate(non_descent_model(), exc_info.value)
-        report = exc_info.value.report
+        _, report = exc_info.value.result
         assert f"iteration {report.iterations}:" in str(exc_info.value)
         assert len(report.h_norm_history) == report.iterations + 1
-        # One direction per step taken, plus the failing one.
+        # One direction per step taken, plus the failing one, all by lstsq.
         assert sum(report.directions.values()) == report.iterations + 1
-        assert exc_info.value.path == "svd"
+        assert report.directions["svd"] == report.iterations + 1
         # One accepted trial per step taken.
         line_search = report.line_search
         assert (line_search["trials"] - line_search["interior_failures"]
@@ -364,14 +366,14 @@ class TestFailureReport:
         inject_boundary_violation(monkeypatch, iteration=2)
         with pytest.raises(BoundaryViolation, match="^iteration 2: ") as exc_info:
             m.solve_gnep(malware2)
-        report = exc_info.value.report
+        z, report = exc_info.value.result
         assert report.iterations == 2
         # The failing iterate's KKT norm is recorded; its potential is not.
         assert len(report.h_norm_history) == 3 and len(report.psi_history) == 2
         assert sum(report.directions.values()) == 2
         # The iterate is the third of the unperturbed solve.
         iterates = [z for _, z, _, _, _, _, _ in solve_path(malware2, iterations=3)]
-        assert np.array_equal(exc_info.value.iterate, iterates[2])
+        assert np.array_equal(z, iterates[2])
 
     def test_line_search_stall_carries_iterate(self, malware2, monkeypatch):
         # malware2's first full step leaves the interior.
@@ -379,7 +381,8 @@ class TestFailureReport:
         with pytest.raises(LineSearchStall, match="^iteration 0: ") as exc_info:
             m.solve_gnep(malware2)
         self.assert_last_iterate(malware2, exc_info.value)
-        assert np.array_equal(exc_info.value.iterate, gnep.KktSystem(malware2).initial_point())
+        z, _ = exc_info.value.result
+        assert np.array_equal(z, gnep.KktSystem(malware2).initial_point())
 
 
 class TestVerifyMfe:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mfgsolver import estimation, irl, mdp, model
-from mfgsolver.errors import MfgError, NonFinite, NotConverged, ValidationError
+from mfgsolver.errors import (
+    LineSearchStall, MfgError, NonDescent, NonFinite, NotConverged, ValidationError,
+)
 
 from test_acceptance import ROUNDED_F, ROUNDED_MU
 from test_mdp import MU_STAR, PI_STAR
@@ -41,10 +43,11 @@ def reference_descent(spec, mu_E, f_E, step, n_steps, points=None):
                  + (1-beta) [lambda_x + sum_z xi_z (p(z|x,a) - mu_E(z))]
 
     with a max-shifted log-sum-exp at every step. Evaluates n_steps + 1
-    points and steps from each, as solve_irl does before NotConverged.
-    Returns the (g, gradient sup-norm) trace, the final dual vector and the
-    log Z of every evaluated point. A list passed as points receives (v, g,
-    gradient, nu) at every evaluated point.
+    points, stepping from each to the next, as solve_irl does before
+    NotConverged. Returns the (g, gradient sup-norm) trace, the last
+    evaluated dual vector and the log Z of every evaluated point. A list
+    passed as points receives (v, g, gradient, nu) at every evaluated
+    point.
     """
     f = model.feature_table(spec, mu_E)  # [x, a, j]
     p = model.transition_kernel(spec, mu_E)  # [z, x, a]
@@ -52,7 +55,7 @@ def reference_descent(spec, mu_E, f_E, step, n_steps, points=None):
     theta = np.zeros(spec.feature_dim)
     lam, xi = np.zeros(spec.n_states), np.zeros(spec.n_states)
     trace, log_zs = [], []
-    for _ in range(n_steps + 1):
+    for i in range(n_steps + 1):
         k = (np.log(mu_E)[:, None] + f @ theta
              + c * (lam[:, None]
                     + np.einsum("zxa,z->xa", p - mu_E[:, None, None], xi)))
@@ -68,6 +71,8 @@ def reference_descent(spec, mu_E, f_E, step, n_steps, points=None):
         log_zs.append(log_z)
         if points is not None:
             points.append((np.concatenate([theta, lam, xi]), g, grad, nu))
+        if i == n_steps:
+            break
         theta = theta - step * grad_theta
         lam = lam - step * grad_lam
         xi = xi - step * grad_xi
@@ -418,13 +423,21 @@ class TestNewton:
         np.testing.assert_array_equal(accepted, trace[:, 0])
         np.testing.assert_array_equal(points[-1][0], d.as_vector())
 
-    def test_not_converged_carries_last_iterate(self, problem2):
+    @pytest.mark.parametrize("method", ["newton", "gd"])
+    def test_not_converged_carries_last_iterate(self, problem2, method):
+        # The carried point is the one of the trace's last row: no step is
+        # taken at max_iter. Newton evaluates each point afresh, so its value
+        # is the trace's to the bit; gd carries its exponent along by daxpy.
         with pytest.raises(NotConverged) as exc_info:
-            irl.solve_irl(problem2, irl.IrlConfig(method="newton", grad_tol=1e-12,
+            irl.solve_irl(problem2, irl.IrlConfig(method=method, grad_tol=1e-12,
                                                   max_iter=3))
         d, trace = exc_info.value.result
         assert trace.shape == (4, 2)
-        assert irl.dual_objective(problem2, d) == trace[-1, 0]
+        g = irl.dual_objective(problem2, d)
+        if method == "newton":
+            assert g == trace[-1, 0]
+        else:
+            assert g == pytest.approx(trace[-1, 0], rel=1e-13, abs=0.0)
 
     def test_stalled_gradient_raises_not_converged(self, problem2):
         # Below the regularization's floor the gradient sits at about
@@ -468,13 +481,22 @@ class TestNewton:
         np.testing.assert_array_equal(d.as_vector(), 0.0)
         assert trace.shape == (1, 2) and np.all(np.isfinite(trace))
 
-    def test_no_decrease_raises_not_converged(self, problem2, monkeypatch):
+    def test_no_decrease_raises_line_search_stall(self, problem2, monkeypatch):
         # A direction 2^20 times too long needs about 20 halvings.
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: 2.0**20 * solve(a, b))
         irl.solve_irl(problem2, irl.IrlConfig(method="newton"))
         monkeypatch.setattr(irl, "MAX_HALVINGS", 10)
-        with pytest.raises(NotConverged, match="10 halvings") as exc_info:
+        with pytest.raises(LineSearchStall, match="10 halvings") as exc_info:
+            irl.solve_irl(problem2, irl.IrlConfig(method="newton"))
+        d, trace = exc_info.value.result
+        np.testing.assert_array_equal(d.as_vector(), 0.0)
+        assert trace.shape == (1, 2)
+
+    def test_ascent_direction_raises_non_descent(self, problem2, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: -solve(a, b))
+        with pytest.raises(NonDescent, match="slope .* >= 0") as exc_info:
             irl.solve_irl(problem2, irl.IrlConfig(method="newton"))
         d, trace = exc_info.value.result
         np.testing.assert_array_equal(d.as_vector(), 0.0)
