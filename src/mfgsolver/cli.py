@@ -17,9 +17,9 @@ byte-identical.
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -31,6 +31,8 @@ from . import estimation, gnep, irl, mdp, model
 from .errors import MfgError, ParseError, SolverFailure, ValidationError
 
 TRAJECTORY_HEADER = "trajectory_id,t,state,action"
+# Bytes per read when ManifestWriter.add_input hashes an input file.
+HASH_BLOCK = 1 << 20
 
 BUILTIN_DEFAULTS = {
     "malware2": {"n_states": 2, "theta": (0.2, 1.0, 0.4), "q": 0.9, "beta": 0.8},
@@ -80,6 +82,17 @@ def write_json(path, payload):
 # ---------------------------------------------------------------------------
 # Shared pieces
 
+def input_file(path, what):
+    """path as a Path, checked to name a readable file; a missing path, or
+    one that is a directory or cannot be read, is an input error."""
+    path = Path(path)
+    if not path.exists():
+        raise MfgError(f"{what} file not found: {path}")
+    if not (path.is_file() and os.access(path, os.R_OK)):
+        raise MfgError(f"{what} file is not a readable file: {path}")
+    return path
+
+
 def load_model_arg(args):
     """(spec, path) of --model, with the --beta, --theta and --q overrides,
     and path None for a builtin. --q sets the infection probability of
@@ -96,9 +109,7 @@ def load_model_arg(args):
         q = args.q if args.q is not None else defaults["q"]
         beta = args.beta if args.beta is not None else defaults["beta"]
         return model.builtin_malware(defaults["n_states"], theta, q=q, beta=beta), None
-    path = Path(name)
-    if not path.exists():
-        raise MfgError(f"model file not found: {path}")
+    path = input_file(name, "model")
     spec = model.load_model(path.read_text())
     overrides = {k: v for k, v in (("beta", args.beta), ("theta", args.theta))
                  if v is not None}
@@ -111,9 +122,7 @@ def read_equilibrium(path, spec, manifest):
     file is an input error, and so is a mean field that is not a
     distribution on the model's states or a policy that
     model.check_policy rejects."""
-    path = Path(path)
-    if not path.exists():
-        raise MfgError(f"equilibrium file not found: {path}")
+    path = input_file(path, "equilibrium")
     manifest.add_input(path)
     try:
         doc = json.loads(path.read_text())
@@ -176,9 +185,18 @@ class ManifestWriter:
         self.start = time.monotonic()
 
     def add_input(self, path):
-        if path is not None:
-            self.payload["inputs"][str(path)] = hashlib.sha256(
-                Path(path).read_bytes()).hexdigest()
+        """Records the SHA-256 digest of the file at path, hashed in
+        HASH_BLOCK-byte blocks so that no input is held whole; None, the
+        path of a builtin model, records nothing. hashlib is imported
+        here: runs without an input file never load it."""
+        if path is None:
+            return
+        import hashlib
+        digest = hashlib.sha256()
+        with Path(path).open("rb") as fh:
+            while block := fh.read(HASH_BLOCK):
+                digest.update(block)
+        self.payload["inputs"][str(path)] = digest.hexdigest()
 
     def write(self, path, payload):
         """Writes the JSON document payload to path, or calls payload(path)
@@ -398,9 +416,7 @@ def _read_trajectories(path, spec, seed=0):
 
 
 def cmd_estimate(args, spec, manifest):
-    traj_path = Path(args.trajectories)
-    if not traj_path.exists():
-        raise MfgError(f"trajectory file not found: {traj_path}")
+    traj_path = input_file(args.trajectories, "trajectory")
     manifest.add_input(traj_path)
     with manifest.stage("read_csv"):
         trajectories = _read_trajectories(traj_path, spec)

@@ -6,6 +6,10 @@ trajectories is independent of generation order and batch size and
 reproducible bit for bit. The SeedSequence hash behind those streams runs
 once over every trajectory index at the same time (_substreams), and each
 PCG64 is seeded from its row of the result by numpy's own seeding.
+
+numpy.random is imported by the first _substreams call, not with the
+module: on numpy 2 a bare `import numpy` leaves it unloaded, and only
+simulation draws from it.
 """
 
 import math
@@ -13,7 +17,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import EmptyData, ValidationError
 from .model import check_policy, check_simplex, feature_table, transition_kernel
@@ -72,9 +75,11 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-class _PcgState(ISeedSequence):
+class _PcgState:
     """Hands PCG64 the seed words that SeedSequence.generate_state(4,
-    uint64) would give, so numpy's own PCG64 seeding runs on them."""
+    uint64) would give, so numpy's own PCG64 seeding runs on them.
+    _substreams, which imports numpy.random, registers it as the
+    ISeedSequence that PCG64 requires of its seed."""
 
     def __init__(self, words):
         self.words = words
@@ -94,7 +99,12 @@ def _substreams(seed, d, n):
     zero-padded to POOL_SIZE words, is the same for every child, and the
     spawn word i, the last entropy word, is an array. The trajectory
     indices fit one word: d beyond 2**32 would not fit in memory.
+
+    numpy.random is imported here, and _PcgState registered as an
+    ISeedSequence, so that the module's import does not load numpy.random.
     """
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_PcgState)
     words, seed = [], int(seed)
     while True:
         words.append(np.array([seed & MASK32], dtype=np.uint32))

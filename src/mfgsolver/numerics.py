@@ -8,9 +8,10 @@ LAPACK-backed routines are used throughout.
 scipy's LAPACK and BLAS are loaded only where they run, and then only as
 the compiled modules scipy.linalg._flapack and _fblas (scipy_extension):
 the scipy.linalg package is never imported, since its import takes longer
-than importing numpy and the whole package together. The dgetrf and dgetrs
-stubs load _flapack on the first call, from the LU path of truncated_lstsq
-or from solve_linear on a matrix whose pivots it cannot certify.
+than importing numpy and the whole package together. The dgetrf, dgetrs,
+dgeqrf and dorgqr stubs load _flapack on the first call, from the LU path
+of truncated_lstsq or from solve_linear on a matrix whose pivots it cannot
+certify.
 """
 
 import math
@@ -154,12 +155,12 @@ class StartBlocks:
         """Orthonormal start block of the power iteration on J'J."""
         X = kkt.rmatmul(self.W) if self.top is None else np.column_stack(
             [self.top, self.W[:, :2]])
-        return np.linalg.qr(X)[0]
+        return _orthonormal_basis(X)
 
     def subspace_start(self):
         """Orthonormal start block of the inverse subspace iteration."""
         V = self.W if self.bottom is None else np.column_stack([self.bottom, self.W[:, 0]])
-        return np.linalg.qr(V)[0]
+        return _orthonormal_basis(V)
 
 
 class KktBlocks:
@@ -258,12 +259,13 @@ def scipy_extension(name):
 
 
 def _import_lapack():
-    """Bind this module's dgetrf and dgetrs to LAPACK's, from scipy's
-    compiled _flapack module (scipy_extension): the routines that
-    scipy.linalg.lapack exposes, without the scipy.linalg package."""
-    global dgetrf, dgetrs
+    """Bind this module's dgetrf, dgetrs, dgeqrf and dorgqr to LAPACK's,
+    from scipy's compiled _flapack module (scipy_extension): the routines
+    that scipy.linalg.lapack exposes, without the scipy.linalg package."""
+    global dgetrf, dgetrs, dgeqrf, dorgqr
     flapack = scipy_extension("_flapack")
     dgetrf, dgetrs = flapack.dgetrf, flapack.dgetrs
+    dgeqrf, dorgqr = flapack.dgeqrf, flapack.dorgqr
 
 
 def dgetrf(*args, **kwargs):
@@ -278,6 +280,28 @@ def dgetrs(*args, **kwargs):
     """LAPACK's dgetrs, which replaces this stub on the first call."""
     _import_lapack()
     return dgetrs(*args, **kwargs)
+
+
+def dgeqrf(*args, **kwargs):
+    """LAPACK's dgeqrf, which replaces this stub on the first call, as it
+    does dorgqr: only the block iterations of the LU path orthonormalise."""
+    _import_lapack()
+    return dgeqrf(*args, **kwargs)
+
+
+def dorgqr(*args, **kwargs):
+    """LAPACK's dorgqr, which replaces this stub on the first call."""
+    _import_lapack()
+    return dorgqr(*args, **kwargs)
+
+
+def _orthonormal_basis(X):
+    """Q of the reduced QR factorization of the tall block X, from LAPACK's
+    dgeqrf and dorgqr: the calls, and so the bits, of np.linalg.qr(X)[0],
+    without its wrapper, which costs several times the factorization on the
+    dim x 3 blocks of the LU path."""
+    qr, tau = dgeqrf(X)[:2]
+    return dorgqr(qr, tau, overwrite_a=True)[0]
 
 
 class _SchurLu:
@@ -357,7 +381,7 @@ def _sigma_max(kkt, starts):
         if s <= est * (1.0 + POWER_RTOL):
             break
         est = s
-        X = np.linalg.qr(kkt.rmatmul(Y))[0]
+        X = _orthonormal_basis(kkt.rmatmul(Y))
     return max(est, s)
 
 
@@ -422,7 +446,7 @@ def _lu_truncated(kkt, rhs, rcond):
                 x = lu.solve_refined(rhs - u * (u @ rhs))
                 return x - v * (v @ x), "lu_cut1"
         sigma_old, v_old = sigma, v
-        V = np.linalg.qr(lu.solve(Y))[0]
+        V = _orthonormal_basis(lu.solve(Y))
     return None
 
 

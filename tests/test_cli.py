@@ -41,43 +41,61 @@ def eq_file(tmp_path_factory):
 
 
 # Runs the argvs of sys.argv[1] (a JSON object) with the CLI in a fresh
-# process and prints, as JSON, the exit code of each and the scipy modules
-# loaded after the import and after each run.
-SCIPY_PROBE = """
+# process and prints, as JSON, the OPTIONAL modules that a bare `import
+# numpy` loads, and, after the CLI's import and after each run, the exit
+# code, the scipy modules loaded and the OPTIONAL modules loaded.
+MODULE_PROBE = """
 import json, sys
+import numpy
+
+OPTIONAL = ("numpy.random", "hashlib")
+
+def loaded():
+    return {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+            "optional": [m for m in OPTIONAL if m in sys.modules]}
+
+seen = {"numpy": loaded()["optional"]}
 from mfgsolver import cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-seen = {"import": [None, scipy_modules()]}
+seen["import"] = {"code": None, **loaded()}
 for name, argv in json.loads(sys.argv[1]).items():
-    seen[name] = [cli.dispatch(argv), scipy_modules()]
+    seen[name] = {"code": cli.dispatch(argv), **loaded()}
 print(json.dumps(seen))
 """
 
 
-class TestScipyStaysUnloaded:
+class TestOptionalModulesStayUnloaded:
     """scipy.linalg's import is the largest part of the package's start-up,
     so the package never imports it. Only the code that needs LAPACK or
     BLAS loads scipy's compiled modules, scipy.linalg._flapack and _fblas
     (numerics.scipy_extension), and nothing else of scipy.linalg: the LU
     direction at KKT dimension numerics.LU_MIN_DIM or more and
     solve_linear on a matrix whose pivots it cannot certify load _flapack,
-    and --method gd loads _fblas."""
+    and --method gd loads _fblas.
 
-    def test_cli_paths_on_numpy_load_no_scipy(self, tmp_path):
+    numpy.random and hashlib load only where they run, beyond what numpy
+    itself loads (numpy < 2 imports numpy.random, and with it hashlib):
+    numpy.random on simulation, hashlib on the digest of an input file."""
+
+    def test_cli_paths_load_only_what_they_run(self, tmp_path):
         d = str(tmp_path)
         chain20 = tmp_path / "chain20.json"
         chain20.write_text(model.dump_model(chain_model(20)))   # KKT dimension 262
+        equilibrium = f"{d}/a4/equilibrium.json"
+        # The runs share one process, in this order, so each sees the
+        # modules that every run before it loaded.
         runs = {
             "a1-pipeline": ["pipeline", "--model", "builtin:malware2", "--sigma", "0.1",
                             "--kappa", "0.001", "--max-iter", "10000", "--step", "0.5",
                             "--out-dir", f"{d}/a1"],
             "a4-pipeline": ["pipeline", "--model", "builtin:malware10", "--step", "0.0025",
                             "--method", "newton", "--out-dir", f"{d}/a4"],
+            "solve-mfe": ["solve-mfe", "--model", "builtin:malware2",
+                          "--out", f"{d}/mfe/eq.json"],
+            # The first run with an input file, whose digest needs hashlib.
+            "verify": ["verify", "--model", "builtin:malware10", "--equilibrium",
+                       equilibrium, "--out", f"{d}/verify/verify.json"],
             "simulate": ["simulate", "--model", "builtin:malware10", "--equilibrium",
-                         f"{d}/a4/equilibrium.json", "--n-trajectories", "100",
+                         equilibrium, "--n-trajectories", "100",
                          "--horizon", "50", "--out", f"{d}/sim/traj.csv"],
             "estimate": ["estimate", "--model", "builtin:malware10", "--trajectories",
                          f"{d}/sim/traj.csv", "--out", f"{d}/est/estimate.json"],
@@ -85,29 +103,39 @@ class TestScipyStaysUnloaded:
             "lu": ["solve-mfe", "--model", str(chain20), "--out", f"{d}/lu/eq.json"],
             # The constant-step loop steps with BLAS daxpy.
             "gd": ["solve-irl", "--model", "builtin:malware10", "--equilibrium",
-                   f"{d}/a4/equilibrium.json", "--method", "gd", "--irl-max-iter", "1",
+                   equilibrium, "--method", "gd", "--irl-max-iter", "1",
                    "--out", f"{d}/gd/irl.json"],
         }
         src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+        proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(runs)],
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=300)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        numpy_only = {"import": [None, []], "a1-pipeline": [0, []], "a4-pipeline": [0, []],
-                      "simulate": [0, []], "estimate": [0, []]}
-        assert {k: seen[k] for k in numpy_only} == numpy_only
+        with_numpy = set(seen.pop("numpy"))
+        assert {name: rec["code"] for name, rec in seen.items()} == {
+            "import": None, **dict.fromkeys(runs, 0), "gd": 1}  # NotConverged after one step
+
+        numpy_only = [name for name in seen if name not in ("lu", "gd")]
+        assert {name: seen[name]["scipy"] for name in numpy_only} == dict.fromkeys(
+            numpy_only, [])
 
         def linalg_modules(name):
-            return [m for m in seen[name][1] if m.split(".")[:2] == ["scipy", "linalg"]]
+            return [m for m in seen[name]["scipy"] if m.split(".")[:2] == ["scipy", "linalg"]]
 
-        assert seen["lu"][0] == 0
         assert linalg_modules("lu") == ["scipy.linalg._flapack"]
         directions = json.loads((tmp_path / "lu" / "manifest.json").read_text())[
             "convergence"]["directions"]
         assert directions["lu"] + directions["lu_cut1"] > 0
-        assert seen["gd"][0] == 1                   # NotConverged after one step
         assert linalg_modules("gd") == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+
+        added = {name: sorted(set(rec["optional"]) - with_numpy)
+                 for name, rec in seen.items()}
+        no_inputs = ["import", "a1-pipeline", "a4-pipeline", "solve-mfe"]
+        assert {name: added[name] for name in no_inputs} == dict.fromkeys(no_inputs, [])
+        assert "hashlib" in seen["verify"]["optional"]
+        assert "numpy.random" not in added["verify"]
+        assert seen["simulate"]["optional"] == ["numpy.random", "hashlib"]
 
 
 class TestExitCodes:
@@ -128,6 +156,32 @@ class TestExitCodes:
         assert run(["solve-mfe", *flags, "--out", str(tmp_path / "eq.json")]) == 2
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["convergence"] == {"converged": False, "error": error}
+
+    @pytest.mark.parametrize("command,flag,what", [
+        ("solve-mfe", "--model", "model"),
+        ("verify", "--equilibrium", "equilibrium"),
+        ("simulate", "--equilibrium", "equilibrium"),
+        ("solve-irl", "--equilibrium", "equilibrium"),
+        ("estimate", "--trajectories", "trajectory"),
+    ], ids=["model", "verify-equilibrium", "simulate-equilibrium",
+            "solve-irl-equilibrium", "trajectories"])
+    def test_directory_input_is_an_input_error(self, tmp_path, capsys, command, flag,
+                                               what):
+        # A path that exists but is not a readable file. A directory, not a
+        # file without read permission, which does not bind the root user.
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "out" / "result.json"
+        model_arg = str(folder) if flag == "--model" else "builtin:malware2"
+        argv = [command, "--model", model_arg, "--out", str(out)]
+        if flag != "--model":
+            argv += [flag, str(folder)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {what} file is not a readable file: {folder}\n"
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["convergence"] == {"converged": False, "error": "MfgError"}
+        assert manifest["inputs"] == {} and manifest["outputs"] == []
 
     def test_solve_irl_without_inputs(self, tmp_path):
         code = run(["solve-irl", "--model", "builtin:malware2",
@@ -416,6 +470,17 @@ class TestSolveMfe:
                     "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert str(model_file) in manifest["inputs"]
+
+    @pytest.mark.parametrize("block", [7, cli.HASH_BLOCK], ids=["7-bytes", "default"])
+    def test_input_digest_is_sha256_of_the_file(self, model_file, tmp_path, monkeypatch,
+                                                block):
+        # Hashed block by block, the digest is the one of the whole file.
+        monkeypatch.setattr(cli, "HASH_BLOCK", block)
+        assert run(["solve-mfe", "--model", str(model_file),
+                    "--out", str(tmp_path / "eq.json")]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(model_file): hashlib.sha256(model_file.read_bytes()).hexdigest()}
 
     def test_manifest_counts_directions(self, eq_file):
         # malware2's KKT system is far below numerics.LU_MIN_DIM.

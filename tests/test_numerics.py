@@ -205,6 +205,7 @@ lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
 print(json.dumps({
     "loaded": loaded,
     "same": [numerics.dgetrf is lapack.dgetrf, numerics.dgetrs is lapack.dgetrs,
+             numerics.dgeqrf is lapack.dgeqrf, numerics.dorgqr is lapack.dorgqr,
              irl.daxpy is blas.daxpy, irl._import_blas()[1] is blas.idamax],
     "reused": [sys.modules["scipy.linalg._flapack"] is compiled[0],
                sys.modules["scipy.linalg._fblas"] is compiled[1]],
@@ -220,16 +221,16 @@ class TestScipyExtension:
     def test_routines_are_scipy_linalgs_own(self):
         # In a fresh process: after an LU solve and a "gd" step, importing
         # scipy.linalg.lapack and .blas reuses the loaded modules, and the
-        # package's dgetrf, dgetrs, daxpy and idamax are the very routines
-        # they expose, so the bits are the same and nothing was initialised
-        # twice.
+        # package's dgetrf, dgetrs, dgeqrf, dorgqr, daxpy and idamax are the
+        # very routines they expose, so the bits are the same and nothing
+        # was initialised twice.
         src = str(Path(numerics.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", CONTRACT_PIN], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout)
         assert seen == {"loaded": ["scipy.linalg._fblas", "scipy.linalg._flapack"],
-                        "same": [True] * 4, "reused": [True, True]}
+                        "same": [True] * 6, "reused": [True, True]}
 
     def test_missing_module_is_an_import_error(self):
         with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module"):
@@ -239,6 +240,21 @@ class TestScipyExtension:
         loaded = object()
         monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", loaded)
         assert numerics.scipy_extension("_flapack") is loaded
+
+
+class TestOrthonormalBasis:
+    """numerics._orthonormal_basis calls LAPACK's dgeqrf and dorgqr as
+    np.linalg.qr does, so the LU path's block iterations keep its bits."""
+
+    @pytest.mark.parametrize("dim", [3, 132, 262, 652])
+    def test_bits_of_numpy_qr(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            X = rng.normal(size=(dim, 3)) * rng.lognormal(size=3)
+            before = X.copy()
+            Q = numerics._orthonormal_basis(X)
+            np.testing.assert_array_equal(Q, np.linalg.qr(X)[0])
+            np.testing.assert_array_equal(X, before)     # the input is kept
 
 
 class TestPseudoInverse:
