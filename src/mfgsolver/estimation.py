@@ -4,10 +4,18 @@ Trajectory i draws from the PCG64 stream that numpy's
 default_rng(SeedSequence(seed, spawn_key=(i,))) gives, so the set of
 trajectories is independent of generation order and batch size and
 reproducible bit for bit. The SeedSequence hash behind those streams runs
-once over every trajectory index at the same time (_substreams), and each
+once over every trajectory index at the same time (_streams), and each
 PCG64 is seeded from its row of the result by numpy's own seeding.
 
-numpy.random is imported by the first _substreams call, not with the
+States and actions are recorded as codes of the smallest unsigned type
+that holds them and widened to int64 once, after the draws are freed, so a
+simulation ends holding its int64 output plus one narrow copy. Walked
+batches draw their uniforms in chunks of about _CHUNK_STEPS steps; only
+lockstep batches, of many trajectories, hold a table of all their uniforms. The
+estimators read the trajectories in chunks of about _CHUNK_STEPS steps, so
+neither holds a copy of every step.
+
+numpy.random is imported by the first _streams call, not with the
 module: on numpy 2 a bare `import numpy` leaves it unloaded, and only
 simulation draws from it.
 """
@@ -39,9 +47,14 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in (("n_trajectories", "positive"), ("horizon", "positive"),
+                           ("seed", "non-negative")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
         if self.n_trajectories < 1 or self.horizon < 1:
             raise ValueError("need at least one trajectory and one step")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -90,9 +103,9 @@ class _PcgState:
         return self.words
 
 
-def _substreams(seed, d, n):
-    """The (d, n) table whose row i is
-    default_rng(SeedSequence(seed, spawn_key=(i,))).random(n).
+def _streams(seed, d):
+    """Yields default_rng(SeedSequence(seed, spawn_key=(i,))) for i in
+    range(d): numpy's own Generator on a PCG64 seeded by the same words.
 
     The hash runs as uint32 array operations over all d children at once:
     the run entropy, seed in 32-bit words from the least significant and
@@ -127,10 +140,24 @@ def _substreams(seed, d, n):
     keys = _hash_keys(INIT_B, MULT_B)
     state = np.stack([_hashmix(pool[k % POOL_SIZE], keys) for k in range(8)], axis=1)
     state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    for row in state:
+        yield np.random.Generator(np.random.PCG64(_PcgState(row)))
+
+
+def _uniforms(streams, d, n):
+    """The next n uniforms of each of d streams, one row per stream. A
+    stream continues where its last draw stopped, so successive calls give
+    the columns of one call that draws them all."""
     u = np.empty((d, n))
-    for row, out in zip(state, u):
-        np.random.Generator(np.random.PCG64(_PcgState(row))).random(out=out)
+    for rng, out in zip(streams, u):
+        rng.random(out=out)
     return u
+
+
+def _substreams(seed, d, n):
+    """The (d, n) table whose row i is
+    default_rng(SeedSequence(seed, spawn_key=(i,))).random(n)."""
+    return _uniforms(_streams(seed, d), d, n)
 
 
 # Batches whose per-step table work, d * X * (X + A) entries, is at most
@@ -140,6 +167,13 @@ def _substreams(seed, d, n):
 # between 2,600 and 6,000.
 TABLE_WORK = 2048
 
+# Steps per chunk, summed over trajectories: of the uniforms that a walked
+# batch draws (16 bytes a step), of the states that estimate_mean_field
+# counts (8 bytes a step), and of the features that
+# estimate_feature_expectation gathers (8 * feature_dim bytes a step, 0.8 MB
+# at three features).
+_CHUNK_STEPS = 1 << 15
+
 
 def _sample_rows(cum_rows, u):
     """Vectorized categorical draw: one row of cumulative probabilities and
@@ -147,41 +181,55 @@ def _sample_rows(cum_rows, u):
     return (cum_rows < u[:, None]).sum(axis=1)
 
 
-def _draw_tables(pi_cum, kernel_cum, u, width):
-    """Draws for every possible current state.
+def _draw_tables(pi_cum, kernel_cum, streams, T, width, dtype):
+    """Draws for every possible current state, from the streams' uniforms
+    that follow the initial state's.
 
     act[x, i, t] is the action and nxt[x, i, t] the next state that
-    trajectory i draws at step t if it is in state x. nxt has `width`
-    columns; those from T - 1 on are zero padding, read only by steps past
-    the horizon.
+    trajectory i draws at step t if it is in state x, as codes of `dtype`.
+    Both have `width` columns; those from T on, and nxt's column T - 1, are
+    zero padding, read only by steps past the horizon.
+
+    The uniforms are drawn max(1, _CHUNK_STEPS // d) steps at a time for all
+    d trajectories, and the tables filled one such chunk at a time, so
+    only a chunk of uniforms, and of the probabilities that the drawn
+    actions gather, is alive at once.
     """
-    X = pi_cum.shape[0]
-    d, T = u.shape[0], (u.shape[1] - 1) // 2
-    dtype = np.min_scalar_type(max(X - 1, pi_cum.shape[1]))
-    act = np.zeros((X, d, T), dtype)
-    for j in range(pi_cum.shape[1]):
-        act += pi_cum[:, j, None, None] < u[:, 1::2]
+    X, d = pi_cum.shape[0], len(streams)
+    act = np.zeros((X, d, width), dtype)
     nxt = np.zeros((X, d, width), dtype)
-    u_next = u[:, 2:2 * T - 1:2]
-    for x in range(X):
-        counts = nxt[x, :, :T - 1]
-        for y in range(kernel_cum.shape[2]):
-            counts += kernel_cum[x, :, y][act[x, :, :T - 1]] < u_next
+    steps = max(1, _CHUNK_STEPS // d)
+    for t0 in range(0, T, steps):
+        t1 = min(t0 + steps, T)
+        # Uniforms 2k and 2k + 1 of a row draw the action and the next
+        # state at step t0 + k; the last step draws no next state.
+        u = _uniforms(streams, d, 2 * (t1 - t0))
+        chunk = act[:, :, t0:t1]
+        for j in range(pi_cum.shape[1]):
+            chunk += pi_cum[:, j, None, None] < u[:, ::2]
+        n = min(t1, T - 1) - t0
+        u_next = u[:, 1:2 * n:2]
+        for x in range(X):
+            counts = nxt[x, :, t0:t0 + n]
+            for y in range(kernel_cum.shape[2]):
+                counts += kernel_cum[x, :, y][chunk[x, :, :n]] < u_next
     return act, nxt
 
 
 def _walk(x0, act, nxt, block_len):
-    """States and actions of every trajectory from its draw tables.
+    """States and actions of every trajectory from its draw tables, as
+    codes of the tables' type, with the tables' width columns.
 
     The horizon is cut into blocks of block_len steps. The per-step maps of
     each block are composed for every start state, the block starts are
-    walked one block at a time, and the states inside each block are then
-    filled in for all blocks at once.
+    walked one block at a time, and the states inside each block, with the
+    action drawn at each, are then filled in for all blocks at once, one
+    step of a block at a time: no index array is larger than d blocks.
     """
     X, d, width = nxt.shape
-    T = act.shape[2]
     n_blocks = width // block_len
     step = nxt.reshape(X, d, n_blocks, block_len)
+    move = act.reshape(X, d, n_blocks, block_len)
     rows, blocks = np.arange(d)[:, None], np.arange(n_blocks)
     # across[x, i, b]: the state block_len steps after state x at the
     # start of block b.
@@ -189,25 +237,27 @@ def _walk(x0, act, nxt, block_len):
                              (X, d, n_blocks))
     for k in range(block_len):
         across = step[across, rows, blocks, k]
-    starts = np.empty((d, n_blocks), dtype=np.int64)
+    starts = np.empty((d, n_blocks), dtype=nxt.dtype)
     x, traj = x0, np.arange(d)
     for b in range(n_blocks):
         starts[:, b] = x
         x = across[x, traj, b]
-    states = np.empty((d, n_blocks, block_len), dtype=np.int64)
+    states = np.empty((d, n_blocks, block_len), dtype=nxt.dtype)
+    actions = np.empty_like(states)
     x = starts
     for k in range(block_len):
         states[:, :, k] = x
+        actions[:, :, k] = move[x, rows, blocks, k]
         x = step[x, rows, blocks, k]
-    states = states.reshape(d, width)[:, :T]
-    actions = act[states, rows, np.arange(T)].astype(np.int64)
-    return states, actions
+    return states.reshape(d, width), actions.reshape(d, width)
 
 
-def _lockstep(x, pi_cum, kernel_cum, u):
+def _lockstep(x, pi_cum, kernel_cum, u, dtype):
+    """States and actions of every trajectory, stepped together, as codes
+    of `dtype`."""
     d, T = u.shape[0], (u.shape[1] - 1) // 2
-    states = np.empty((d, T), dtype=np.int64)
-    actions = np.empty((d, T), dtype=np.int64)
+    states = np.empty((d, T), dtype)
+    actions = np.empty((d, T), dtype)
     for t in range(T):
         a = _sample_rows(pi_cum[x], u[:, 1 + 2 * t])
         states[:, t] = x
@@ -227,12 +277,19 @@ def simulate(spec, pi, mu, mu0, config):
     uniform, leaving out the last, so a row that sums to 1 - eps still
     draws a valid index.
 
-    Batches with many trajectories step all of them in lockstep. Small
-    batches, where the per-step overhead of that loop would dominate, draw
-    the action and the next state for every possible current state up
-    front, compose the per-step maps over blocks of about sqrt(T) steps,
-    and walk the block starts. Both paths read the same substreams with the
-    same comparisons, so a seed gives the same trajectories on either path.
+    Batches with many trajectories step all of them in lockstep through a
+    table of all their uniforms. Small batches, where the per-step overhead
+    of that loop would dominate, draw the action and the next state for
+    every possible current state, chunk by chunk of uniforms; they compose
+    the per-step maps over blocks of about sqrt(T) steps, and walk the
+    block starts. Both paths read the same substreams with the same
+    comparisons, so a seed gives the same trajectories on either path.
+
+    Both record states and actions as codes of the smallest unsigned type
+    that holds them. The uniform table or the draw tables are freed first,
+    and the codes then widened to int64 one array at a time, so the peak is
+    the int64 output plus one narrow copy, or the narrow codes plus the
+    uniform table in lockstep if that is larger.
     """
     X, A = spec.n_states, spec.n_actions
     # Validated row by row, but the caller's values are drawn from, not
@@ -242,66 +299,89 @@ def simulate(spec, pi, mu, mu0, config):
     p = transition_kernel(spec, mu)  # [y, x, a]
     d, T = config.n_trajectories, config.horizon
 
-    # One uniform per (trajectory, step, draw); draw 0 picks the action,
-    # draw 1 the next state, and one extra seeds the initial state.
-    u = _substreams(config.seed, d, 2 * T + 1)
-
+    mu0_cum = np.cumsum(mu0)[:-1]
     pi_cum = np.cumsum(pi, axis=1)[:, :-1]
     # kernel_cum[x, a] is the cumulative distribution of the next state.
     kernel_cum = np.cumsum(np.transpose(p, (1, 2, 0)), axis=2)[:, :, :-1]
-    x0 = _sample_rows(np.cumsum(mu0)[:-1], u[:, 0])
+    dtype = np.min_scalar_type(max(X, A) - 1)
 
     if d * X * (X + A) <= TABLE_WORK:
+        streams = list(_streams(config.seed, d))
+        x0 = _sample_rows(mu0_cum, _uniforms(streams, d, 1)[:, 0])
         block_len = math.isqrt(T)
-        act, nxt = _draw_tables(pi_cum, kernel_cum, u,
-                                -(-T // block_len) * block_len)
-        del u
-        states, actions = _walk(x0, act, nxt, block_len)
+        width = -(-T // block_len) * block_len
+        states, actions = _walk(
+            x0, *_draw_tables(pi_cum, kernel_cum, streams, T, width, dtype), block_len)
     else:
-        states, actions = _lockstep(x0, pi_cum, kernel_cum, u)
+        # One uniform per (trajectory, step, draw); draw 0 picks the action,
+        # draw 1 the next state, and one extra seeds the initial state.
+        u = _substreams(config.seed, d, 2 * T + 1)
+        states, actions = _lockstep(_sample_rows(mu0_cum, u[:, 0]), pi_cum, kernel_cum,
+                                    u, dtype)
+        del u
+    states = states[:, :T].astype(np.int64)
+    actions = actions[:, :T].astype(np.int64)
     return [
         Trajectory(states=states[i], actions=actions[i], seed=config.seed)
         for i in range(d)
     ]
 
 
-def estimate_mean_field(trajectories, n_states=None):
-    """Time-and-trajectory average of state visit indicators.
-
-    n_states fixes the output length; it defaults to the largest state
-    index seen in the data plus one.
-    """
-    if not trajectories:
-        raise EmptyData("no trajectories")
-    states = np.concatenate([t.states for t in trajectories])
-    if states.size == 0:
-        raise EmptyData("the trajectories have no steps")
-    if states.min() < 0:
-        raise ValidationError(f"state {states.min()} is negative")
-    if n_states is None:
-        n_states = int(states.max()) + 1
-    counts = np.bincount(states, minlength=n_states)
-    if counts.size > n_states:
-        raise ValidationError(f"state {states.max()} is out of range for {n_states} states")
-    return counts / states.size
-
-
-# Steps per chunk of estimate_feature_expectation: its gathered features
-# take 8 * feature_dim bytes a step, 0.8 MB at three features.
-_CHUNK_STEPS = 1 << 15
-
-
-def _check_range(values, size, name):
-    if values.size:
-        lo, hi = values.min(), values.max()
-        if lo < 0 or hi >= size:
-            raise ValidationError(f"{name} {lo if lo < 0 else hi} is outside 0..{size - 1}")
+def _check_codes(values, name, size=None):
+    """values are integer codes from 0, and below size if it is given."""
+    if values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.intp):
+        raise ValidationError(f"{name}s have dtype {values.dtype}, not integer codes")
+    if not values.size:
+        return
+    lo, hi = values.min(), values.max()
+    if size is None:
+        if lo < 0:
+            raise ValidationError(f"{name} {lo} is negative")
+    elif lo < 0 or hi >= size:
+        raise ValidationError(f"{name} {lo if lo < 0 else hi} is outside 0..{size - 1}")
 
 
 def _joined(arrays):
     """The arrays end to end, without copying a single one: a trajectory
     of a chunk or more comes alone."""
     return np.asarray(arrays[0]) if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _step_chunks(arrays):
+    """The non-empty arrays, in order, joined into chunks of at most
+    _CHUNK_STEPS entries; an array longer than that comes alone, uncopied."""
+    chunk, size = [], 0
+    for a in arrays:
+        if not len(a):
+            continue
+        if chunk and size + len(a) > _CHUNK_STEPS:
+            yield _joined(chunk)
+            chunk, size = [], 0
+        chunk.append(a)
+        size += len(a)
+    if chunk:
+        yield _joined(chunk)
+
+
+def estimate_mean_field(trajectories, n_states=None):
+    """Time-and-trajectory average of state visit indicators.
+
+    n_states fixes the output length; it defaults to the largest state
+    index seen in the data plus one. The states are counted with
+    np.bincount chunk by chunk (_step_chunks), so no copy of every step is
+    made; the counts are integers, so the chunking leaves the bits alone.
+    """
+    if not trajectories:
+        raise EmptyData("no trajectories")
+    counts, total = np.zeros(n_states or 0, dtype=np.intp), 0
+    for states in _step_chunks([t.states for t in trajectories]):
+        _check_codes(states, "state", n_states)
+        grown = np.bincount(states, minlength=counts.size)
+        grown[:counts.size] += counts
+        counts, total = grown, total + states.size
+    if not total:
+        raise EmptyData("the trajectories have no steps")
+    return counts / total
 
 
 def _discounted_rows(f, d, members):
@@ -312,9 +392,11 @@ def _discounted_rows(f, d, members):
     X, A, k = f.shape
     states = _joined([t.states for t in members])
     actions = _joined([t.actions for t in members])
-    _check_range(states, X, "state")
-    _check_range(actions, A, "action")
-    gathered = np.take(f.reshape(X * A, k), states * A + actions, axis=0)
+    _check_codes(states, "state", X)
+    _check_codes(actions, "action", A)
+    # In intp, so that codes of a narrow type do not wrap.
+    flat = np.multiply(states, A, dtype=np.intp) + actions
+    gathered = np.take(f.reshape(X * A, k), flat, axis=0)
     return np.matmul(d, gathered.reshape(len(members), len(d), k))
 
 
@@ -330,24 +412,30 @@ def estimate_feature_expectation(spec, trajectories, mu_hat, beta):
     steps (_discounted_rows). Their rows are stored in trajectory order
     after a zero row and added up with np.add.accumulate, which runs in
     order; np.add.reduce would sum pairwise when the features are one
-    column.
+    column. Trajectories without steps keep their zero rows.
     """
+    if not 0.0 < beta < 1.0:
+        raise ValidationError(f"beta must lie in (0,1), got {beta}")
     if not trajectories:
         raise EmptyData("no trajectories")
-    f = feature_table(spec, mu_hat)  # [x, a, j]
     lengths = [len(t.states) for t in trajectories]
     n_actions = [len(t.actions) for t in trajectories]
     if n_actions != lengths:
         i = next(i for i, (n, m) in enumerate(zip(lengths, n_actions)) if n != m)
         raise ValidationError(
             f"trajectory {i} has {lengths[i]} states but {n_actions[i]} actions")
+    if not max(lengths):
+        raise EmptyData("the trajectories have no steps")
+    f = feature_table(spec, mu_hat)  # [x, a, j]
     rows = np.zeros((len(trajectories) + 1, spec.feature_dim))
     by_length = np.argsort(lengths, kind="stable")
     cuts = np.flatnonzero(np.diff(np.take(lengths, by_length))) + 1
     for group in np.split(by_length, cuts):
         T = lengths[group[0]]
+        if not T:
+            continue
         d = beta ** np.arange(T)
-        batch = max(1, _CHUNK_STEPS // max(T, 1))
+        batch = max(1, _CHUNK_STEPS // T)
         for start in range(0, len(group), batch):
             ids = group[start:start + batch]
             rows[ids + 1] = _discounted_rows(f, d, [trajectories[i] for i in ids.tolist()])

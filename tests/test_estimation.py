@@ -44,11 +44,22 @@ class TestSimulate:
             assert np.all(t.states == 0)
             assert np.all(t.actions == 1)
 
-    def test_bad_config_raises(self):
-        with pytest.raises(ValueError):
-            estimation.EstimatorConfig(n_trajectories=0)
-        with pytest.raises(ValueError):
-            estimation.EstimatorConfig(horizon=0)
+    @pytest.mark.parametrize("field,value", [
+        ("n_trajectories", 0), ("horizon", 0),
+        # Not integers: each used to fail later, inside simulate, or as
+        # horizon=True to run a one-step simulation.
+        ("n_trajectories", 2.0), ("horizon", 2.5), ("horizon", np.float64(3.0)),
+        ("n_trajectories", True), ("horizon", True), ("seed", True), ("seed", False),
+        ("horizon", "5"), ("n_trajectories", None),
+    ])
+    def test_bad_config_raises(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}|at least one"):
+            estimation.EstimatorConfig(**{field: value})
+
+    def test_numpy_integer_sizes(self):
+        config = estimation.EstimatorConfig(n_trajectories=np.int32(3),
+                                            horizon=np.uint16(7), seed=np.int64(2))
+        assert (config.n_trajectories, config.horizon, config.seed) == (3, 7, 2)
 
     @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 2.0, "3", None])
     def test_bad_seed_raises(self, seed):
@@ -180,11 +191,62 @@ class TestSimulateMatchesReference:
         config = estimation.EstimatorConfig(n_trajectories=10, horizon=100_000, seed=3)
         assert_same_as_reference(malware2, PI_STAR, MU_STAR, config)
 
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_uniform_chunks(self, monkeypatch, d):
+        # 14 steps a chunk: one trajectory draws its uniforms 14 steps at
+        # a time, three draw 4 at a time and ten one step at a time. The
+        # horizons end on either side of a chunk boundary.
+        monkeypatch.setattr(estimation, "_CHUNK_STEPS", 14)
+        rng = np.random.default_rng(d)
+        spec, pi, mu = random_chain(rng, 3, 2)
+        for T in (1, 2, 4, 5, 13, 14, 15, 28, 29, 57):
+            config = estimation.EstimatorConfig(n_trajectories=d, horizon=T, seed=T)
+            assert_same_as_reference(spec, pi, mu, config, force_paths=True)
+
     def test_tiny_negative_policy_entry_is_kept(self, malware2):
         # Within check_simplex's clamp: accepted, and drawn from as given.
         pi = np.array([[1.0 + 1e-13, -1e-13], [0.3, 0.7]])
         config = estimation.EstimatorConfig(n_trajectories=3, horizon=50, seed=4)
         assert_same_as_reference(malware2, pi, MU_STAR, config)
+
+
+def traced_peak_mb(fn, *args):
+    """The peak of the memory that fn(*args) allocates, its result
+    included, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """simulate holds its int64 output plus one narrow copy of it, or a
+    chunk of draws, and estimate_mean_field holds no copy of every step.
+    Holding all the uniforms, or all the states end to end, breaks these
+    bounds."""
+
+    SIMULATE_MB = {(10, 100_000): 17.0, (10_000, 51): 12.0}
+
+    @pytest.mark.parametrize("shape", sorted(SIMULATE_MB))
+    def test_simulate(self, malware2, shape):
+        d, T = shape
+        # A first simulation loads numpy.random, which is not counted.
+        estimation.simulate(malware2, PI_STAR, MU_STAR, MU_STAR,
+                            estimation.EstimatorConfig(n_trajectories=2, horizon=2))
+        config = estimation.EstimatorConfig(n_trajectories=d, horizon=T, seed=1)
+        # The int64 states and actions alone take 16 bytes a step.
+        output_mb = 16 * d * T / 2**20
+        peak = traced_peak_mb(estimation.simulate, malware2, PI_STAR, MU_STAR, MU_STAR,
+                              config)
+        assert output_mb < peak <= self.SIMULATE_MB[shape]
+
+    def test_mean_field(self, malware2):
+        trajs = estimation.simulate(malware2, PI_STAR, MU_STAR, MU_STAR,
+                                    estimation.EstimatorConfig(n_trajectories=10,
+                                                               horizon=100_000, seed=1))
+        assert traced_peak_mb(estimation.estimate_mean_field, trajs, 2) <= 1.0
 
 
 class TestSimulateValidatesPolicy:
@@ -238,6 +300,14 @@ class TestEstimatorsMatchLoops:
             estimation.estimate_mean_field(trajs, n_states=2), counts / total)
         np.testing.assert_array_equal(
             estimation.estimate_mean_field(trajs), counts / total)
+        # 14 steps a chunk: trajectories of 7 steps or fewer are joined,
+        # the longer ones come alone.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_CHUNK_STEPS", 14)
+            for n_states in (2, None):
+                np.testing.assert_array_equal(
+                    estimation.estimate_mean_field(trajs, n_states=n_states),
+                    counts / total)
 
     def test_feature_expectation(self, malware2):
         trajs = mixed_length_trajectories(malware2)
@@ -265,12 +335,8 @@ class TestEstimatorsMatchLoops:
                                                                horizon=51, seed=0))
 
         def peak_mb():
-            tracemalloc.start()
-            try:
-                estimation.estimate_feature_expectation(malware2, trajs, MU_STAR, 0.8)
-                return tracemalloc.get_traced_memory()[1] / 2**20
-            finally:
-                tracemalloc.stop()
+            return traced_peak_mb(estimation.estimate_feature_expectation,
+                                  malware2, trajs, MU_STAR, 0.8)
 
         assert peak_mb() < 4.0
         with pytest.MonkeyPatch.context() as mp:
@@ -322,6 +388,15 @@ class TestEstimateMeanField:
                                   actions=np.zeros(0, dtype=np.int64), seed=0)
         with pytest.raises(EmptyData, match="no steps"):
             estimation.estimate_mean_field([t, t], n_states=n_states)
+
+    @pytest.mark.parametrize("chunk_steps", [1, 1 << 15])
+    def test_later_chunk_grows_the_counts(self, monkeypatch, chunk_steps):
+        monkeypatch.setattr(estimation, "_CHUNK_STEPS", chunk_steps)
+        trajs = [estimation.Trajectory(states=np.array(x), actions=np.zeros(len(x), int),
+                                       seed=0)
+                 for x in ([0, 0], [], [3], [1])]
+        np.testing.assert_array_equal(estimation.estimate_mean_field(trajs),
+                                      [0.5, 0.25, 0.0, 0.25])
 
     @pytest.mark.parametrize("n_states", [2, None])
     def test_negative_state_raises(self, n_states):
@@ -380,6 +455,39 @@ class TestEstimateFeatureExpectation:
             estimation.estimate_feature_expectation(
                 malware2, [good, bad], np.array([0.5, 0.5]), 0.8)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.5, np.nan])
+    def test_beta_outside_unit_interval_raises(self, malware2, beta):
+        t = estimation.Trajectory(states=np.array([0, 1]), actions=np.array([1, 0]), seed=0)
+        with pytest.raises(ValidationError, match="beta must lie in \\(0,1\\)"):
+            estimation.estimate_feature_expectation(malware2, [t], np.array([0.5, 0.5]),
+                                                    beta)
+
+    def test_no_steps_raises(self, malware2):
+        t = estimation.Trajectory(states=np.zeros(0, dtype=np.int64),
+                                  actions=np.zeros(0, dtype=np.int64), seed=0)
+        with pytest.raises(EmptyData, match="no steps"):
+            estimation.estimate_feature_expectation(malware2, [t, t], np.array([0.5, 0.5]),
+                                                    0.8)
+
+    def test_narrow_codes_do_not_wrap(self):
+        # 200 states and 2 actions: state * 2 + action wraps in uint8.
+        rng = np.random.default_rng(5)
+        X, A = 200, 2
+        P0 = rng.random((X, X, A))
+        spec = model.ModelSpec(
+            n_states=X, n_actions=A, feature_dim=1, beta=0.8,
+            P0=P0 / P0.sum(axis=0), P1=np.zeros((X, X, A, X)),
+            F0=rng.random((X, A, 1)), F1=np.zeros((X, A, 1, X)))
+        states, actions = rng.integers(0, X, size=50), rng.integers(0, A, size=50)
+        mu = np.full(X, 1.0 / X)
+        wide, narrow = (
+            estimation.estimate_feature_expectation(
+                spec, [estimation.Trajectory(states=states.astype(dtype),
+                                             actions=actions.astype(dtype), seed=0)],
+                mu, 0.8)[0]
+            for dtype in (np.int64, np.uint8))
+        np.testing.assert_array_equal(narrow, wide)
+
     def test_error_shrinks_with_more_trajectories(self, malware2):
         # Averaged over a few seeds, the estimator error decreases over
         # d = 100, 1000, 10000 at fixed horizon.
@@ -401,3 +509,17 @@ class TestEstimateFeatureExpectation:
                 errs.append(np.abs(est - exact).max())
             errors.append(np.mean(errs))
         assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.parametrize("states,actions", [
+    ([0.0, 1.0], [0, 1]),
+    ([0, 1], [0.0, 1.0]),
+    ([True, False], [0, 1]),
+])
+def test_non_integer_codes_raise(malware2, states, actions):
+    t = estimation.Trajectory(states=np.array(states), actions=np.array(actions), seed=0)
+    with pytest.raises(ValidationError, match="not integer codes"):
+        estimation.estimate_feature_expectation(malware2, [t], np.array([0.5, 0.5]), 0.8)
+    if np.asarray(states).dtype != np.int64:
+        with pytest.raises(ValidationError, match="not integer codes"):
+            estimation.estimate_mean_field([t], n_states=2)
