@@ -130,10 +130,7 @@ def read_equilibrium(path, spec, manifest):
     except (ValueError, LookupError, TypeError) as exc:
         raise ParseError(f"cannot read equilibrium file {path}: "
                          f"{type(exc).__name__}: {exc}") from None
-    if mu.shape != (spec.n_states,):
-        raise ValidationError(f"mean_field has shape {mu.shape}, "
-                              f"expected {(spec.n_states,)}")
-    model.check_simplex(mu, "mean_field")
+    model.check_simplex(mu, "mean_field", spec.n_states)
     model.check_policy(spec, pi)
     return mu, pi
 

@@ -295,7 +295,7 @@ def simulate(spec, pi, mu, mu0, config):
     # Validated row by row, but the caller's values are drawn from, not
     # check_simplex's clipped copies.
     pi = check_policy(spec, pi)
-    mu0 = check_simplex(mu0, "mu0")
+    mu0 = check_simplex(mu0, "mu0", X)
     p = transition_kernel(spec, mu)  # [y, x, a]
     d, T = config.n_trajectories, config.horizon
 

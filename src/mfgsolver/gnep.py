@@ -9,6 +9,8 @@ equilibrium policy is read off by disintegration and verified directly
 against the frozen-mu MDP.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +70,10 @@ class GnepConfig:
     cold on the first direction, then from the Ritz vectors the last
     direction ended with plus one generic column. They have no setting
     here.
+
+    Rejects, with ValueError, a sigma outside [0, 1), a kappa outside (0,
+    1), a tol that is negative or not finite, and a max_iter that is
+    negative, a bool or not an integer.
     """
 
     sigma: float = 0.1
@@ -80,8 +86,10 @@ class GnepConfig:
             raise ValueError(f"sigma must lie in [0,1), got {self.sigma}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol must be non-negative, got {self.tol}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be non-negative and finite, got {self.tol}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
 

@@ -8,6 +8,7 @@ policy.
 """
 
 import math
+import numbers
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ class IrlProblem:
     f_expert: np.ndarray
 
     def __post_init__(self):
-        mu = check_simplex(self.mu_E, "mu_E")
+        mu = check_simplex(self.mu_E, "mu_E", self.spec.n_states)
         if mu.min() <= 0.0:
             raise ValidationError(
                 f"mu_E must be strictly positive; state {mu.argmin()} has zero mass"
@@ -152,9 +153,10 @@ class IrlConfig:
     small positive norm, and the plateau can dip under grad_tol long
     before the measure has settled.
 
-    Rejects, with ValueError, a method other than "gd" and "newton", a
-    step <= 0 (whatever the method), a negative max_iter, and a grad_tol or
-    settle_tol that is negative or NaN.
+    Rejects, with ValueError, a method other than "gd" and "newton", a step
+    that is not positive and finite (whatever the method), a max_iter that
+    is negative, a bool or not an integer, and a grad_tol or settle_tol
+    that is negative or not finite.
     """
 
     step: float | None = None
@@ -166,34 +168,16 @@ class IrlConfig:
     def __post_init__(self):
         if self.method not in ("gd", "newton"):
             raise ValueError(f"method must be 'gd' or 'newton', got {self.method!r}")
-        if self.step is not None and self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if self.step is not None and not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
         for name in ("grad_tol", "settle_tol"):
             value = getattr(self, name)
-            if value is not None and not value >= 0.0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-
-
-def _import_blas():
-    """scipy's BLAS (daxpy, idamax), with this module's daxpy bound to it.
-    They come from scipy's compiled _fblas module
-    (numerics.scipy_extension), the routines that scipy.linalg.blas
-    exposes, without the scipy.linalg package. Only "gd" steps with them,
-    so they are loaded by the first "gd" solve, and Newton loads no scipy
-    module."""
-    global daxpy
-    fblas = scipy_extension("_fblas")
-    daxpy = fblas.daxpy
-    return daxpy, fblas.idamax
-
-
-def daxpy(*args):
-    """BLAS daxpy, which replaces this stub on the first call. solve_irl
-    imports it before it builds a "gd" kernel, so that kernel's step binds
-    the BLAS function itself."""
-    return _import_blas()[0](*args)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 def _idamax(x):
@@ -201,7 +185,7 @@ def _idamax(x):
     return np.abs(x).argmax()
 
 
-def dual_kernel(problem):
+def dual_kernel(problem, daxpy=None):
     """The one evaluation of the dual, shared by every caller.
 
     Returns (restart, evaluate, step, v, e, sg). The state u = (k - c,
@@ -212,11 +196,10 @@ def dual_kernel(problem):
     one product with the stacked M, sg = (s grad, s) and the exponent move
     of a step; if s leaves [1e-100, 1e100], it restarts from v first. It
     returns (g, s), g = log Z / (1 - beta) - <v, linear> with log Z = c +
-    log s. step(-t / s) is one daxpy that moves all of u but the 1 by a
-    times that product: v -= t grad, with its exponent update. A closure
-    over locals, so the gradient loop does no attribute lookups. step binds
-    the module's daxpy as it is when the kernel is built: the stub until
-    scipy's BLAS is loaded, the BLAS function after.
+    log s. Given BLAS daxpy, step(-t / s) is one daxpy that moves all of u
+    but the 1 by a times that product: v -= t grad, with its exponent
+    update; without it, step is None, and nothing loads BLAS. A closure
+    over locals, so the gradient loop does no attribute lookups.
     """
     Bext, M = problem._matrices
     m, n = M.shape[1], Bext.shape[1] - 1
@@ -248,7 +231,7 @@ def dual_kernel(problem):
             s = Me.item(-1)
         return (c + log(s)) / one_minus_beta - u.item(m), s
 
-    step = partial(daxpy, Me[:-1], u[:-1], m + n + 1)
+    step = None if daxpy is None else partial(daxpy, Me[:-1], u[:-1], m + n + 1)
     return restart, evaluate, step, v, e, Me[m + 1 :]
 
 
@@ -328,17 +311,23 @@ def solve_irl(problem, config=None):
     that moves v and its exponent together. The shift c stays at the max(k)
     of the last restart, from v = 0 on the first step, and the kernel
     restarts from v exactly only when the sum of exp(k - c) leaves [1e-100,
-    1e100]; BLAS idamax finds the gradient sup-norm. "newton" takes its
-    steps from _newton_step, and stops once its gradient stalls
-    (STALL_WINDOW). It finds the sup-norm with numpy, the same value
-    on a finite gradient, and so imports nothing from scipy. The trace is
-    kept interleaved in one array of doubles, 16 bytes per step, and
-    returned as a view of it.
+    1e100]; BLAS idamax finds the gradient sup-norm. Only "gd" loads
+    scipy's compiled _fblas module (numerics.scipy_extension), and it hands
+    that module's daxpy to dual_kernel. "newton" takes its steps from
+    _newton_step, and stops once its gradient stalls (STALL_WINDOW). It
+    finds the sup-norm with numpy, the same value on a finite gradient, and
+    so imports nothing from scipy. The trace is kept interleaved in one
+    array of doubles, 16 bytes per step, and returned as a view of it.
     """
     config = config or IrlConfig()
     newton = config.method == "newton"
-    if not newton:
-        _, idamax = _import_blas()    # before dual_kernel binds daxpy
+    if newton:
+        kernel = dual_kernel(problem)
+        newton_step = _newton_step(problem, kernel)
+        idamax = _idamax
+    else:
+        fblas = scipy_extension("_fblas")
+        idamax = fblas.idamax
         consts = smoothness_constants(problem)
         step = config.step if config.step is not None else 1.0 / consts.L
         if step > 1.0 / consts.L:
@@ -347,13 +336,10 @@ def solve_irl(problem, config=None):
                 "the descent guarantee does not apply",
                 stacklevel=2,
             )
+        kernel = dual_kernel(problem, fblas.daxpy)
     spec = problem.spec
     X, A = spec.n_states, spec.n_actions
-    kernel = dual_kernel(problem)
     restart, evaluate, descend, v, e, sg = kernel
-    if newton:
-        newton_step = _newton_step(problem, kernel)
-        idamax = _idamax
     restart(v)                # from the zero start, shifted at max(k)
     s_grad = sg[:-1]
     grad_tol, settle, max_iter = config.grad_tol, config.settle_tol, config.max_iter

@@ -109,7 +109,7 @@ def occupation_measure(spec, pi, mu, mu0):
     marginal, then nu(x,a) = pi(a|x) * m(x). Total mass is 1.
     """
     pi = np.asarray(pi, dtype=float)
-    mu0 = check_simplex(mu0, "mu0")
+    mu0 = check_simplex(mu0, "mu0", spec.n_states)
     P = policy_chain(spec, pi, mu)
     A = np.eye(spec.n_states) - spec.beta * P.T
     m = solve_linear(A, (1.0 - spec.beta) * mu0)

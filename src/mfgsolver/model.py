@@ -22,9 +22,13 @@ SIMPLEX_TOL = 1e-9
 KERNEL_CLAMP = 1e-12
 
 
-def check_simplex(v, name="mu"):
-    """Validate and return a probability vector as a float array."""
+def check_simplex(v, name="mu", size=None):
+    """Validate and return a probability vector as a float array, of
+    length size when size is given: a distribution on a model's size
+    states."""
     v = np.asarray(v, dtype=float)
+    if size is not None and v.shape != (size,):
+        raise ValidationError(f"{name} has shape {v.shape}, expected {(size,)}")
     if v.ndim != 1:
         raise ValidationError(f"{name} must be a vector")
     if np.any(v < -KERNEL_CLAMP):
@@ -131,14 +135,14 @@ def transition_kernel(spec, mu):
     Columns over y are probability vectors; tiny negative values produced
     by the affine evaluation are clamped to 0.
     """
-    mu = check_simplex(mu, "mu")
+    mu = check_simplex(mu, "mu", spec.n_states)
     p = spec.P0 + np.einsum("yxaz,z->yxa", spec.P1, mu)
     return np.where((p > -KERNEL_CLAMP) & (p < 0.0), 0.0, p)
 
 
 def feature_table(spec, mu):
     """Feature table f[x][a] in R^k at the given mean-field term."""
-    mu = check_simplex(mu, "mu")
+    mu = check_simplex(mu, "mu", spec.n_states)
     return spec.F0 + np.einsum("xajz,z->xaj", spec.F1, mu)
 
 

@@ -8,10 +8,10 @@ LAPACK-backed routines are used throughout.
 scipy's LAPACK and BLAS are loaded only where they run, and then only as
 the compiled modules scipy.linalg._flapack and _fblas (scipy_extension):
 the scipy.linalg package is never imported, since its import takes longer
-than importing numpy and the whole package together. The dgetrf, dgetrs,
-dgeqrf and dorgqr stubs load _flapack on the first call, from the LU path
-of truncated_lstsq or from solve_linear on a matrix whose pivots it cannot
-certify.
+than importing numpy and the whole package together. Each caller of a
+LAPACK routine takes it from scipy_extension("_flapack") where it runs:
+the LU path of truncated_lstsq, and solve_linear on a matrix whose pivots
+it cannot certify.
 """
 
 import math
@@ -75,10 +75,10 @@ def solve_linear(A, b):
     np.linalg.solve solves A x = b. Both mdp callers pass I - beta P (row
     margins 1 - beta) or I - beta P' (column margins 1 - beta), so they
     take this branch whenever 1 - beta > n * PIVOT_RTOL. Any other matrix
-    is factored by LAPACK's getrf (dgetrf), and its pivots are tested as
-    they are; getrf reports an exactly zero pivot in its info, with no
-    warning. A non-finite A or b is a ValueError on either branch, checked
-    before the margins.
+    is factored by LAPACK's getrf (dgetrf, from scipy_extension), and its
+    pivots are tested as they are; getrf reports an exactly zero pivot in
+    its info, with no warning. A non-finite A or b is a ValueError on
+    either branch, checked before the margins.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -97,13 +97,14 @@ def solve_linear(A, b):
                 (twice_diag - abs_A.sum(axis=0)).min())
     if delta > len(A) * PIVOT_RTOL * scale:
         return np.linalg.solve(A, b)
-    lu, piv, _ = dgetrf(A)
+    lapack = scipy_extension("_flapack")
+    lu, piv, _ = lapack.dgetrf(A)
     pivots = np.abs(np.diag(lu))
     if pivots.min() <= PIVOT_RTOL * scale:
         raise SingularMatrix(
             f"pivot {pivots.min():.3e} below {PIVOT_RTOL:g} * {scale:.3e}"
         )
-    return dgetrs(lu, piv, b)[0]
+    return lapack.dgetrs(lu, piv, b)[0]
 
 
 def pseudo_inverse(A, rcond=DEFAULT_RCOND):
@@ -258,50 +259,14 @@ def scipy_extension(name):
     return module
 
 
-def _import_lapack():
-    """Bind this module's dgetrf, dgetrs, dgeqrf and dorgqr to LAPACK's,
-    from scipy's compiled _flapack module (scipy_extension): the routines
-    that scipy.linalg.lapack exposes, without the scipy.linalg package."""
-    global dgetrf, dgetrs, dgeqrf, dorgqr
-    flapack = scipy_extension("_flapack")
-    dgetrf, dgetrs = flapack.dgetrf, flapack.dgetrs
-    dgeqrf, dorgqr = flapack.dgeqrf, flapack.dorgqr
-
-
-def dgetrf(*args, **kwargs):
-    """LAPACK's dgetrf, which replaces this stub on the first call, as it
-    does dgetrs: only KKT systems of dimension LU_MIN_DIM or more, and
-    solve_linear's uncertified matrices, factor."""
-    _import_lapack()
-    return dgetrf(*args, **kwargs)
-
-
-def dgetrs(*args, **kwargs):
-    """LAPACK's dgetrs, which replaces this stub on the first call."""
-    _import_lapack()
-    return dgetrs(*args, **kwargs)
-
-
-def dgeqrf(*args, **kwargs):
-    """LAPACK's dgeqrf, which replaces this stub on the first call, as it
-    does dorgqr: only the block iterations of the LU path orthonormalise."""
-    _import_lapack()
-    return dgeqrf(*args, **kwargs)
-
-
-def dorgqr(*args, **kwargs):
-    """LAPACK's dorgqr, which replaces this stub on the first call."""
-    _import_lapack()
-    return dorgqr(*args, **kwargs)
-
-
 def _orthonormal_basis(X):
     """Q of the reduced QR factorization of the tall block X, from LAPACK's
-    dgeqrf and dorgqr: the calls, and so the bits, of np.linalg.qr(X)[0],
-    without its wrapper, which costs several times the factorization on the
-    dim x 3 blocks of the LU path."""
-    qr, tau = dgeqrf(X)[:2]
-    return dorgqr(qr, tau, overwrite_a=True)[0]
+    dgeqrf and dorgqr (scipy_extension): the calls, and so the bits, of
+    np.linalg.qr(X)[0], without its wrapper, which costs several times the
+    factorization on the dim x 3 blocks of the LU path."""
+    lapack = scipy_extension("_flapack")
+    qr, tau = lapack.dgeqrf(X)[:2]
+    return lapack.dorgqr(qr, tau, overwrite_a=True)[0]
 
 
 class _SchurLu:
@@ -314,8 +279,9 @@ class _SchurLu:
     some s <= 0 nothing is divided or factored and `nonsingular` is False,
     as it is when a pivot of M is zero or not finite. With m = 0, M = J.
     Every operand is a vector or a block of columns. LAPACK's getrf and
-    getrs are called directly: lu_factor and lu_solve give the same bits
-    through a wrapper that costs more than a solve at these sizes."""
+    getrs, from scipy_extension once M is formed, are called directly:
+    lu_factor and lu_solve give the same bits through a wrapper that costs
+    more than a solve at these sizes."""
 
     def __init__(self, kkt):
         self.kkt = kkt
@@ -325,7 +291,9 @@ class _SchurLu:
         n = kkt.n
         self.G = kkt.FG[:, n:]
         M = kkt.FG[:, :n] + (self.G * (kkt.y / kkt.s)) @ kkt.Hx
-        self.lu, self.piv, info = dgetrf(M, overwrite_a=True)
+        lapack = scipy_extension("_flapack")
+        self.dgetrs = lapack.dgetrs
+        self.lu, self.piv, info = lapack.dgetrf(M, overwrite_a=True)
         pivots = np.abs(np.diagonal(self.lu))
         self.nonsingular = bool(info == 0 and np.all(np.isfinite(pivots))
                                 and pivots.min() > 0.0)
@@ -338,7 +306,7 @@ class _SchurLu:
         s, y = kkt._diagonals(B)
         B_h = B[n:k]
         c = B[k:] - y * B_h
-        dx = dgetrs(self.lu, self.piv, B[:n] - self.G @ (c / s))[0]
+        dx = self.dgetrs(self.lu, self.piv, B[:n] - self.G @ (c / s))[0]
         Hx_dx = kkt.Hx @ dx
         return np.concatenate([dx, (c + y * Hx_dx) / s, B_h - Hx_dx])
 
@@ -349,8 +317,8 @@ class _SchurLu:
         n, k = kkt.n, kkt.n + kkt.m
         s, y = kkt._diagonals(Q)
         Q_y, Q_s = Q[n:k], Q[k:]
-        p = dgetrs(self.lu, self.piv, Q[:n] - kkt.Hx.T @ (Q_s - y * (Q_y / s)),
-                   trans=1)[0]
+        rhs = Q[:n] - kkt.Hx.T @ (Q_s - y * (Q_y / s))
+        p = self.dgetrs(self.lu, self.piv, rhs, trans=1)[0]
         q = (Q_y - self.G.T @ p) / s
         return np.concatenate([p, Q_s - y * q, q])
 

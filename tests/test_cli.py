@@ -355,8 +355,23 @@ class TestSolverFlags:
           "--out", "{d}/irl.json"], "grad_tol must be non-negative"),
         (["pipeline", "--settle-tol", "-1", "--out-dir", "{d}"],
          "settle_tol must be non-negative"),
+        # Each of these used to run: --tol inf and --grad-tol inf passed the
+        # starting point off as converged (exit 0), --step nan diverged.
+        (["solve-mfe", "--tol", "inf", "--out", "{d}/eq.json"],
+         "tol must be non-negative and finite, got inf"),
+        (["solve-irl", "--equilibrium", "{eq}", "--grad-tol", "inf",
+          "--out", "{d}/irl.json"], "grad_tol must be non-negative and finite, got inf"),
+        (["pipeline", "--settle-tol", "inf", "--out-dir", "{d}"],
+         "settle_tol must be non-negative and finite, got inf"),
+        (["solve-irl", "--mean-field", "0.65,0.35", "--feature-expectation",
+          "1.75,0.6125,3.0175", "--step", "nan", "--out", "{d}/irl.json"],
+         "step must be positive and finite, got nan"),
+        (["solve-irl", "--mean-field", "0.5,0.3,0.2", "--feature-expectation",
+          "1.75,0.6125,3.0175", "--out", "{d}/irl.json"],
+         "mu_E has shape (3,), expected (2,)"),
     ], ids=["sigma", "kappa", "max-iter", "irl-max-iter", "step", "mean-field",
-            "pipeline-step", "tol", "tol-nan", "grad-tol", "settle-tol"])
+            "pipeline-step", "tol", "tol-nan", "grad-tol", "settle-tol", "tol-inf",
+            "grad-tol-inf", "settle-tol-inf", "step-nan", "mean-field-length"])
     def test_bad_value_is_an_input_error(self, eq_file, tmp_path, capsys, argv, message):
         argv = [a.format(d=tmp_path, eq=eq_file) for a in argv]
         assert run(argv[:1] + ["--model", "builtin:malware2"] + argv[1:]) == 2
@@ -965,23 +980,28 @@ class TestIrlMethod:
             argv = ["pipeline", "--model", "builtin:malware2", "--out-dir", str(tmp_path)]
             expected = ("NonFinite", "newton", 0)
         else:
-            # An infinite step makes v NaN. JSON has no NaN or infinity, so
-            # the manifest writes the step and the last gradient norm as null.
+            # A step that is finite but huge makes the dual objective
+            # overflow on the first step (a non-finite step is an input
+            # error).
             argv = ["solve-irl", "--model", "builtin:malware2", "--mean-field",
                     "0.65,0.35", "--feature-expectation", "1.75,0.6125,3.0175",
-                    "--step", "inf", "--out", str(tmp_path / "irl.json")]
-            expected = ("NonFinite", "gd", None)
+                    "--step", "1e308", "--out", str(tmp_path / "irl.json")]
+            expected = ("NonFinite", "gd", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             assert run(argv) == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         convergence = manifest["convergence"]
         assert (convergence["error"], convergence["method"]) == expected[:2]
-        if expected[2] is not None:
-            assert convergence["iterations"] == expected[2]
-            assert convergence["grad_norm"] > 1e-12
-        else:
-            assert convergence["iterations"] == 1
-            assert convergence["grad_norm"] is None
-            assert manifest["config"]["step"] is None
+        assert convergence["iterations"] == expected[2]
+        assert convergence["grad_norm"] > 1e-12
         assert convergence.get("stage") == ("solve-irl" if argv[0] == "pipeline" else None)
+
+    def test_non_finite_values_are_written_as_null(self, tmp_path):
+        # JSON has no NaN or infinity, so a diverged solve's last values are
+        # written as null.
+        path = tmp_path / "out.json"
+        cli.write_json(path, {"g": float("nan"), "grad_norm": np.inf,
+                              "step": np.float64(-np.inf), "x": 1.5})
+        assert json.loads(path.read_text()) == {"g": None, "grad_norm": None,
+                                                "step": None, "x": 1.5}

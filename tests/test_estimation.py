@@ -263,6 +263,14 @@ class TestSimulateValidatesPolicy:
         with pytest.raises(ValidationError):
             estimation.simulate(malware2, pi, MU_STAR, MU_STAR, self.config)
 
+    @pytest.mark.parametrize("name", ["mu", "mu0"])
+    @pytest.mark.parametrize("bad", [[0.5, 0.3, 0.2], [1.0]])
+    def test_wrong_mean_field_length_raises(self, malware2, name, bad):
+        # A short mu0 used to index past its cumulative table.
+        args = {"mu": MU_STAR, "mu0": MU_STAR, name: bad}
+        with pytest.raises(ValidationError, match=f"{name} has shape"):
+            estimation.simulate(malware2, PI_STAR, config=self.config, **args)
+
 
 def mixed_length_trajectories(spec):
     """Simulated trajectories of horizons 1, 7, 30 and 200, interleaved."""
@@ -454,6 +462,12 @@ class TestEstimateFeatureExpectation:
         with pytest.raises(ValidationError, match=message):
             estimation.estimate_feature_expectation(
                 malware2, [good, bad], np.array([0.5, 0.5]), 0.8)
+
+    @pytest.mark.parametrize("mu_hat", [[0.5, 0.3, 0.2], [1.0]])
+    def test_wrong_mean_field_length_raises(self, malware2, mu_hat):
+        t = estimation.Trajectory(states=np.array([0, 1]), actions=np.array([1, 0]), seed=0)
+        with pytest.raises(ValidationError, match=r"mu has shape .*, expected \(2,\)"):
+            estimation.estimate_feature_expectation(malware2, [t], mu_hat, 0.8)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.5, np.nan])
     def test_beta_outside_unit_interval_raises(self, malware2, beta):

@@ -7,6 +7,7 @@ import mfgsolver as m
 from mfgsolver import gnep, irl, mdp, numerics
 from mfgsolver.errors import (
     BoundaryViolation, LineSearchStall, MissingTheta, NonDescent, NotConverged,
+    ValidationError,
 )
 from mfgsolver.numerics import jacobian_fd
 
@@ -396,6 +397,11 @@ class TestVerifyMfe:
         gap, residual = m.verify_mfe(malware2, pi, MU_STAR)
         assert gap > 1e-2 or residual > 1e-2
 
+    @pytest.mark.parametrize("mu", [[0.5, 0.3, 0.2], [1.0]])
+    def test_wrong_mean_field_length_raises(self, malware2, mu):
+        with pytest.raises(ValidationError, match=r"mu has shape .*, expected \(2,\)"):
+            m.verify_mfe(malware2, PI_STAR, mu)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -413,9 +419,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_iter must be non-negative"):
             config(max_iter=-1)
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    @pytest.mark.parametrize("config", [gnep.GnepConfig, irl.IrlConfig])
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3", None])
+    def test_max_iter_must_be_an_integer(self, config, max_iter):
+        config(max_iter=np.int64(3))
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            config(max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_tol_must_be_non_negative(self, tol):
-        # A tolerance no KKT norm can meet is an input error, not a solve.
+        # A tolerance no KKT norm can meet is an input error, not a solve;
+        # one every norm meets would pass the starting point off as solved.
         gnep.GnepConfig(tol=0.0)
         with pytest.raises(ValueError, match="tol must be non-negative"):
             gnep.GnepConfig(tol=tol)

@@ -5,6 +5,7 @@ from mfgsolver import estimation, irl, mdp, model
 from mfgsolver.errors import (
     LineSearchStall, MfgError, NonDescent, NonFinite, NotConverged, ValidationError,
 )
+from mfgsolver.numerics import scipy_extension
 
 from test_acceptance import ROUNDED_F, ROUNDED_MU
 from test_mdp import MU_STAR, PI_STAR
@@ -106,6 +107,11 @@ class TestProblemValidation:
             irl.IrlProblem(
                 spec=malware2, mu_E=np.array([0.6, 0.6]), f_expert=np.zeros(3)
             )
+
+    @pytest.mark.parametrize("mu_E", [[0.5, 0.3, 0.2], [1.0]])
+    def test_wrong_mean_field_length_raises(self, malware2, mu_E):
+        with pytest.raises(ValidationError, match=r"mu_E has shape .*, expected \(2,\)"):
+            irl.IrlProblem(spec=malware2, mu_E=mu_E, f_expert=np.zeros(3))
 
 
 class TestDualPieces:
@@ -304,12 +310,12 @@ class TestSolveIrl:
     @pytest.mark.parametrize("method", ["gd", "newton"])
     def test_config_rejects_non_positive_step(self, method):
         # Checked when the config is built, whatever the method.
-        for step in (0.0, -1.0):
+        for step in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="step must be positive"):
                 irl.IrlConfig(step=step, method=method)
 
     @pytest.mark.parametrize("name", ["grad_tol", "settle_tol"])
-    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
     def test_config_rejects_negative_tolerance(self, name, value):
         irl.IrlConfig(**{name: 0.0})
         with pytest.raises(ValueError, match=f"{name} must be non-negative"):
@@ -329,7 +335,8 @@ class TestDualKernel:
         # 20,000 steps of A4's configuration through the kernel, as
         # solve_irl takes them; no re-shift happens, so c stays the max of
         # the exponent at v = 0, log mu_E's max.
-        restart, evaluate, step, v, e, sg = irl.dual_kernel(problem_a4)
+        daxpy = scipy_extension("_fblas").daxpy
+        restart, evaluate, step, v, e, sg = irl.dual_kernel(problem_a4, daxpy)
         restart(v)
         for _ in range(20_000):
             _, s = evaluate()

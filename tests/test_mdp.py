@@ -3,7 +3,7 @@ import pytest
 
 import mfgsolver as m
 from mfgsolver import mdp
-from mfgsolver.errors import MissingTheta, NonUniqueStationary
+from mfgsolver.errors import MissingTheta, NonUniqueStationary, ValidationError
 from mfgsolver.model import ModelSpec, transition_kernel
 
 # Closed-form equilibrium of the 2-state model with theta=(0.2,1,0.4),
@@ -146,6 +146,13 @@ class TestFeatureExpectation:
         f = mdp.feature_expectation(malware2, pi, mu, mu0)
         J = mdp.policy_evaluation(malware2, pi, mu)
         assert float(malware2.theta @ f) == pytest.approx(float(mu0 @ J), abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["mu", "mu0"])
+    @pytest.mark.parametrize("bad", [[0.5, 0.3, 0.2], [1.0]])
+    def test_wrong_mean_field_length_raises(self, malware2, name, bad):
+        args = {"mu": MU_STAR, "mu0": MU_STAR, name: bad}
+        with pytest.raises(ValidationError, match=f"{name} has shape"):
+            mdp.feature_expectation(malware2, PI_STAR, **args)
 
 
 class TestSoftValueIteration:

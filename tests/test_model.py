@@ -35,6 +35,24 @@ class TestCheckSimplex:
         with pytest.raises(ValidationError):
             check_simplex(np.eye(2))
 
+    def test_size_is_checked(self):
+        check_simplex([0.25, 0.75], size=2)
+        for v in ([0.5, 0.3, 0.2], [1.0], np.eye(2) / 2.0):
+            with pytest.raises(ValidationError, match=r"expected \(2,\)"):
+                check_simplex(v, size=2)
+
+
+class TestMeanFieldLength:
+    """A mean field is a distribution on the model's states: one of another
+    length is a ValidationError, not numpy's error from the contraction."""
+
+    @pytest.mark.parametrize("table", [transition_kernel, feature_table, cost_table])
+    @pytest.mark.parametrize("mu", [[0.5, 0.3, 0.2], [1.0]])
+    def test_wrong_length_raises(self, malware2, table, mu):
+        with pytest.raises(ValidationError, match=f"mu has shape \\({len(mu)},\\), "
+                                                  r"expected \(2,\)"):
+            table(malware2, mu)
+
 
 class TestBuiltins:
     def test_malware2_shapes(self, malware2):

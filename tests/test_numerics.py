@@ -174,14 +174,15 @@ class TestSolveLinearCertificate:
             A = A.T if transpose else A
             delta = _margin(A)
             assert delta > 0.0
-            pivots = np.abs(np.diag(numerics.dgetrf(A)[0]))
+            pivots = np.abs(np.diag(numerics.scipy_extension("_flapack").dgetrf(A)[0]))
             assert pivots.min() >= delta / n * (1.0 - 1e-12)
 
 
 # Factors with LAPACK through solve_linear, takes one "gd" step, and only
-# then imports scipy.linalg.lapack and .blas; prints, as JSON, which of the
-# package's bound routines are scipy's own, whether the compiled modules
-# were reused, and the scipy.linalg modules loaded before that import.
+# then imports scipy.linalg.lapack and .blas; prints, as JSON, whether the
+# routines the package calls from the loaded compiled modules are the ones
+# scipy.linalg exposes, whether those modules were reused, and the
+# scipy.linalg modules loaded before that import.
 CONTRACT_PIN = """
 import json, sys
 import numpy as np
@@ -202,11 +203,12 @@ loaded = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
 compiled = [sys.modules["scipy.linalg._flapack"], sys.modules["scipy.linalg._fblas"]]
 import scipy.linalg.blas, scipy.linalg.lapack
 lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+flapack, fblas = compiled
 print(json.dumps({
     "loaded": loaded,
-    "same": [numerics.dgetrf is lapack.dgetrf, numerics.dgetrs is lapack.dgetrs,
-             numerics.dgeqrf is lapack.dgeqrf, numerics.dorgqr is lapack.dorgqr,
-             irl.daxpy is blas.daxpy, irl._import_blas()[1] is blas.idamax],
+    "same": [flapack.dgetrf is lapack.dgetrf, flapack.dgetrs is lapack.dgetrs,
+             flapack.dgeqrf is lapack.dgeqrf, flapack.dorgqr is lapack.dorgqr,
+             fblas.daxpy is blas.daxpy, fblas.idamax is blas.idamax],
     "reused": [sys.modules["scipy.linalg._flapack"] is compiled[0],
                sys.modules["scipy.linalg._fblas"] is compiled[1]],
 }))
@@ -221,9 +223,9 @@ class TestScipyExtension:
     def test_routines_are_scipy_linalgs_own(self):
         # In a fresh process: after an LU solve and a "gd" step, importing
         # scipy.linalg.lapack and .blas reuses the loaded modules, and the
-        # package's dgetrf, dgetrs, dgeqrf, dorgqr, daxpy and idamax are the
-        # very routines they expose, so the bits are the same and nothing
-        # was initialised twice.
+        # dgetrf, dgetrs, dgeqrf, dorgqr, daxpy and idamax that the package
+        # calls from them are the very routines they expose, so the bits are
+        # the same and nothing was initialised twice.
         src = str(Path(numerics.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", CONTRACT_PIN], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
@@ -451,7 +453,8 @@ class TestSlackEliminatedSolve:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             with monkeypatch.context() as mp:
-                mp.setattr(numerics, "dgetrf", no_factorization)
+                mp.setattr(numerics.scipy_extension("_flapack"), "dgetrf",
+                           no_factorization)
                 assert not numerics._SchurLu(bad).nonsingular
                 x, path = truncated_lstsq(bad, rhs, RCOND)
         assert path == "svd"
