@@ -53,7 +53,6 @@ from .mdp import (
     feature_expectation,
     occupation_measure,
     policy_evaluation,
-    soft_value_iteration,
     stationary_distribution,
     value_iteration,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "policy_evaluation",
     "simulate",
     "smoothness_constants",
-    "soft_value_iteration",
     "solve_gnep",
     "solve_irl",
     "stationary_distribution",

@@ -280,7 +280,12 @@ def smoothness_constants(problem):
 
 def check_span_assumption(problem):
     """Rank test of the stacked vectors (f, p(.|x,a), e(.|x,a)) over all
-    state-action pairs; the strong-convexity condition needs rank k + 2|X|."""
+    state-action pairs; the strong-convexity condition needs rank k + 2|X|.
+
+    As stated the test cannot hold: sum_y p(y|x,a) = 1 = sum_x' e(x'|x,a)
+    on every row, so (0_k, 1_X, -1_X) annihilates all of them and the rank
+    is at most k + 2|X| - 1. The returned `holds` is therefore always
+    False."""
     spec = problem.spec
     X, A, k = spec.n_states, spec.n_actions, spec.feature_dim
     rows = np.hstack([

@@ -1,7 +1,8 @@
 """Single-agent computations for the MDP with a frozen mean-field term.
 
-Values and policies use the cost-minimization convention throughout; the
-soft Bellman iteration is stated in reward form and negates internally.
+Values and policies use the cost-minimization convention throughout. A
+policy entering the layer is validated (model.check_policy): a table of
+shape (n_states, n_actions) whose rows are probability vectors.
 """
 
 from dataclasses import dataclass
@@ -9,10 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingTheta, NonUniqueStationary
-from .model import check_simplex, cost_table, feature_table, transition_kernel
-from .numerics import SingularMatrix, log_sum_exp, solve_linear
+from .model import check_policy, check_simplex, cost_table, feature_table, transition_kernel
+from .numerics import solve_linear
 
 ZERO_MASS = 1e-12
+# value_iteration's stopping rule: see its docstring.
+VI_TOL = 1e-12
+VI_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -38,33 +42,27 @@ class OccupationMeasure:
 def policy_chain(spec, pi, mu):
     """Row-stochastic state chain P[x, y] under pi with kernel frozen at mu."""
     p = transition_kernel(spec, mu)  # [y, x, a]
-    return np.einsum("xa,yxa->xy", np.asarray(pi, dtype=float), p)
+    return np.einsum("xa,yxa->xy", check_policy(spec, pi), p)
 
 
-def _bellman(spec, table, mu, backup, tol, max_iter):
-    """V <- backup(Q), Q = table + beta * sum_y p(y|.,.,mu) V(y), from V = 0
-    until a step moves V by at most tol * (1 + ||V||_inf) in sup norm or
-    after max_iter steps. Returns V and its Q."""
-    p = transition_kernel(spec, mu)
-    V = np.zeros(spec.n_states)
-    for _ in range(max_iter):
-        V, V_prev = backup(table + spec.beta * np.einsum("yxa,y->xa", p, V)), V
-        if np.abs(V - V_prev).max() <= tol * (1.0 + np.abs(V).max()):
-            break
-    return V, table + spec.beta * np.einsum("yxa,y->xa", p, V)
-
-
-def value_iteration(spec, mu, tol=1e-12, max_iter=100_000):
+def value_iteration(spec, mu):
     """Optimal cost-to-go for the frozen-mu MDP.
 
     Iterates T V(x) = min_a [c(x,a,mu) + beta * sum_y p(y|x,a,mu) V(y)]
-    to a sup-norm tolerance of tol * (1 + ||V||_inf). The greedy policy is
-    deterministic with ties broken toward the lowest action index.
+    from V = 0 until a step moves V by at most VI_TOL * (1 + ||V||_inf) in
+    sup norm, or for VI_MAX_ITER steps. The greedy policy is deterministic
+    with ties broken toward the lowest action index.
     """
     if spec.theta is None:
         raise MissingTheta("value iteration needs reward weights")
-    V, Q = _bellman(spec, cost_table(spec, mu), mu, lambda Q: Q.min(axis=1),
-                    tol, max_iter)
+    c = cost_table(spec, mu)
+    p = transition_kernel(spec, mu)
+    V = np.zeros(spec.n_states)
+    for _ in range(VI_MAX_ITER):
+        V, V_prev = (c + spec.beta * np.einsum("yxa,y->xa", p, V)).min(axis=1), V
+        if np.abs(V - V_prev).max() <= VI_TOL * (1.0 + np.abs(V).max()):
+            break
+    Q = c + spec.beta * np.einsum("yxa,y->xa", p, V)
     greedy = np.zeros((spec.n_states, spec.n_actions))
     greedy[np.arange(spec.n_states), Q.argmin(axis=1)] = 1.0
     return ValueFunctions(V=V, Q=Q), greedy
@@ -72,9 +70,8 @@ def value_iteration(spec, mu, tol=1e-12, max_iter=100_000):
 
 def policy_evaluation(spec, pi, mu):
     """Discounted cost of pi in the frozen-mu MDP, per starting state."""
-    c = cost_table(spec, mu)
-    c_pi = (np.asarray(pi, dtype=float) * c).sum(axis=1)
-    P = policy_chain(spec, pi, mu)
+    P = policy_chain(spec, pi, mu)  # validates pi before it is read
+    c_pi = (np.asarray(pi, dtype=float) * cost_table(spec, mu)).sum(axis=1)
     A = np.eye(spec.n_states) - spec.beta * P
     return solve_linear(A, c_pi)
 
@@ -155,22 +152,3 @@ def feature_expectation(spec, pi, mu, mu0):
     occ = occupation_measure(spec, pi, mu, mu0)
     f = feature_table(spec, mu)
     return np.einsum("xaj,xa->j", f, occ.nu) / (1.0 - spec.beta)
-
-
-def soft_value_iteration(spec, mu, theta, tol=1e-12, max_iter=1_000_000):
-    """Entropy-regularized optimal values for reward r = <theta, f>.
-
-    Fixed point of Q(x,a) = r(x,a) + beta * sum_y V(y) p(y|x,a,mu) with
-    V(x) = log sum_a exp(Q(x,a)); the beta factor is the discounted
-    adaptation (the undiscounted fixed point does not exist). Returns the
-    Boltzmann policy pi(a|x) = exp(Q(x,a) - V(x)).
-    """
-    r = feature_table(spec, mu) @ np.asarray(theta, dtype=float)
-
-    def soft_max(Q):
-        return np.array([log_sum_exp(row) for row in Q])
-
-    _, Q = _bellman(spec, r, mu, soft_max, tol, max_iter)
-    V = soft_max(Q)
-    pi = np.exp(Q - V[:, None])
-    return ValueFunctions(V=V, Q=Q), pi

@@ -40,14 +40,16 @@ def check_simplex(v, name="mu", size=None):
 
 def check_policy(spec, pi):
     """Validate a policy table: shape (n_states, n_actions), every row a
-    probability vector (check_simplex). Returns pi as a float array,
-    unclipped."""
+    probability vector. The rows are screened all at once with check_simplex's
+    rules, and the first row that fails raises check_simplex's error. Returns
+    pi as a float array, unclipped."""
     pi = np.asarray(pi, dtype=float)
     shape = (spec.n_states, spec.n_actions)
     if pi.shape != shape:
         raise ValidationError(f"pi has shape {pi.shape}, expected {shape}")
-    for x, row in enumerate(pi):
-        check_simplex(row, f"pi row {x}")
+    bad = (pi < -KERNEL_CLAMP).any(axis=1) | ~(abs(pi.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+    for x in np.flatnonzero(bad):
+        check_simplex(pi[x], f"pi row {x}")
     return pi
 
 

@@ -306,16 +306,12 @@ class TestEstimatorsMatchLoops:
             total += len(t)
         np.testing.assert_array_equal(
             estimation.estimate_mean_field(trajs, n_states=2), counts / total)
-        np.testing.assert_array_equal(
-            estimation.estimate_mean_field(trajs), counts / total)
         # 14 steps a chunk: trajectories of 7 steps or fewer are joined,
         # the longer ones come alone.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimation, "_CHUNK_STEPS", 14)
-            for n_states in (2, None):
-                np.testing.assert_array_equal(
-                    estimation.estimate_mean_field(trajs, n_states=n_states),
-                    counts / total)
+            np.testing.assert_array_equal(
+                estimation.estimate_mean_field(trajs, n_states=2), counts / total)
 
     def test_feature_expectation(self, malware2):
         trajs = mixed_length_trajectories(malware2)
@@ -388,25 +384,22 @@ class TestEstimateMeanField:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyData):
-            estimation.estimate_mean_field([])
+            estimation.estimate_mean_field([], n_states=2)
 
-    @pytest.mark.parametrize("n_states", [2, None])
+    def test_state_count_is_required(self):
+        t = estimation.Trajectory(states=np.array([0, 1]), actions=np.zeros(2, dtype=int),
+                                  seed=0)
+        with pytest.raises(TypeError):
+            estimation.estimate_mean_field([t])
+
+    @pytest.mark.parametrize("n_states", [2])
     def test_no_steps_raises(self, n_states):
         t = estimation.Trajectory(states=np.zeros(0, dtype=np.int64),
                                   actions=np.zeros(0, dtype=np.int64), seed=0)
         with pytest.raises(EmptyData, match="no steps"):
             estimation.estimate_mean_field([t, t], n_states=n_states)
 
-    @pytest.mark.parametrize("chunk_steps", [1, 1 << 15])
-    def test_later_chunk_grows_the_counts(self, monkeypatch, chunk_steps):
-        monkeypatch.setattr(estimation, "_CHUNK_STEPS", chunk_steps)
-        trajs = [estimation.Trajectory(states=np.array(x), actions=np.zeros(len(x), int),
-                                       seed=0)
-                 for x in ([0, 0], [], [3], [1])]
-        np.testing.assert_array_equal(estimation.estimate_mean_field(trajs),
-                                      [0.5, 0.25, 0.0, 0.25])
-
-    @pytest.mark.parametrize("n_states", [2, None])
+    @pytest.mark.parametrize("n_states", [2])
     def test_negative_state_raises(self, n_states):
         t = estimation.Trajectory(states=np.array([0, -1]), actions=np.zeros(2, dtype=int),
                                   seed=0)

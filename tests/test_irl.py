@@ -208,6 +208,22 @@ class TestSmoothness:
         assert rank <= 4
 
     @pytest.mark.parametrize("case", ["problem2", "problem10"])
+    def test_span_rows_have_a_null_vector(self, request, case, monkeypatch):
+        # Each row (f(x,a), p(.|x,a), e_x) has kernel mass 1 and indicator
+        # mass 1, so (0_k, 1_X, -1_X) annihilates every row: the rank is at
+        # most k + 2|X| - 1 and the test cannot hold.
+        problem = request.getfixturevalue(case)
+        seen, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
+        holds, rank = irl.check_span_assumption(problem)
+        X, k = problem.spec.n_states, problem.spec.feature_dim
+        null = np.concatenate([np.zeros(k), np.ones(X), -np.ones(X)])
+        np.testing.assert_allclose(seen[0] @ null, 0.0, atol=1e-12)
+        assert not holds
+        assert rank <= k + 2 * X - 1
+
+    @pytest.mark.parametrize("case", ["problem2", "problem10"])
     def test_span_rows_match_loop_reference(self, request, case, monkeypatch):
         problem = request.getfixturevalue(case)
         seen, svd = [], np.linalg.svd

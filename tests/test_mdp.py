@@ -4,7 +4,9 @@ import pytest
 import mfgsolver as m
 from mfgsolver import mdp
 from mfgsolver.errors import MissingTheta, NonUniqueStationary, ValidationError
-from mfgsolver.model import ModelSpec, transition_kernel
+from mfgsolver.model import ModelSpec, cost_table, transition_kernel
+
+from conftest import chain_model
 
 # Closed-form equilibrium of the 2-state model with theta=(0.2,1,0.4),
 # q=0.9, beta=0.8: mu* = [29/45, 16/45] and the healthy state mixes so
@@ -47,6 +49,30 @@ class TestValueIteration:
         spec = m.builtin_malware(2, None, q=0.9)
         with pytest.raises(MissingTheta):
             mdp.value_iteration(spec, [0.5, 0.5])
+
+    @pytest.mark.parametrize("case", ["malware2", "malware10", "chain20"])
+    def test_matches_reference_loop_bit_for_bit(self, request, case):
+        # The loop value_iteration ran when it shared a generic Bellman
+        # layer: V <- min_a Q from V = 0, with the same stopping rule.
+        spec = chain_model(20) if case == "chain20" else request.getfixturevalue(case)
+        X = spec.n_states
+        rng = np.random.default_rng(7)
+        for mu in (np.full(X, 1.0 / X), rng.dirichlet(np.ones(X))):
+            c, p = cost_table(spec, mu), transition_kernel(spec, mu)
+            V = np.zeros(X)
+            for _ in range(100_000):
+                V, V_prev = (c + spec.beta * np.einsum("yxa,y->xa", p, V)).min(axis=1), V
+                if np.abs(V - V_prev).max() <= 1e-12 * (1.0 + np.abs(V).max()):
+                    break
+            Q = c + spec.beta * np.einsum("yxa,y->xa", p, V)
+            vals, greedy = mdp.value_iteration(spec, mu)
+            np.testing.assert_array_equal(vals.V, V)
+            np.testing.assert_array_equal(vals.Q, Q)
+            np.testing.assert_array_equal(greedy, np.eye(spec.n_actions)[Q.argmin(axis=1)])
+
+    def test_takes_only_spec_and_mu(self, malware2):
+        with pytest.raises(TypeError):
+            mdp.value_iteration(malware2, MU_STAR, 1e-6)
 
 
 class TestPolicyEvaluation:
@@ -155,16 +181,55 @@ class TestFeatureExpectation:
             mdp.feature_expectation(malware2, PI_STAR, **args)
 
 
-class TestSoftValueIteration:
-    def test_single_state_closed_form(self):
-        # Equal rewards r: V = (r + log 2) / (1 - beta), uniform policy.
-        spec = single_state_spec(beta=0.5, costs=(2.0, 2.0))
-        vals, pi = mdp.soft_value_iteration(spec, np.array([1.0]), np.array([1.0]))
-        assert vals.V[0] == pytest.approx((2.0 + np.log(2.0)) / 0.5, abs=1e-9)
-        np.testing.assert_allclose(pi, [[0.5, 0.5]], atol=1e-10)
 
-    def test_boltzmann_rows_normalized(self, malware2):
-        _, pi = mdp.soft_value_iteration(
-            malware2, np.array([0.6, 0.4]), -malware2.theta
-        )
-        np.testing.assert_allclose(pi.sum(axis=1), 1.0, atol=1e-12)
+# A policy whose rows sum to 1 but has a negative entry, one whose rows are
+# nonnegative but do not sum to 1, and one of the wrong shape.
+BAD_POLICIES = [
+    pytest.param([[1.5, -0.5], [0.0, 1.0]], "pi row 0 has negative entry -5.000e-01",
+                 id="negative"),
+    pytest.param([[0.5, 0.5], [1.0, 1.0]], "pi row 1 sums to 2.000000000000, expected 1",
+                 id="sum"),
+    pytest.param([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]],
+                 r"pi has shape \(3, 2\), expected \(2, 2\)", id="shape"),
+]
+
+
+class TestPolicyValidation:
+    """A policy entering the layer is a (n_states, n_actions) table of
+    probability rows; anything else raises ValidationError, not a
+    plausible-looking number or numpy's broadcasting error."""
+
+    @pytest.mark.parametrize("pi, message", BAD_POLICIES)
+    @pytest.mark.parametrize("call", [
+        lambda spec, pi: mdp.policy_chain(spec, pi, MU_STAR),
+        lambda spec, pi: mdp.policy_evaluation(spec, pi, MU_STAR),
+        lambda spec, pi: mdp.stationary_distribution(spec, pi, MU_STAR),
+        lambda spec, pi: mdp.occupation_measure(spec, pi, MU_STAR, MU_STAR),
+        lambda spec, pi: mdp.feature_expectation(spec, pi, MU_STAR, MU_STAR),
+        lambda spec, pi: m.verify_mfe(spec, pi, MU_STAR),
+    ], ids=["policy_chain", "policy_evaluation", "stationary_distribution",
+            "occupation_measure", "feature_expectation", "verify_mfe"])
+    def test_bad_policy_raises(self, malware2, call, pi, message):
+        with pytest.raises(ValidationError, match=message):
+            call(malware2, pi)
+
+    def test_first_bad_row_is_reported(self):
+        spec = chain_model(5)
+        pi = np.full((5, 2), 0.5)
+        pi[3] = [0.7, 0.7]
+        pi[1] = [-0.1, 1.1]
+        pi[4] = np.nan
+        with pytest.raises(ValidationError, match="pi row 1 has negative entry"):
+            mdp.policy_chain(spec, pi, np.full(5, 0.2))
+        pi[1] = [0.1, 0.9]
+        with pytest.raises(ValidationError, match="pi row 3 sums to 1.4"):
+            mdp.policy_chain(spec, pi, np.full(5, 0.2))
+        pi[3] = [0.3, 0.7]
+        with pytest.raises(ValidationError, match="pi row 4 sums to nan"):
+            mdp.policy_chain(spec, pi, np.full(5, 0.2))
+
+    def test_rows_within_tolerance_pass_unclipped(self, malware2):
+        pi = np.array([[1.0 + 5e-13, -5e-13], [0.0, 1.0]])
+        P = mdp.policy_chain(malware2, pi, MU_STAR)
+        np.testing.assert_array_equal(
+            P, np.einsum("xa,yxa->xy", pi, transition_kernel(malware2, MU_STAR)))
