@@ -23,13 +23,8 @@ from .errors import (
     NotConverged,
     SolverFailure,
 )
-from .mdp import (
-    OccupationMeasure,
-    disintegrate,
-    policy_chain,
-    policy_evaluation,
-    value_iteration,
-)
+from .mdp import OccupationMeasure, _best_response, _evaluate, disintegrate
+from .model import check_policy, cost_table, transition_kernel
 from .numerics import BLOCK_STEPS, KktBlocks, StartBlocks, truncated_lstsq
 
 MAX_BACKTRACK = 200
@@ -469,12 +464,14 @@ def verify_mfe(spec, pi, mu):
     optimality_gap: excess discounted cost of pi over the optimal policy of
     the frozen-mu MDP, started from mu (cost convention, so >= 0 up to
     solver noise). invariance_residual: sup-norm of mu - mu P_{pi,mu}.
+
+    The kernel and cost table at mu are built once. The optimal cost is the
+    best response's exact V, and pi's cost and residual share one solve.
     """
     mu = np.asarray(mu, dtype=float)
-    _, pi_opt = value_iteration(spec, mu)
-    J_pi = float(mu @ policy_evaluation(spec, pi, mu))
-    J_opt = float(mu @ policy_evaluation(spec, pi_opt, mu))
-    gap = max(J_pi - J_opt, 0.0)
-    P = policy_chain(spec, pi, mu)
+    c, p = cost_table(spec, mu), transition_kernel(spec, mu)
+    best, _ = _best_response(spec.beta, p, c)
+    V_pi, P = _evaluate(spec.beta, check_policy(spec, pi), p, c)
+    gap = max(float(mu @ V_pi) - float(mu @ best.V), 0.0)
     residual = float(np.abs(mu - mu @ P).max())
     return gap, residual

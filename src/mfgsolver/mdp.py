@@ -2,21 +2,20 @@
 
 Values and policies use the cost-minimization convention throughout. A
 policy entering the layer is validated (model.check_policy): a table of
-shape (n_states, n_actions) whose rows are probability vectors.
+shape (n_states, n_actions) whose rows are probability vectors. Values are
+exact: one solve of (I - beta P_pi) V = c_pi per policy (_evaluate), and
+policy iteration over such solves for the best response.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingTheta, NonUniqueStationary
+from .errors import NonUniqueStationary
 from .model import check_policy, check_simplex, cost_table, feature_table, transition_kernel
 from .numerics import solve_linear
 
 ZERO_MASS = 1e-12
-# value_iteration's stopping rule: see its docstring.
-VI_TOL = 1e-12
-VI_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -45,35 +44,45 @@ def policy_chain(spec, pi, mu):
     return np.einsum("xa,yxa->xy", check_policy(spec, pi), p)
 
 
-def value_iteration(spec, mu):
-    """Optimal cost-to-go for the frozen-mu MDP.
+def _evaluate(beta, pi, p, c):
+    """Exact discounted cost V of the validated policy pi on the kernel
+    p[y, x, a] and cost c[x, a] of one mu, with its state chain P_pi[x, y]:
+    V solves (I - beta P_pi) V = sum_a pi(a|x) c(x, a)."""
+    P = np.einsum("xa,yxa->xy", pi, p)
+    V = solve_linear(np.eye(len(P)) - beta * P, (pi * c).sum(axis=1))
+    return V, P
 
-    Iterates T V(x) = min_a [c(x,a,mu) + beta * sum_y p(y|x,a,mu) V(y)]
-    from V = 0 until a step moves V by at most VI_TOL * (1 + ||V||_inf) in
-    sup norm, or for VI_MAX_ITER steps. The greedy policy is deterministic
-    with ties broken toward the lowest action index.
-    """
-    if spec.theta is None:
-        raise MissingTheta("value iteration needs reward weights")
-    c = cost_table(spec, mu)
-    p = transition_kernel(spec, mu)
-    V = np.zeros(spec.n_states)
-    for _ in range(VI_MAX_ITER):
-        V, V_prev = (c + spec.beta * np.einsum("yxa,y->xa", p, V)).min(axis=1), V
-        if np.abs(V - V_prev).max() <= VI_TOL * (1.0 + np.abs(V).max()):
-            break
-    Q = c + spec.beta * np.einsum("yxa,y->xa", p, V)
-    greedy = np.zeros((spec.n_states, spec.n_actions))
-    greedy[np.arange(spec.n_states), Q.argmin(axis=1)] = 1.0
+
+def _best_response(beta, p, c):
+    """Policy iteration on the tables of one mu; see value_iteration."""
+    choice, evaluated = c.argmin(axis=1), set()  # greedy at V = 0
+    while choice.tobytes() not in evaluated:
+        evaluated.add(choice.tobytes())
+        greedy = np.eye(c.shape[1])[choice]
+        V, _ = _evaluate(beta, greedy, p, c)
+        Q = c + beta * np.einsum("yxa,y->xa", p, V)
+        choice = Q.argmin(axis=1)
     return ValueFunctions(V=V, Q=Q), greedy
+
+
+def value_iteration(spec, mu):
+    """Optimal cost-to-go and an optimal deterministic policy of the
+    frozen-mu MDP, by Howard's policy iteration (Puterman, 1994, sec. 6.4):
+    from the greedy policy at V = 0, evaluate the policy exactly and take
+    the greedy policy of Q = c + beta p V, ties toward the lowest action.
+    A near-tie may flip the argmin between equally good policies in
+    floating point, so the loop stops once the greedy policy is one already
+    evaluated and returns the last one evaluated, whose exact value V is,
+    bit for bit, policy_evaluation(spec, greedy, mu).
+    """
+    c = cost_table(spec, mu)
+    return _best_response(spec.beta, transition_kernel(spec, mu), c)
 
 
 def policy_evaluation(spec, pi, mu):
     """Discounted cost of pi in the frozen-mu MDP, per starting state."""
-    P = policy_chain(spec, pi, mu)  # validates pi before it is read
-    c_pi = (np.asarray(pi, dtype=float) * cost_table(spec, mu)).sum(axis=1)
-    A = np.eye(spec.n_states) - spec.beta * P
-    return solve_linear(A, c_pi)
+    p = transition_kernel(spec, mu)
+    return _evaluate(spec.beta, check_policy(spec, pi), p, cost_table(spec, mu))[0]
 
 
 def stationary_distribution(spec, pi, mu):
@@ -134,14 +143,8 @@ def causal_entropy(spec, pi, mu, mu0):
     0*log(0) = 0 convention.
     """
     occ = occupation_measure(spec, pi, mu, mu0)
-    nu = occ.nu
-    marginal = occ.state_marginal
-    total = 0.0
-    for x in range(spec.n_states):
-        for a in range(spec.n_actions):
-            if nu[x, a] > ZERO_MASS:
-                total -= np.log(nu[x, a] / marginal[x]) * nu[x, a]
-    return total / (1.0 - spec.beta)
+    mass = occ.nu > ZERO_MASS  # where nu^X(x) >= nu(x,a) > ZERO_MASS too
+    return -(np.log(disintegrate(occ)[mass]) * occ.nu[mass]).sum() / (1.0 - spec.beta)
 
 
 def feature_expectation(spec, pi, mu, mu0):

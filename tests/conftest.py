@@ -7,12 +7,13 @@ block at the end of the pytest run.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 import mfgsolver as m
-from mfgsolver import mdp
+from mfgsolver import irl, mdp
 
 ACCEPTANCE_LINES = {}
 
@@ -145,6 +146,36 @@ def expert10(malware10, eq10):
     eq, _ = eq10
     f_E = mdp.feature_expectation(malware10, eq.policy, eq.mean_field, eq.mean_field)
     return eq.mean_field, f_E
+
+
+def a4_expert_policy():
+    """A4's expert: the deterministic policy of the 10-state model that
+    repairs from state 7 up."""
+    pi_E = np.zeros((10, 2))
+    pi_E[:7, 0] = 1.0
+    pi_E[7:, 1] = 1.0
+    return pi_E
+
+
+@pytest.fixture(scope="session")
+def problem_a4(malware10):
+    """A4's inverse problem: the expert policy with its own invariant
+    distribution."""
+    pi_E = a4_expert_policy()
+    mu_E = mdp.stationary_distribution(malware10, pi_E, np.full(10, 0.1))
+    f_E = mdp.feature_expectation(malware10, pi_E, mu_E, mu_E)
+    return irl.IrlProblem(spec=malware10, mu_E=mu_E, f_expert=f_E)
+
+
+@pytest.fixture(scope="session")
+def a4_gd_solve(problem_a4):
+    """A4's 1,719,627-step constant-step solve, run once for the acceptance
+    test and the iteration pin: solve_irl's (d, nu, pi, trace) and the
+    seconds the solve took."""
+    start = time.monotonic()
+    result = irl.solve_irl(
+        problem_a4, irl.IrlConfig(step=0.0025, grad_tol=4.4e-3, max_iter=3_000_000))
+    return (*result, time.monotonic() - start)
 
 
 def random_feasible_instance(rng, feature_dim=1):

@@ -402,6 +402,28 @@ class TestVerifyMfe:
         with pytest.raises(ValidationError, match=r"mu has shape .*, expected \(2,\)"):
             m.verify_mfe(malware2, PI_STAR, mu)
 
+    @pytest.mark.parametrize("case", ["malware2", "malware10", "chain20"])
+    def test_builds_each_table_once(self, request, monkeypatch, case):
+        # The best response, the cost of pi and the residual share one set
+        # of tables. Every module that imported a builder is rebound, so a
+        # call through any path is counted.
+        spec = chain_model(20) if case == "chain20" else request.getfixturevalue(case)
+        calls = {}
+        for name in ("transition_kernel", "cost_table", "check_policy"):
+            original = getattr(m.model, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            for module in (m.model, mdp, gnep):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        X = spec.n_states
+        pi = np.full((X, spec.n_actions), 1.0 / spec.n_actions)
+        m.verify_mfe(spec, pi, np.full(X, 1.0 / X))
+        assert calls == {"transition_kernel": 1, "cost_table": 1, "check_policy": 1}
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [

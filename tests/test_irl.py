@@ -25,18 +25,6 @@ def problem10(malware10, eq10):
     return irl.IrlProblem(spec=malware10, mu_E=eq.mean_field, f_expert=f_E)
 
 
-@pytest.fixture(scope="module")
-def problem_a4(malware10):
-    """A4's inverse problem: the deterministic policy that repairs from state
-    7 up, with its own invariant distribution."""
-    pi_E = np.zeros((10, 2))
-    pi_E[:7, 0] = 1.0
-    pi_E[7:, 1] = 1.0
-    mu_E = mdp.stationary_distribution(malware10, pi_E, np.full(10, 0.1))
-    f_E = mdp.feature_expectation(malware10, pi_E, mu_E, mu_E)
-    return irl.IrlProblem(spec=malware10, mu_E=mu_E, f_expert=f_E)
-
-
 def reference_descent(spec, mu_E, f_E, step, n_steps, points=None):
     """Constant-step gradient descent written from the paper's exponent
 
@@ -400,10 +388,8 @@ class TestIterationCounts:
                 problem, irl.IrlConfig(step=0.5, grad_tol=1e-2, settle_tol=1e-10))
         assert len(trace) - 1 == 91_201
 
-    def test_a4_problem(self, problem_a4):
-        _, _, _, trace = irl.solve_irl(
-            problem_a4,
-            irl.IrlConfig(step=0.0025, grad_tol=4.4e-3, max_iter=3_000_000))
+    def test_a4_problem(self, a4_gd_solve):
+        _, _, _, trace, _ = a4_gd_solve
         assert len(trace) - 1 == 1_719_627
 
 
