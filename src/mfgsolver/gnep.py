@@ -24,7 +24,7 @@ from .errors import (
     SolverFailure,
 )
 from .mdp import OccupationMeasure, _best_response, _evaluate, disintegrate
-from .model import check_policy, cost_table, transition_kernel
+from .model import check_policy, frozen_tables
 from .numerics import BLOCK_STEPS, KktBlocks, StartBlocks, truncated_lstsq
 
 MAX_BACKTRACK = 200
@@ -51,9 +51,12 @@ class GnepConfig:
     truncated at DIRECTION_RCOND; untruncated directions blow up whenever
     the path nears a point where strict complementarity fails. The
     truncated direction is lstsq's up to rounding. A KKT system of
-    dimension numerics.LU_MIN_DIM or more gets it from one LU factorization
-    of the n x n Schur complement Fx + G diag(y/s) Hx of the Jacobian
-    blocks (not n + 2m): the plain solve when no singular value of the
+    dimension numerics.LU_MIN_DIM (100) or more gets it from one LU
+    factorization of the n x n Schur complement Fx + G diag(y/s) Hx of the
+    Jacobian blocks (not n + 2m), through numpy's LAPACK below
+    numerics.GETRF_MIN_DIM (200) and scipy's getrf from there on, so
+    malware10 (dimension 132) solves without scipy and malware2 (28) on
+    lstsq: the plain solve when no singular value of the
     whole Jacobian lies near the cut, or the solve with the one dropped
     singular triplet removed, each refined once against the whole
     Jacobian. The division by the slacks s is safe because s > 0 at every
@@ -465,11 +468,12 @@ def verify_mfe(spec, pi, mu):
     the frozen-mu MDP, started from mu (cost convention, so >= 0 up to
     solver noise). invariance_residual: sup-norm of mu - mu P_{pi,mu}.
 
-    The kernel and cost table at mu are built once. The optimal cost is the
-    best response's exact V, and pi's cost and residual share one solve.
+    mu is checked once, and the kernel and cost table at it are built once
+    (model.frozen_tables). The optimal cost is the best response's exact V,
+    and pi's cost and residual share one solve.
     """
     mu = np.asarray(mu, dtype=float)
-    c, p = cost_table(spec, mu), transition_kernel(spec, mu)
+    c, p = frozen_tables(spec, mu)
     best, _ = _best_response(spec.beta, p, c)
     V_pi, P = _evaluate(spec.beta, check_policy(spec, pi), p, c)
     gap = max(float(mu @ V_pi) - float(mu @ best.V), 0.0)

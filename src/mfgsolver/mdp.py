@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUniqueStationary
-from .model import check_policy, check_simplex, cost_table, feature_table, transition_kernel
+from .model import check_policy, check_simplex, feature_table, frozen_tables, transition_kernel
 from .numerics import solve_linear
 
 ZERO_MASS = 1e-12
@@ -75,14 +75,14 @@ def value_iteration(spec, mu):
     evaluated and returns the last one evaluated, whose exact value V is,
     bit for bit, policy_evaluation(spec, greedy, mu).
     """
-    c = cost_table(spec, mu)
-    return _best_response(spec.beta, transition_kernel(spec, mu), c)
+    c, p = frozen_tables(spec, mu)
+    return _best_response(spec.beta, p, c)
 
 
 def policy_evaluation(spec, pi, mu):
     """Discounted cost of pi in the frozen-mu MDP, per starting state."""
-    p = transition_kernel(spec, mu)
-    return _evaluate(spec.beta, check_policy(spec, pi), p, cost_table(spec, mu))[0]
+    c, p = frozen_tables(spec, mu)
+    return _evaluate(spec.beta, check_policy(spec, pi), p, c)[0]
 
 
 def stationary_distribution(spec, pi, mu):

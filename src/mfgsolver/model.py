@@ -137,15 +137,12 @@ def transition_kernel(spec, mu):
     Columns over y are probability vectors; tiny negative values produced
     by the affine evaluation are clamped to 0.
     """
-    mu = check_simplex(mu, "mu", spec.n_states)
-    p = spec.P0 + np.einsum("yxaz,z->yxa", spec.P1, mu)
-    return np.where((p > -KERNEL_CLAMP) & (p < 0.0), 0.0, p)
+    return _kernel(spec, check_simplex(mu, "mu", spec.n_states))
 
 
 def feature_table(spec, mu):
     """Feature table f[x][a] in R^k at the given mean-field term."""
-    mu = check_simplex(mu, "mu", spec.n_states)
-    return spec.F0 + np.einsum("xajz,z->xaj", spec.F1, mu)
+    return _features(spec, check_simplex(mu, "mu", spec.n_states))
 
 
 def cost_table(spec, mu):
@@ -153,6 +150,26 @@ def cost_table(spec, mu):
     if spec.theta is None:
         raise MissingTheta("model has no reward weights")
     return feature_table(spec, mu) @ spec.theta
+
+
+def frozen_tables(spec, mu):
+    """The cost table and the kernel of the frozen-mu MDP, (cost_table,
+    transition_kernel) at mu, from one check of mu."""
+    if spec.theta is None:
+        raise MissingTheta("model has no reward weights")
+    mu = check_simplex(mu, "mu", spec.n_states)
+    return _features(spec, mu) @ spec.theta, _kernel(spec, mu)
+
+
+def _kernel(spec, mu):
+    """transition_kernel at a mu that check_simplex has passed."""
+    p = spec.P0 + np.einsum("yxaz,z->yxa", spec.P1, mu)
+    return np.where((p > -KERNEL_CLAMP) & (p < 0.0), 0.0, p)
+
+
+def _features(spec, mu):
+    """feature_table at a mu that check_simplex has passed."""
+    return spec.F0 + np.einsum("xajz,z->xaj", spec.F1, mu)
 
 
 def builtin_malware(n_states, theta, q=None, beta=0.8):

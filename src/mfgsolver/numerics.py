@@ -10,8 +10,9 @@ the compiled modules scipy.linalg._flapack and _fblas (scipy_extension):
 the scipy.linalg package is never imported, since its import takes longer
 than importing numpy and the whole package together. Each caller of a
 LAPACK routine takes it from scipy_extension("_flapack") where it runs:
-the LU path of truncated_lstsq, and solve_linear on a matrix whose pivots
-it cannot certify.
+the LU path of truncated_lstsq at dimension GETRF_MIN_DIM or more, and
+solve_linear on a matrix whose pivots it cannot certify. Below
+GETRF_MIN_DIM the LU path uses numpy's own LAPACK.
 """
 
 import math
@@ -28,22 +29,32 @@ PIVOT_RTOL = 1e-14
 DEFAULT_RCOND = 1e-12
 DEFAULT_FD_STEP = 1e-6
 
-# truncated_lstsq solves square systems of at least this dimension from one
-# LU factorization; smaller ones go straight to lstsq. Milliseconds per
-# direction, averaged over the KKT Jacobians of a whole solve: lstsq / LU
-# of the whole J (a plain matrix) / LU of the n x n Schur complement (J as
-# KktBlocks), the better of two runs of best-of-three passes (chain
-# models; 2-core x86_64, one OpenBLAS thread, a shared box):
-#   dim  67:  0.57 / 0.85 / 0.83    dim 197:   4.71 /  1.66 / 1.37
-#   dim 106:  1.95 / 1.60 / 1.32    dim 236:   6.84 /  3.61 / 1.59
-#   dim 132:  2.93 / 1.95 / 1.29    dim 262:  10.94 /  3.92 / 1.68
-#   dim 158:  4.22 / 1.63 / 0.98    dim 327:  16.36 /  4.16 / 1.67
-#                                   dim 652:  99.25 / 18.32 / 2.47
-# The LU paths win from about dim 100. The bound sits higher, at 200, so
-# that the builtin models (dim 28 and 132) and small random models keep
-# lstsq's rounding, and with it their byte-stable outputs, for at most a
-# few ms a direction. The bound is compared with the dimension of J.
-LU_MIN_DIM = 200
+# truncated_lstsq solves square systems of at least this dimension through
+# the LU factorization of the n x n Schur complement of J (_SchurLu); smaller
+# ones go straight to lstsq. Milliseconds per direction, averaged over the
+# KKT Jacobians of a whole chain solve with the solve's warm starts: lstsq
+# of the assembled J / Schur LU through numpy's LAPACK / Schur LU through
+# scipy's getrf, the better of two runs of best-of-three passes (2-core
+# x86_64, one OpenBLAS thread, a shared box):
+#   chain3   dim  41:  0.20 / 0.42 / 0.30    chain10  dim 132:  1.87 / 0.55 / 0.37
+#   chain4   dim  54:  0.56 / 0.65 / 0.48    chain11  dim 145:  2.29 / 0.69 / 0.48
+#   chain5   dim  67:  0.54 / 0.64 / 0.32    chain12  dim 158:  2.73 / 0.60 / 0.38
+#   chain6   dim  80:  0.72 / 0.44 / 0.30    chain13  dim 171:  3.24 / 0.62 / 0.41
+#   chain7   dim  93:  1.01 / 0.52 / 0.36    chain14  dim 184:  3.60 / 0.64 / 0.40
+#   chain8   dim 106:  1.18 / 0.52 / 0.38    chain15  dim 197:  4.05 / 0.68 / 0.44
+#   chain9   dim 119:  1.51 / 0.59 / 0.42    chain20  dim 262:  7.26 / 0.87 / 0.52
+# The Schur paths win from dim 67 (getrf) or 80 (numpy), and clearly from
+# dim 100. The bound sits at 100, so that malware2 (dim 28) and random
+# models of up to dim 98 keep lstsq's rounding, and with it their outputs,
+# while malware10 (dim 132) takes the Schur path. The bound is compared
+# with the dimension of J.
+LU_MIN_DIM = 100
+# From this dimension of J on, the Schur LU factors with scipy's getrf
+# (scipy_extension); below it, through numpy's own LAPACK. getrf saves
+# 0.1-0.3 ms a direction, but loading scipy's _flapack costs about 20 ms
+# and 3 MB once per process, more than a 30-direction solve below this
+# bound saves; from here on the chains keep getrf's rounding.
+GETRF_MIN_DIM = 200
 # A Ritz value within this relative distance of the cut defers to the SVD.
 CUT_BAND = 0.05
 MAX_STEPS = 40            # step budget of each block iteration
@@ -260,17 +271,21 @@ def scipy_extension(name):
 
 
 def _orthonormal_basis(X):
-    """Q of the reduced QR factorization of the tall block X, from LAPACK's
-    dgeqrf and dorgqr (scipy_extension): the calls, and so the bits, of
-    np.linalg.qr(X)[0], without its wrapper, which costs several times the
-    factorization on the dim x 3 blocks of the LU path."""
+    """Q of the reduced QR factorization of the tall block X. A block of
+    fewer than GETRF_MIN_DIM rows (the dimension of J) takes
+    np.linalg.qr(X)[0]. A taller one takes LAPACK's dgeqrf and dorgqr
+    (scipy_extension): the same calls, and so the same bits, without
+    numpy's wrapper, which costs several times the factorization on the
+    dim x 3 blocks of the LU path."""
+    if len(X) < GETRF_MIN_DIM:
+        return np.linalg.qr(X)[0]
     lapack = scipy_extension("_flapack")
     qr, tau = lapack.dgeqrf(X)[:2]
     return lapack.dorgqr(qr, tau, overwrite_a=True)[0]
 
 
 class _SchurLu:
-    """Solves with the J of KktBlocks kkt from one LU factorization of the
+    """Solves with the J of KktBlocks kkt through the LU factorization of the
     n x n Schur complement M = Fx + G diag(y/s) Hx (Wright, Primal-Dual
     Interior-Point Methods, ch. 11). The slack rows give ds = B_h - Hx dx
     and the complementarity rows dy = (c + y Hx dx) / s, so both blocks are
@@ -278,10 +293,18 @@ class _SchurLu:
     division by s is safe because every interior iterate has s > 0; when
     some s <= 0 nothing is divided or factored and `nonsingular` is False,
     as it is when a pivot of M is zero or not finite. With m = 0, M = J.
-    Every operand is a vector or a block of columns. LAPACK's getrf and
-    getrs, from scipy_extension once M is formed, are called directly:
-    lu_factor and lu_solve give the same bits through a wrapper that costs
-    more than a solve at these sizes."""
+    Every operand is a vector or a block of columns.
+
+    Below GETRF_MIN_DIM, M is solved through numpy's own LAPACK, so scipy
+    stays unloaded: np.linalg.slogdet tests the pivots of getrf, with
+    numpy's floating-point warnings off as getrf has none, and
+    np.linalg.solve solves against M and M', factoring each again (numpy
+    keeps no factors; at these sizes M is a few dozen rows). A zero pivot
+    of M' alone raises LinAlgError, which truncated_lstsq takes as a
+    deferral. From GETRF_MIN_DIM on, LAPACK's getrf and getrs, from
+    scipy_extension once M is formed, are called directly: lu_factor and
+    lu_solve give the same bits through a wrapper that costs more than a
+    solve at these sizes."""
 
     def __init__(self, kkt):
         self.kkt = kkt
@@ -291,12 +314,20 @@ class _SchurLu:
         n = kkt.n
         self.G = kkt.FG[:, n:]
         M = kkt.FG[:, :n] + (self.G * (kkt.y / kkt.s)) @ kkt.Hx
+        if kkt.dim < GETRF_MIN_DIM:
+            with np.errstate(all="ignore"):
+                sign, logdet = np.linalg.slogdet(M)
+            self.nonsingular = bool(sign != 0.0 and np.isfinite(logdet))
+            self._solve = lambda B: np.linalg.solve(M, B)
+            self._solve_t = lambda B: np.linalg.solve(M.T, B)
+            return
         lapack = scipy_extension("_flapack")
-        self.dgetrs = lapack.dgetrs
-        self.lu, self.piv, info = lapack.dgetrf(M, overwrite_a=True)
-        pivots = np.abs(np.diagonal(self.lu))
+        lu, piv, info = lapack.dgetrf(M, overwrite_a=True)
+        pivots = np.abs(np.diagonal(lu))
         self.nonsingular = bool(info == 0 and np.all(np.isfinite(pivots))
                                 and pivots.min() > 0.0)
+        self._solve = lambda B: lapack.dgetrs(lu, piv, B)[0]
+        self._solve_t = lambda B: lapack.dgetrs(lu, piv, B, trans=1)[0]
 
     def solve(self, B):
         """J^-1 B: dx = M^-1 (B_F - G (c / s)), dy = (c + y Hx dx) / s and
@@ -306,7 +337,7 @@ class _SchurLu:
         s, y = kkt._diagonals(B)
         B_h = B[n:k]
         c = B[k:] - y * B_h
-        dx = self.dgetrs(self.lu, self.piv, B[:n] - self.G @ (c / s))[0]
+        dx = self._solve(B[:n] - self.G @ (c / s))
         Hx_dx = kkt.Hx @ dx
         return np.concatenate([dx, (c + y * Hx_dx) / s, B_h - Hx_dx])
 
@@ -318,7 +349,7 @@ class _SchurLu:
         s, y = kkt._diagonals(Q)
         Q_y, Q_s = Q[n:k], Q[k:]
         rhs = Q[:n] - kkt.Hx.T @ (Q_s - y * (Q_y / s))
-        p = self.dgetrs(self.lu, self.piv, rhs, trans=1)[0]
+        p = self._solve_t(rhs)
         q = (Q_y - self.G.T @ p) / s
         return np.concatenate([p, Q_s - y * q, q])
 
@@ -433,10 +464,12 @@ def truncated_lstsq(J, rhs, rcond):
     steps they take: "lu" solves do not depend on it, and "lu_cut1" solves
     only at rounding level, since the triplet converges to VECTOR_TOL.
 
-    A J of dimension at least LU_MIN_DIM is solved from one LU
+    A J of dimension at least LU_MIN_DIM is solved through an LU
     factorization. The slack and multiplier blocks are eliminated, and the
     factored matrix is the Schur complement M = Fx + G diag(y/s) Hx of
-    dimension n; with no slacks it is J itself. The division by s is safe
+    dimension n; with no slacks it is J itself. M is factored through
+    numpy's LAPACK below GETRF_MIN_DIM and by scipy's getrf from there on
+    (_SchurLu). The division by s is safe
     because s > 0 at every interior iterate; when some s <= 0 nothing is
     divided and x comes from lstsq. The final LU solve takes one step of
     iterative refinement against J, which restores the accuracy that the
@@ -446,13 +479,17 @@ def truncated_lstsq(J, rhs, rcond):
     x = (I - v v') J^-1 (rhs - u u' rhs) (path "lu_cut1"). In every other
     case (a value within CUT_BAND of the cut, two or more below it, no
     convergence within MAX_STEPS, a non-finite value, a slack s <= 0, a
-    zero pivot of M, or a small system) x comes from lstsq's SVD on the
-    dense J (path "svd").
+    zero pivot of M, a zero pivot of M' in numpy's second factorization,
+    or a system below LU_MIN_DIM) x comes from lstsq's SVD on the dense J
+    (path "svd").
     """
     kkt = J if isinstance(J, KktBlocks) else KktBlocks.of_matrix(J)
     rhs = np.asarray(rhs, dtype=float)
     if kkt.dim >= LU_MIN_DIM and rhs.ndim == 1:
-        found = _lu_truncated(kkt, rhs, rcond)
+        try:
+            found = _lu_truncated(kkt, rhs, rcond)
+        except np.linalg.LinAlgError:
+            found = None
         if found is not None and np.all(np.isfinite(found[0])):
             return found
     return np.linalg.lstsq(kkt.dense(), rhs, rcond=rcond)[0], "svd"

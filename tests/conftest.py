@@ -7,13 +7,14 @@ block at the end of the pytest run.
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 
 import mfgsolver as m
-from mfgsolver import irl, mdp
+from mfgsolver import irl, mdp, numerics
 
 ACCEPTANCE_LINES = {}
 
@@ -57,6 +58,16 @@ def acceptance(request):
     rec = AcceptanceRecorder(key)
     yield rec
     # finish() is called by the test itself so timing clauses can be last.
+
+
+@pytest.fixture(params=["numpy", "getrf"])
+def factorization(request, monkeypatch):
+    """Runs a test once per factorization of the LU path's Schur complement,
+    each for every dimension: numpy's LAPACK ("numpy") and scipy's getrf
+    ("getrf"). Without it the dimension picks one (numerics.GETRF_MIN_DIM)."""
+    monkeypatch.setattr(numerics, "GETRF_MIN_DIM",
+                        math.inf if request.param == "numpy" else 0)
+    return request.param
 
 
 @pytest.fixture(scope="session")

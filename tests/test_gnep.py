@@ -297,12 +297,24 @@ class TestDirectionPaths:
     """How each Newton direction was computed, and that the LU path keeps
     the iterate path of the SVD."""
 
-    def test_builtins_stay_on_lstsq(self, eq2, eq10):
+    def test_malware2_stays_on_lstsq(self, eq2):
+        # KKT dimension 28, below numerics.LU_MIN_DIM.
         assert eq2[1].directions == {"lu": 0, "lu_cut1": 0, "svd": 30}
-        assert eq10[1].directions == {"lu": 0, "lu_cut1": 0, "svd": 29}
+        assert eq2[1].block_steps == {"power": 0, "subspace": 0}
+
+    def test_malware10_takes_the_numpy_schur_path(self, malware10, eq10):
+        """KKT dimension 132, between numerics.LU_MIN_DIM and GETRF_MIN_DIM:
+        every direction comes from the Schur complement solved through
+        numpy's LAPACK, and the solve keeps lstsq's 29 iterations."""
+        eq, report = eq10
+        assert report.converged and report.iterations == 29
+        assert_a2(malware10, eq)
+        assert report.directions == {"lu": 23, "lu_cut1": 6, "svd": 0}
+        assert report.block_steps == {"power": 67, "subspace": 75}
 
     @pytest.mark.parametrize("fixture,iterations", [("malware2", 30), ("malware10", 29)])
-    def test_lu_path_forced_on_builtins(self, request, monkeypatch, fixture, iterations):
+    def test_lu_path_forced_on_builtins(self, request, monkeypatch, fixture, iterations,
+                                        factorization):
         spec = request.getfixturevalue(fixture)
         monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
         eq, report = m.solve_gnep(spec)
@@ -334,9 +346,6 @@ class TestDirectionPaths:
         reports = [m.solve_gnep(chain_model(20))[1] for _ in range(2)]
         assert reports[0].block_steps == reports[1].block_steps
         assert reports[0].block_steps is not reports[1].block_steps
-
-    def test_builtins_take_no_block_steps(self, eq2, eq10):
-        assert eq2[1].block_steps == eq10[1].block_steps == {"power": 0, "subspace": 0}
 
 
 class TestFailureReport:
@@ -405,11 +414,12 @@ class TestVerifyMfe:
     @pytest.mark.parametrize("case", ["malware2", "malware10", "chain20"])
     def test_builds_each_table_once(self, request, monkeypatch, case):
         # The best response, the cost of pi and the residual share one set
-        # of tables. Every module that imported a builder is rebound, so a
-        # call through any path is counted.
+        # of tables, built from one check of mu. Every module that imported
+        # a builder is rebound, so a call through any path is counted.
         spec = chain_model(20) if case == "chain20" else request.getfixturevalue(case)
         calls = {}
-        for name in ("transition_kernel", "cost_table", "check_policy"):
+        for name in ("frozen_tables", "transition_kernel", "cost_table", "feature_table",
+                     "check_simplex", "check_policy"):
             original = getattr(m.model, name)
 
             def counted(*args, _name=name, _original=original):
@@ -422,7 +432,7 @@ class TestVerifyMfe:
         X = spec.n_states
         pi = np.full((X, spec.n_actions), 1.0 / spec.n_actions)
         m.verify_mfe(spec, pi, np.full(X, 1.0 / X))
-        assert calls == {"transition_kernel": 1, "cost_table": 1, "check_policy": 1}
+        assert calls == {"frozen_tables": 1, "check_simplex": 1, "check_policy": 1}
 
 
 class TestConfigValidation:

@@ -246,10 +246,13 @@ class TestScipyExtension:
 
 class TestOrthonormalBasis:
     """numerics._orthonormal_basis calls LAPACK's dgeqrf and dorgqr as
-    np.linalg.qr does, so the LU path's block iterations keep its bits."""
+    np.linalg.qr does, so the LU path's block iterations keep its bits. It
+    takes them at every size here; below GETRF_MIN_DIM it calls
+    np.linalg.qr itself."""
 
     @pytest.mark.parametrize("dim", [3, 132, 262, 652])
-    def test_bits_of_numpy_qr(self, dim):
+    def test_bits_of_numpy_qr(self, dim, monkeypatch):
+        monkeypatch.setattr(numerics, "GETRF_MIN_DIM", 0)
         rng = np.random.default_rng(dim)
         for _ in range(20):
             X = rng.normal(size=(dim, 3)) * rng.lognormal(size=3)
@@ -318,10 +321,10 @@ PLANTED_SPECTRA = [
 
 class TestTruncatedLstsq:
     """The LU path must give lstsq's truncated solution, and defer to the
-    SVD whenever the cut cannot be placed clearly."""
+    SVD whenever the cut cannot be placed clearly, on either factorization."""
 
     @pytest.fixture(autouse=True)
-    def lu_for_all_sizes(self, monkeypatch):
+    def lu_for_all_sizes(self, monkeypatch, factorization):
         monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
 
     @pytest.mark.parametrize("smallest,path", PLANTED_SPECTRA)
@@ -366,9 +369,31 @@ class TestTruncatedLstsq:
     def test_exactly_singular(self):
         J, rhs = planted(40, [2.0], seed=3)
         J[:, 7] = 0.0
+        assert not numerics._SchurLu(KktBlocks.of_matrix(J)).nonsingular
         x, taken = truncated_lstsq(J, rhs, RCOND)
         assert taken == "svd"
         assert_matches_svd(J, rhs, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pivot_is_singular_without_warning(self, bad):
+        J, _ = planted(40, [2.0], seed=3)
+        J[5, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not numerics._SchurLu(KktBlocks.of_matrix(J)).nonsingular
+
+    def test_zero_pivot_of_the_transpose_alone_defers(self):
+        """getrf finds no zero pivot in J but an exact one in J'. numpy
+        factors J' anew for the transposed solves, and its LinAlgError
+        defers to the SVD."""
+        J = np.eye(5)
+        J[:2, :2] = [[1.0, 3.0], [0.5, np.nextafter(1.5, 2.0)]]
+        assert np.linalg.slogdet(J)[0] != 0.0 and np.linalg.slogdet(J.T)[0] == 0.0
+        assert numerics._SchurLu(KktBlocks.of_matrix(J)).nonsingular
+        rhs = np.arange(1.0, 6.0)
+        x, taken = truncated_lstsq(J, rhs, RCOND)
+        assert taken == "svd"
+        assert np.array_equal(x, np.linalg.lstsq(J, rhs, rcond=RCOND)[0])
 
     def test_does_not_touch_inputs(self):
         J, rhs = planted(40, [0.5], seed=5)
@@ -417,7 +442,8 @@ class TestSlackEliminatedSolve:
     complement of the KKT matrix; the result and the path must be those of
     the unstructured solve of the assembled matrix."""
 
-    def test_chain20_matches_lstsq_and_unstructured_path(self, chain20_systems):
+    def test_chain20_matches_lstsq_and_unstructured_path(self, chain20_systems,
+                                                         factorization):
         paths = []
         for blocks, rhs in chain20_systems:
             assert blocks.m > 0 and blocks.dim >= numerics.LU_MIN_DIM
@@ -429,7 +455,7 @@ class TestSlackEliminatedSolve:
             paths.append(path)
         assert {"lu", "lu_cut1"} <= set(paths)
 
-    def test_chain30_last_directions_refined(self):
+    def test_chain30_last_directions_refined(self, factorization):
         """The last Jacobians of chain30's solve are the worst conditioned;
         without the refinement step their directions drift up to 5e-6 off
         lstsq's."""
@@ -441,7 +467,7 @@ class TestSlackEliminatedSolve:
 
     @pytest.mark.parametrize("slack", [0.0, -1e-3])
     def test_nonpositive_slack_defers_without_division(self, chain20_systems,
-                                                        monkeypatch, slack):
+                                                        monkeypatch, slack, factorization):
         blocks, rhs = chain20_systems[13]
         s = blocks.s.copy()
         s[7] = slack
@@ -455,13 +481,15 @@ class TestSlackEliminatedSolve:
             with monkeypatch.context() as mp:
                 mp.setattr(numerics.scipy_extension("_flapack"), "dgetrf",
                            no_factorization)
+                mp.setattr(np.linalg, "slogdet", no_factorization)
                 assert not numerics._SchurLu(bad).nonsingular
                 x, path = truncated_lstsq(bad, rhs, RCOND)
         assert path == "svd"
         assert np.array_equal(x, np.linalg.lstsq(bad.dense(), rhs, rcond=RCOND)[0])
 
     @pytest.mark.parametrize("which", [0, 13, 25])
-    def test_blocks_reproduce_dense_products_and_solves(self, chain20_systems, which):
+    def test_blocks_reproduce_dense_products_and_solves(self, chain20_systems, which,
+                                                        factorization):
         blocks, _ = chain20_systems[which]
         J = blocks.dense()
         lu = numerics._SchurLu(blocks)
@@ -511,10 +539,10 @@ class TestSlackEliminatedSolve:
 class TestWarmStart:
     """The block iterations of a solve start from the Ritz vectors of its
     last direction; the path and the direction must be those of a cold
-    start."""
+    start, on either factorization."""
 
     @pytest.mark.parametrize("n_states", [20, 30])
-    def test_chain_directions_match_cold_start(self, n_states):
+    def test_chain_directions_match_cold_start(self, n_states, factorization):
         calls = record_solve(chain_model(n_states))
         assert all(J.starts is calls[0][0].starts is not None for J, _, _, _ in calls)
         for J, rhs, x, path in calls:
@@ -524,14 +552,15 @@ class TestWarmStart:
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("fixture", ["malware2", "malware10"])
-    def test_builtin_paths_match_cold_start(self, request, monkeypatch, fixture):
+    def test_builtin_paths_match_cold_start(self, request, monkeypatch, fixture,
+                                            factorization):
         spec = request.getfixturevalue(fixture)
         monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
         warm = [path for _, _, _, path in record_solve(spec)]
         assert [path for _, _, _, path in record_solve(spec, cold=True)] == warm
         assert {"lu", "lu_cut1"} <= set(warm)
 
-    def test_holder_steps_and_blocks(self, chain20_systems):
+    def test_holder_steps_and_blocks(self, chain20_systems, factorization):
         J, rhs = chain20_systems[13]
         starts = StartBlocks(J.dim)
         truncated_lstsq(KktBlocks(J.FG, J.Hx, J.s, J.y, starts), rhs, RCOND)
@@ -549,7 +578,7 @@ class TestNearlySingular:
     second Ritz value of the first, unaligned step is then swamped by the
     first, and must not read as a second value below the cut."""
 
-    def test_chain5_last_jacobian_cuts_one(self, monkeypatch):
+    def test_chain5_last_jacobian_cuts_one(self, monkeypatch, factorization):
         monkeypatch.setattr(numerics, "LU_MIN_DIM", 0)
         blocks, rhs = solve_systems(chain_model(5))[-1]
         J = blocks.dense()
