@@ -15,6 +15,10 @@ lockstep batches, of many trajectories, hold a table of all their uniforms. The
 estimators read the trajectories in chunks of about _CHUNK_STEPS steps, so
 neither holds a copy of every step.
 
+Both simulation paths gather with np.take from flat tables, one index
+array of intp offsets per gather (_offsets), where indexing with several
+index arrays broadcast together costs numpy more per step.
+
 numpy.random is imported by the first _streams call, not with the
 module: on numpy 2 a bare `import numpy` leaves it unloaded, and only
 simulation draws from it.
@@ -162,9 +166,22 @@ def _substreams(seed, d, n):
 
 # Batches whose per-step table work, d * X * (X + A) entries, is at most
 # this many are walked through draw tables; larger batches amortise the
-# per-step numpy overhead of the lockstep loop. Below the bound the tables
-# were faster on every shape measured (X from 2 to 60); the crossover lay
-# between 2,600 and 6,000.
+# per-step numpy overhead of the lockstep loop. The work at which the
+# forced paths took equal time, on random_chain models (2-core x86_64, one
+# OpenBLAS thread, best of 4 runs per path):
+#
+#    X   A   T = 200          T = 1,000        T = 10,000
+#    2   2   3,000 - 4,000    about 4,000      2,000 - 4,000
+#    4   2   6,000 - 9,000    6,000 - 9,000
+#   10   2   6,000 - 9,000    6,000 - 9,000    3,960 - 8,040
+#   20   3   1,840 - 3,220    5,980 - 9,200
+#   40   2   below 1,680      3,360 - 6,720    above 8,400
+#   60   3   below 3,780      below 3,780      above 7,560
+#
+# The draw tables cost X * (X - 1) gathers per chunk of uniforms whatever
+# d, so many states and a short horizon favour the lockstep: at X = 40 and
+# T = 200 it is twice as fast at 1,680. A bound above 3,780 would walk one
+# trajectory of a 60-state model, 1.3 to 3.4 times slower up to T = 1,000.
 TABLE_WORK = 2048
 
 # Steps per chunk, summed over trajectories: of the uniforms that a walked
@@ -193,7 +210,11 @@ def _draw_tables(pi_cum, kernel_cum, streams, T, width, dtype):
     The uniforms are drawn max(1, _CHUNK_STEPS // d) steps at a time for all
     d trajectories, and the tables filled one such chunk at a time, so
     only a chunk of uniforms, and of the probabilities that the drawn
-    actions gather, is alive at once.
+    actions gather, is alive at once. The next-state uniforms of a chunk
+    are copied out of it and the chunk freed, so the comparisons read them
+    contiguously; the next state's thresholds are gathered with np.take
+    from the row kernel_cum[x, :, y] at the drawn actions, widened to intp
+    once per state x.
     """
     X, d = pi_cum.shape[0], len(streams)
     act = np.zeros((X, d, width), dtype)
@@ -208,12 +229,27 @@ def _draw_tables(pi_cum, kernel_cum, streams, T, width, dtype):
         for j in range(pi_cum.shape[1]):
             chunk += pi_cum[:, j, None, None] < u[:, ::2]
         n = min(t1, T - 1) - t0
-        u_next = u[:, 1:2 * n:2]
+        u_next = u[:, 1:2 * n:2].copy()
+        del u
         for x in range(X):
             counts = nxt[x, :, t0:t0 + n]
+            drawn = chunk[x, :, :n].astype(np.intp)
             for y in range(kernel_cum.shape[2]):
-                counts += kernel_cum[x, :, y][chunk[x, :, :n]] < u_next
+                counts += kernel_cum[x, :, y].take(drawn) < u_next
+        # Freed before the next chunk's uniforms are drawn.
+        del u_next, drawn
     return act, nxt
+
+
+def _offsets(codes, stride, base):
+    """codes * stride + base, in intp. The codes may be of a narrow
+    unsigned type, and numpy multiplies such codes by a Python int in a
+    narrow type too: numpy 2 (NEP 50) in the codes' own, raising for a
+    stride that it cannot hold, numpy 1 in the smallest that holds the
+    stride. Either can wrap."""
+    at = np.multiply(codes, stride, dtype=np.intp)
+    at += base
+    return at
 
 
 def _walk(x0, act, nxt, block_len):
@@ -225,45 +261,68 @@ def _walk(x0, act, nxt, block_len):
     walked one block at a time, and the states inside each block, with the
     action drawn at each, are then filled in for all blocks at once, one
     step of a block at a time: no index array is larger than d blocks.
+
+    Every gather is one np.take from a flat table at intp offsets
+    (_offsets). Entry (x, i, b * block_len + k) of the (X, d, width) tables
+    lies at x * d * width + base[i, b] + k, with base[i, b] = i * width +
+    b * block_len computed once; step k reads the view that starts at k,
+    so only x * d * width changes from step to step.
     """
     X, d, width = nxt.shape
     n_blocks = width // block_len
-    step = nxt.reshape(X, d, n_blocks, block_len)
-    move = act.reshape(X, d, n_blocks, block_len)
-    rows, blocks = np.arange(d)[:, None], np.arange(n_blocks)
+    size = d * width
+    step, move = nxt.reshape(-1), act.reshape(-1)
+    base = (np.arange(0, size, width, dtype=np.intp)[:, None]
+            + np.arange(0, width, block_len, dtype=np.intp))
     # across[x, i, b]: the state block_len steps after state x at the
     # start of block b.
-    across = np.broadcast_to(np.arange(X, dtype=nxt.dtype)[:, None, None],
+    across = np.broadcast_to(np.arange(X, dtype=np.intp)[:, None, None],
                              (X, d, n_blocks))
     for k in range(block_len):
-        across = step[across, rows, blocks, k]
+        across = step[k:].take(_offsets(across, size, base))
+    across = across.reshape(-1)
     starts = np.empty((d, n_blocks), dtype=nxt.dtype)
-    x, traj = x0, np.arange(d)
+    x, rows = x0, np.arange(0, d * n_blocks, n_blocks)
     for b in range(n_blocks):
         starts[:, b] = x
-        x = across[x, traj, b]
+        x = across[b:].take(_offsets(x, d * n_blocks, rows))
     states = np.empty((d, n_blocks, block_len), dtype=nxt.dtype)
     actions = np.empty_like(states)
     x = starts
     for k in range(block_len):
         states[:, :, k] = x
-        actions[:, :, k] = move[x, rows, blocks, k]
-        x = step[x, rows, blocks, k]
+        at = _offsets(x, size, base)
+        actions[:, :, k] = move[k:].take(at)
+        x = step[k:].take(at)
     return states.reshape(d, width), actions.reshape(d, width)
 
 
 def _lockstep(x, pi_cum, kernel_cum, u, dtype):
     """States and actions of every trajectory, stepped together, as codes
-    of `dtype`."""
+    of `dtype`.
+
+    The cumulative tables are held by their columns, cols[j] = table[:, j],
+    and each draw takes its thresholds with one np.take along the rows of
+    that block: the action's at the states x, the next state's at the
+    flat (state, action) offsets x * A + a (_offsets). Comparing
+    the (columns, d) block with the uniforms and summing over its first
+    axis counts, for each trajectory, the thresholds below its uniform, as
+    _sample_rows does, in vector operations over d whatever the number of
+    columns. The columns of u are read in place, strided: a transposed
+    copy would hold a second table of every uniform."""
     d, T = u.shape[0], (u.shape[1] - 1) // 2
+    X, A = kernel_cum.shape[:2]
+    pi_cols = pi_cum.T.copy()
+    kernel_cols = kernel_cum.reshape(X * A, -1).T.copy()
     states = np.empty((d, T), dtype)
     actions = np.empty((d, T), dtype)
     for t in range(T):
-        a = _sample_rows(pi_cum[x], u[:, 1 + 2 * t])
+        a = (pi_cols.take(x, axis=1) < u[:, 1 + 2 * t]).sum(axis=0, dtype=dtype)
         states[:, t] = x
         actions[:, t] = a
         if t + 1 < T:
-            x = _sample_rows(kernel_cum[x, a], u[:, 2 + 2 * t])
+            x = (kernel_cols.take(_offsets(x, A, a), axis=1)
+                 < u[:, 2 + 2 * t]).sum(axis=0, dtype=dtype)
     return states, actions
 
 
@@ -283,7 +342,8 @@ def simulate(spec, pi, mu, mu0, config):
     every possible current state, chunk by chunk of uniforms; they compose
     the per-step maps over blocks of about sqrt(T) steps, and walk the
     block starts. Both paths read the same substreams with the same
-    comparisons, so a seed gives the same trajectories on either path.
+    comparisons, so a seed gives the same trajectories on either path, and
+    both gather with np.take at intp offsets into flat tables.
 
     Both record states and actions as codes of the smallest unsigned type
     that holds them. The uniform table or the draw tables are freed first,
@@ -321,10 +381,7 @@ def simulate(spec, pi, mu, mu0, config):
         del u
     states = states[:, :T].astype(np.int64)
     actions = actions[:, :T].astype(np.int64)
-    return [
-        Trajectory(states=states[i], actions=actions[i], seed=config.seed)
-        for i in range(d)
-    ]
+    return [Trajectory(x, a, config.seed) for x, a in zip(states, actions)]
 
 
 def _check_codes(values, name, size):

@@ -271,13 +271,15 @@ def scipy_extension(name):
 
 
 def _orthonormal_basis(X):
-    """Q of the reduced QR factorization of the tall block X. A block of
-    fewer than GETRF_MIN_DIM rows (the dimension of J) takes
-    np.linalg.qr(X)[0]. A taller one takes LAPACK's dgeqrf and dorgqr
+    """Q of the reduced QR factorization of the block X. A block of fewer
+    than GETRF_MIN_DIM rows (the dimension of J) takes np.linalg.qr(X)[0],
+    and so does a block with fewer rows than columns, which a J of
+    dimension 1 or 2 gives: dorgqr rejects it, where numpy's qr returns the
+    square Q. A taller one takes LAPACK's dgeqrf and dorgqr
     (scipy_extension): the same calls, and so the same bits, without
     numpy's wrapper, which costs several times the factorization on the
     dim x 3 blocks of the LU path."""
-    if len(X) < GETRF_MIN_DIM:
+    if len(X) < GETRF_MIN_DIM or len(X) < X.shape[1]:
         return np.linalg.qr(X)[0]
     lapack = scipy_extension("_flapack")
     qr, tau = lapack.dgeqrf(X)[:2]
@@ -404,7 +406,8 @@ def _lu_truncated(kkt, rhs, rcond):
     sigma_2, the Gram matrix holds the second value only to rounding noise
     of the first, and a noisy value below the cut would defer for nothing.
     J^-T V counts as rank one, and defers, only when the SVD itself cannot
-    resolve the second value (RANK_RTOL). The iteration's solves go
+    resolve the second value (RANK_RTOL), or finds none: a J of dimension
+    1 has a single singular value. The iteration's solves go
     unrefined: they only need to converge on the triplets. The final
     direction solve takes one step of iterative refinement, which the
     reduction to M needs on the ill-conditioned Jacobians near the end of
@@ -424,7 +427,7 @@ def _lu_truncated(kkt, rhs, rcond):
         if not np.all(np.isfinite(Y)):
             return None
         U, inv_sigma, W = np.linalg.svd(Y, full_matrices=False)
-        if inv_sigma[1] <= RANK_RTOL * inv_sigma[0]:
+        if len(inv_sigma) < 2 or inv_sigma[1] <= RANK_RTOL * inv_sigma[0]:
             return None                             # J^-T V is rank one
         sigma = 1.0 / inv_sigma[:2]                 # the two smallest
         starts.bottom = V @ W[:2].T                 # their right Ritz vectors

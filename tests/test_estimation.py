@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfgsolver import estimation, mdp, model
 from mfgsolver.errors import EmptyData, ValidationError
@@ -169,8 +171,9 @@ class TestSimulateMatchesReference:
     # sit one step either side.
     HORIZONS = (1, 2, 15, 16, 17, 100, 101)
 
-    @pytest.mark.parametrize("X,A", [(2, 2), (2, 3), (3, 2), (4, 3), (6, 2),
-                                     (8, 3), (10, 2), (10, 3)])
+    # One state or one action leaves a cumulative table with no columns.
+    @pytest.mark.parametrize("X,A", [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2),
+                                     (4, 3), (6, 2), (8, 3), (10, 2), (10, 3)])
     def test_shapes(self, X, A):
         rng = np.random.default_rng(100 * X + A)
         spec, pi, mu = random_chain(rng, X, A)
@@ -210,6 +213,46 @@ class TestSimulateMatchesReference:
         assert_same_as_reference(malware2, pi, MU_STAR, config)
 
 
+@st.composite
+def simulation_cases(draw):
+    """A random_chain model's state and action counts and its seed, and the
+    trajectory count, horizon, seed and uniform chunk (_CHUNK_STEPS) of one
+    simulation. About half the horizons are perfect squares or one off,
+    where the walk's blocks of isqrt(T) steps end on the horizon or one
+    step either side of it."""
+    X = draw(st.integers(2, 12))
+    A = draw(st.integers(2, 4))
+    model_seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(1, 300))
+    T = draw(st.one_of(
+        st.integers(1, 400),
+        st.integers(1, 20).flatmap(lambda r: st.sampled_from([r * r - 1, r * r, r * r + 1])),
+    ).filter(lambda T: 1 <= T <= 400))
+    seed = draw(st.integers(0, 2**64))
+    chunk = draw(st.integers(1, 64))
+    return X, A, model_seed, d, T, seed, chunk
+
+
+class TestSimulateOnRandomModels:
+    """simulate equals reference_simulate on random mu-dependent models,
+    under the path rule and with each path forced, drawing its uniforms in
+    chunks of at most 64 steps."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(simulation_cases())
+    # X * d * width above 2**16, where an offset into the walk's tables
+    # computed in the codes' 8-bit type, or in a 16-bit one, would wrap.
+    @example((12, 4, 1, 300, 400, 2**64, 7))
+    @example((2, 2, 2, 300, 121, 0, 64))
+    def test_matches_reference(self, case):
+        X, A, model_seed, d, T, seed, chunk = case
+        spec, pi, mu = random_chain(np.random.default_rng(model_seed), X, A)
+        config = estimation.EstimatorConfig(n_trajectories=d, horizon=T, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_CHUNK_STEPS", chunk)
+            assert_same_as_reference(spec, pi, mu, config, force_paths=True)
+
+
 def traced_peak_mb(fn, *args):
     """The peak of the memory that fn(*args) allocates, its result
     included, in MiB."""
@@ -227,7 +270,10 @@ class TestBoundedMemory:
     Holding all the uniforms, or all the states end to end, breaks these
     bounds."""
 
-    SIMULATE_MB = {(10, 100_000): 17.0, (10_000, 51): 12.0}
+    # Measured peaks: 16.23, 10.92 and 1.63 MiB. (10, 10_000) is the CLI's
+    # --n-trajectories and --horizon default, where a chunk of draws weighs
+    # about a third of the 1.53 MiB output.
+    SIMULATE_MB = {(10, 100_000): 17.0, (10_000, 51): 12.0, (10, 10_000): 1.75}
 
     @pytest.mark.parametrize("shape", sorted(SIMULATE_MB))
     def test_simulate(self, malware2, shape):

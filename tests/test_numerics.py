@@ -366,6 +366,23 @@ class TestTruncatedLstsq:
         assert taken == path
         assert_matches_svd(J, rhs, x)
 
+    @pytest.mark.parametrize("J,path", [
+        ([[2.0]], "svd"),                   # no second singular value: defers
+        ([[2.0, 1.0], [1.0, 3.0]], "lu"),
+    ])
+    def test_tiny_system_keeps_dorgqr_quiet(self, J, path, capfd):
+        """A J of dimension 1 or 2 gives subspace blocks with more columns
+        than rows. Their basis comes from np.linalg.qr on either
+        factorization: LAPACK's dorgqr rejects such a block, prints why and
+        returns no usable Q."""
+        J = np.array(J)
+        rhs = np.array([1.0, -1.0])[:len(J)]
+        x, taken = truncated_lstsq(J, rhs, RCOND)
+        out, err = capfd.readouterr()
+        assert "DORGQR" not in out + err
+        assert taken == path
+        assert_matches_svd(J, rhs, x)
+
     def test_exactly_singular(self):
         J, rhs = planted(40, [2.0], seed=3)
         J[:, 7] = 0.0
