@@ -27,7 +27,7 @@ from .errors import (
 )
 from .estimation import (
     EstimatorConfig,
-    Trajectory,
+    Trajectories,
     estimate_feature_expectation,
     estimate_mean_field,
     simulate,
@@ -86,7 +86,7 @@ __all__ = [
     "SingularMatrix",
     "SmoothnessConstants",
     "SolverFailure",
-    "Trajectory",
+    "Trajectories",
     "ValidationError",
     "ValueFunctions",
     "builtin_malware",

@@ -355,24 +355,28 @@ def cmd_simulate(args, spec, manifest):
 
 def _write_trajectories(path, spec, trajectories):
     """The trajectory CSV, its rows formatted from lookup tables: "t," per
-    step and "x,a\\n" per (state, action) code."""
-    A = spec.n_actions
-    steps = [f"{t}," for t in range(max(map(len, trajectories)))]
+    step and "x,a\\n" per (state, action) code, one trajectory at a time
+    from its offset in the batch."""
+    A, lengths = spec.n_actions, trajectories.lengths.tolist()
+    steps = [f"{t}," for t in range(max(lengths))]
     pairs = [f"{x},{a}\n" for x in range(spec.n_states) for a in range(A)]
     with Path(path).open("w") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for i, traj in enumerate(trajectories):
-            n = len(traj)
+        for i, (start, n) in enumerate(zip(trajectories.starts.tolist(), lengths)):
+            run = slice(start, start + n)
             # Row t is "i," + steps[t] + pairs[code].
             parts = [f"{i},"] * (3 * n)
             parts[1::3] = steps[:n]
-            parts[2::3] = map(pairs.__getitem__, (traj.states * A + traj.actions).tolist())
+            codes = trajectories.states[run] * A + trajectories.actions[run]
+            parts[2::3] = map(pairs.__getitem__, codes.tolist())
             fh.write("".join(parts))
 
 
-def _read_trajectories(path, spec, seed=0):
-    """Trajectories from a CSV written by `simulate`, in id order and, within
-    an id, in (t, state, action) order. Blank lines are skipped."""
+def _read_trajectories(path, spec):
+    """The estimation.Trajectories of a CSV written by `simulate`, in id
+    order. The t column of each id must hold its steps 0, 1, ..., n - 1,
+    once each; the rows are sorted by (id, t) unless they are in that
+    order already, as `simulate` writes them. Blank lines are skipped."""
     with Path(path).open() as fh:
         if fh.readline().strip() != TRAJECTORY_HEADER:
             raise MfgError(f"unexpected trajectory header in {path}")
@@ -386,7 +390,7 @@ def _read_trajectories(path, spec, seed=0):
     except ValueError as exc:
         raise ParseError(f"bad trajectory row in {path}: {exc}") from None
     if rows.size == 0:
-        return []
+        return estimation.Trajectories(*[np.zeros(0, dtype=np.int64)] * 3)
     if rows.shape[1] != 4:
         raise ParseError(f"trajectory rows in {path} have {rows.shape[1]} fields, "
                          "expected 4")
@@ -398,18 +402,22 @@ def _read_trajectories(path, spec, seed=0):
             raise ValidationError(
                 f"{name} {rows[row, column]} in data row {row + 1} of {path} "
                 f"is outside 0..{size - 1}")
-    # Sorted unless some row is below the row before it in the first field
-    # where the two differ; simulate writes sorted files.
-    later, earlier = rows[1:], rows[:-1]
-    field = (later != earlier).argmax(axis=1)
-    pair = np.arange(len(field))
-    if (later[pair, field] < earlier[pair, field]).any():
-        rows = rows[np.lexsort(rows.T[::-1])]
-    cuts = np.flatnonzero(np.diff(rows[:, 0])) + 1
-    states = np.split(np.ascontiguousarray(rows[:, 2]), cuts)
-    actions = np.split(np.ascontiguousarray(rows[:, 3]), cuts)
-    return [estimation.Trajectory(states=x, actions=a, seed=seed)
-            for x, a in zip(states, actions)]
+    # Sorted unless an id falls, or a t within one id; simulate writes sorted files.
+    order, id_diff = np.arange(len(rows)), np.diff(rows[:, 0])
+    if ((id_diff < 0) | ((id_diff == 0) & (np.diff(rows[:, 1]) < 0))).any():
+        order = np.lexsort((rows[:, 1], rows[:, 0]))
+        rows = rows[order]
+    ids, t = rows[:, 0], rows[:, 1]
+    first = np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1))
+    lengths = np.diff(first, append=len(rows))
+    step = np.arange(len(rows)) - np.repeat(first, lengths)
+    k = (t != step).argmax()
+    if t[k] != step[k]:
+        raise ValidationError(
+            f"t {t[k]} in data row {order[k] + 1} of {path} is not step {step[k]} "
+            f"of trajectory {ids[k]}: its t column must count 0, 1, 2, ...")
+    return estimation.Trajectories(np.ascontiguousarray(rows[:, 2]),
+                                   np.ascontiguousarray(rows[:, 3]), lengths)
 
 
 def cmd_estimate(args, spec, manifest):

@@ -1,5 +1,9 @@
 """Expert-data pathway: trajectory simulation and plug-in estimators.
 
+A batch of trajectories is one Trajectories: the states and the actions
+of every trajectory end to end, and the number of steps of each. simulate
+returns one, and the estimators read one.
+
 Trajectory i draws from the PCG64 stream that numpy's
 default_rng(SeedSequence(seed, spawn_key=(i,))) gives, so the set of
 trajectories is independent of generation order and batch size and
@@ -11,9 +15,10 @@ States and actions are recorded as codes of the smallest unsigned type
 that holds them and widened to int64 once, after the draws are freed, so a
 simulation ends holding its int64 output plus one narrow copy. Walked
 batches draw their uniforms in chunks of about _CHUNK_STEPS steps; only
-lockstep batches, of many trajectories, hold a table of all their uniforms. The
-estimators read the trajectories in chunks of about _CHUNK_STEPS steps, so
-neither holds a copy of every step.
+lockstep batches, of many trajectories, hold a table of all their uniforms.
+estimate_mean_field counts the flat states in place, and
+estimate_feature_expectation gathers chunks of about _CHUNK_STEPS steps at
+the trajectories' offsets, so neither holds a copy of every step.
 
 Both simulation paths gather with np.take from flat tables, one index
 array of intp offsets per gather (_offsets), where indexing with several
@@ -34,14 +39,38 @@ from .errors import EmptyData, ValidationError
 from .model import check_policy, check_simplex, feature_table, transition_kernel
 
 
-@dataclass(frozen=True)
-class Trajectory:
+@dataclass(frozen=True, eq=False)
+class Trajectories:
+    """Trajectory i is the lengths[i] steps of states and actions from
+    offset starts[i]. The arrays are 1-D integer arrays, taken without a
+    copy; the estimators check the codes against a model."""
     states: np.ndarray
     actions: np.ndarray
-    seed: int
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        for name in ("states", "actions", "lengths"):
+            values = np.asarray(getattr(self, name))
+            if (values.ndim != 1 or values.dtype.kind not in "iu"
+                    or not np.can_cast(values.dtype, np.intp)):
+                raise ValidationError(f"{name} have dtype {values.dtype} and shape "
+                                      f"{values.shape}, not 1-D integer codes")
+            object.__setattr__(self, name, values)
+        steps = self.states.size
+        if self.actions.size != steps:
+            raise ValidationError(f"{steps} states but {self.actions.size} actions")
+        if self.lengths.size and self.lengths.min() < 0:
+            raise ValidationError(f"trajectory length {self.lengths.min()} is negative")
+        if self.lengths.sum() != steps:
+            raise ValidationError(f"the lengths sum to {self.lengths.sum()}, not {steps}")
 
     def __len__(self):
-        return len(self.states)
+        return len(self.lengths)
+
+    @property
+    def starts(self):
+        """The offset of each trajectory's first step, in intp."""
+        return np.cumsum(self.lengths, dtype=np.intp) - self.lengths
 
 
 @dataclass(frozen=True)
@@ -185,8 +214,7 @@ def _substreams(seed, d, n):
 TABLE_WORK = 2048
 
 # Steps per chunk, summed over trajectories: of the uniforms that a walked
-# batch draws (16 bytes a step), of the states that estimate_mean_field
-# counts (8 bytes a step), and of the features that
+# batch draws (16 bytes a step), and of the features that
 # estimate_feature_expectation gathers (8 * feature_dim bytes a step, 0.8 MB
 # at three features).
 _CHUNK_STEPS = 1 << 15
@@ -327,7 +355,9 @@ def _lockstep(x, pi_cum, kernel_cum, u, dtype):
 
 
 def simulate(spec, pi, mu, mu0, config):
-    """Simulate trajectories of the frozen-mu chain under pi.
+    """Simulate trajectories of the frozen-mu chain under pi, returned as
+    one Trajectories batch of config.n_trajectories trajectories of
+    config.horizon steps each.
 
     x(0) ~ mu0, a(t) ~ pi(.|x(t)), x(t+1) ~ p(.|x(t), a(t), mu). Each
     trajectory consumes only its own substream: one uniform for x(0), then
@@ -349,7 +379,8 @@ def simulate(spec, pi, mu, mu0, config):
     that holds them. The uniform table or the draw tables are freed first,
     and the codes then widened to int64 one array at a time, so the peak is
     the int64 output plus one narrow copy, or the narrow codes plus the
-    uniform table in lockstep if that is larger.
+    uniform table in lockstep if that is larger. The batch's arrays are
+    the contiguous (d, T) int64 tables, flattened as views.
     """
     X, A = spec.n_states, spec.n_actions
     # Validated row by row, but the caller's values are drawn from, not
@@ -379,121 +410,80 @@ def simulate(spec, pi, mu, mu0, config):
         states, actions = _lockstep(_sample_rows(mu0_cum, u[:, 0]), pi_cum, kernel_cum,
                                     u, dtype)
         del u
-    states = states[:, :T].astype(np.int64)
-    actions = actions[:, :T].astype(np.int64)
-    return [Trajectory(x, a, config.seed) for x, a in zip(states, actions)]
+    states = states[:, :T].astype(np.int64).reshape(-1)
+    actions = actions[:, :T].astype(np.int64).reshape(-1)
+    return Trajectories(states, actions, np.full(d, T))
 
 
 def _check_codes(values, name, size):
-    """values are integer codes in 0..size - 1."""
-    if values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.intp):
-        raise ValidationError(f"{name}s have dtype {values.dtype}, not integer codes")
-    if not values.size:
-        return
+    """The integer codes, at least one, lie in 0..size - 1."""
     lo, hi = values.min(), values.max()
     if lo < 0 or hi >= size:
         raise ValidationError(f"{name} {lo if lo < 0 else hi} is outside 0..{size - 1}")
 
 
-def _joined(arrays):
-    """The arrays end to end, without copying a single one: a trajectory
-    of a chunk or more comes alone."""
-    return np.asarray(arrays[0]) if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _step_chunks(arrays):
-    """The non-empty arrays, in order, joined into chunks of at most
-    _CHUNK_STEPS entries; an array longer than that comes alone, uncopied."""
-    chunk, size = [], 0
-    for a in arrays:
-        if not len(a):
-            continue
-        if chunk and size + len(a) > _CHUNK_STEPS:
-            yield _joined(chunk)
-            chunk, size = [], 0
-        chunk.append(a)
-        size += len(a)
-    if chunk:
-        yield _joined(chunk)
-
-
 def estimate_mean_field(trajectories, n_states):
     """Time-and-trajectory average of state visit indicators over the
-    model's n_states states. The states are counted with np.bincount chunk
-    by chunk (_step_chunks), so no copy of every step is made; the counts
-    are integers, so the chunking leaves the bits alone.
-    """
-    if not trajectories:
+    model's n_states states: one np.bincount over the flat states, which
+    reads int64 codes in place, divided by the number of steps."""
+    if not len(trajectories):
         raise EmptyData("no trajectories")
-    counts, total = np.zeros(n_states, dtype=np.intp), 0
-    for states in _step_chunks([t.states for t in trajectories]):
-        _check_codes(states, "state", n_states)
-        # A fresh count per chunk: adding in place (`counts += ...`) read 81.7
-        # against 80.9 MB median peak RSS on the estimate benchmark.
-        grown = np.bincount(states, minlength=n_states)
-        grown += counts
-        counts, total = grown, total + states.size
-    if not total:
+    states = trajectories.states
+    if not states.size:
         raise EmptyData("the trajectories have no steps")
-    return counts / total
-
-
-def _discounted_rows(f, d, members):
-    """d @ f[t.states, t.actions] for each of the members, which all have
-    len(d) steps, from one flat gather and one stacked matmul; its BLAS
-    call per trajectory is the one d @ f[t.states, t.actions] makes. The
-    gathered features are freed on return, before the next chunk's."""
-    X, A, k = f.shape
-    states = _joined([t.states for t in members])
-    actions = _joined([t.actions for t in members])
-    _check_codes(states, "state", X)
-    _check_codes(actions, "action", A)
-    # In intp, so that codes of a narrow type do not wrap.
-    flat = np.multiply(states, A, dtype=np.intp) + actions
-    gathered = np.take(f.reshape(X * A, k), flat, axis=0)
-    return np.matmul(d, gathered.reshape(len(members), len(d), k))
+    _check_codes(states, "state", n_states)
+    return np.bincount(states, minlength=n_states) / states.size
 
 
 def estimate_feature_expectation(spec, trajectories, mu_hat, beta):
     """Truncated discounted feature sum averaged over trajectories.
 
     Returns (estimate, tail_bound) where tail_bound is the worst-case mass
-    beyond the simulation horizon, beta^T * max ||f|| / (1 - beta).
+    beyond the shortest trajectory's horizon T, beta^T * max ||f|| / (1 -
+    beta), which bounds the truncated mass of the average.
 
     The result has the bits of a loop that adds d @ f[states, actions],
     d = beta ** arange(T), to a zero total one trajectory at a time.
     Trajectories of one length are taken in chunks of about _CHUNK_STEPS
-    steps (_discounted_rows). Their rows are stored in trajectory order
-    after a zero row and added up with np.add.accumulate, which runs in
-    order; np.add.reduce would sum pairwise when the features are one
-    column. Trajectories without steps keep their zero rows.
+    steps, read in place where they follow each other and gathered at
+    their offsets otherwise, through one flat gather of features and one
+    stacked matmul, whose BLAS call per trajectory is the loop's. The rows
+    go in trajectory order after a zero row and are added up with
+    np.add.accumulate, which runs in order; np.add.reduce would sum
+    pairwise for one feature column. Trajectories without steps keep their
+    zero rows.
     """
     if not 0.0 < beta < 1.0:
         raise ValidationError(f"beta must lie in (0,1), got {beta}")
-    if not trajectories:
+    if not len(trajectories):
         raise EmptyData("no trajectories")
-    lengths = [len(t.states) for t in trajectories]
-    n_actions = [len(t.actions) for t in trajectories]
-    if n_actions != lengths:
-        i = next(i for i, (n, m) in enumerate(zip(lengths, n_actions)) if n != m)
-        raise ValidationError(
-            f"trajectory {i} has {lengths[i]} states but {n_actions[i]} actions")
-    if not max(lengths):
+    if not trajectories.states.size:
         raise EmptyData("the trajectories have no steps")
     f = feature_table(spec, mu_hat)  # [x, a, j]
-    rows = np.zeros((len(trajectories) + 1, spec.feature_dim))
+    X, A, k = f.shape
+    # A flat code would turn an out-of-range action into another state's row.
+    _check_codes(trajectories.states, "state", X)
+    _check_codes(trajectories.actions, "action", A)
+    table, lengths, starts = f.reshape(X * A, k), trajectories.lengths, trajectories.starts
+    rows = np.zeros((len(trajectories) + 1, k))
     by_length = np.argsort(lengths, kind="stable")
-    cuts = np.flatnonzero(np.diff(np.take(lengths, by_length))) + 1
+    cuts = np.flatnonzero(np.diff(lengths[by_length])) + 1
     for group in np.split(by_length, cuts):
-        T = lengths[group[0]]
+        T = int(lengths[group[0]])
         if not T:
             continue
         d = beta ** np.arange(T)
         batch = max(1, _CHUNK_STEPS // T)
         for start in range(0, len(group), batch):
             ids = group[start:start + batch]
-            rows[ids + 1] = _discounted_rows(f, d, [trajectories[i] for i in ids.tolist()])
+            first, n = starts[ids[0]], len(ids)
+            if starts[ids[-1]] - first == (n - 1) * T:
+                at = slice(first, first + n * T)
+            else:
+                at = (starts[ids, None] + np.arange(T)).reshape(-1)
+            codes = _offsets(trajectories.states[at], A, trajectories.actions[at])
+            rows[ids + 1] = np.matmul(d, table.take(codes, axis=0).reshape(n, T, k))
     estimate = np.add.accumulate(rows, axis=0)[-1] / len(trajectories)
     f_max = float(np.linalg.norm(f, axis=2).max())
-    tail = beta**max(lengths) * f_max / (1.0 - beta)
+    tail = beta**int(lengths.min()) * f_max / (1.0 - beta)
     return estimate, tail

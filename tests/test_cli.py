@@ -15,6 +15,7 @@ from mfgsolver import cli, estimation, gnep, model, numerics
 from mfgsolver.errors import SolverFailure
 
 from conftest import chain_model, inject_boundary_violation, non_descent_model
+from trajectory_rows import per_trajectory
 
 
 MALWARE2 = model.builtin_malware(2, (0.2, 1.0, 0.4), q=0.9)
@@ -592,21 +593,20 @@ class TestEquilibriumFileChecks:
 
 def assert_reads_like_dict_reader(tmp_path, rows):
     """_read_trajectories of a CSV of rows gives the trajectories of a
-    dict keyed by id, each sorted by (t, state, action)."""
+    dict keyed by id, each sorted by t."""
     path = tmp_path / "traj.csv"
     path.write_text("trajectory_id,t,state,action\n"
                     + "".join(f"{i},{t},{x},{a}\n" for i, t, x, a in rows))
     by_id = {}
     for i, t, x, a in rows:
         by_id.setdefault(i, []).append((t, x, a))
-    read = cli._read_trajectories(path, MALWARE2, seed=9)
+    read = cli._read_trajectories(path, MALWARE2)
     assert len(read) == len(by_id)
-    for traj, i in zip(read, sorted(by_id)):
+    assert read.states.dtype == np.int64 and read.actions.dtype == np.int64
+    for (states, actions), i in zip(per_trajectory(read), sorted(by_id)):
         steps = sorted(by_id[i])
-        assert traj.seed == 9
-        assert traj.states.dtype == np.int64 and traj.actions.dtype == np.int64
-        np.testing.assert_array_equal(traj.states, [s[1] for s in steps])
-        np.testing.assert_array_equal(traj.actions, [s[2] for s in steps])
+        np.testing.assert_array_equal(states, [s[1] for s in steps])
+        np.testing.assert_array_equal(actions, [s[2] for s in steps])
 
 
 class TestSimulateEstimate:
@@ -644,31 +644,48 @@ class TestSimulateEstimate:
             MALWARE2, pi, mu, mu, estimation.EstimatorConfig(
                 n_trajectories=n_trajectories, horizon=40, seed=3))
         reference = "trajectory_id,t,state,action\n"
-        for i, t in enumerate(trajectories):
-            for step, (x, a) in enumerate(zip(t.states, t.actions)):
+        for i, (states, actions) in enumerate(per_trajectory(trajectories)):
+            for step, (x, a) in enumerate(zip(states, actions)):
                 reference += f"{i},{step},{x},{a}\n"
         assert traj.read_bytes() == reference.encode()
 
     def test_reader_matches_dict_reader(self, tmp_path):
-        # Unequal lengths, ids 7, 2 and 40 only, rows shuffled, and a
-        # repeated step, in descending order, that the (t, state, action)
-        # order settles.
+        # Unequal lengths, ids 7, 2 and 40 only, and rows shuffled.
         rng = np.random.default_rng(5)
         rows = [(i, t, int(rng.integers(2)), int(rng.integers(2)))
                 for i, T in ((7, 30), (2, 1), (40, 12)) for t in range(T)]
         rows = [rows[k] for k in rng.permutation(len(rows))]
-        rows += [(40, 3, 1, 1), (40, 3, 1, 0), (40, 3, 0, 1)]
         assert_reads_like_dict_reader(tmp_path, rows)
 
     @pytest.mark.parametrize("rows", [
         [(1, 0, 1, 0), (0, 0, 0, 1)],                  # out of order in the id,
         [(0, 1, 1, 0), (0, 0, 0, 1)],                  # the step,
-        [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)],    # the state
-        [(0, 0, 1, 1), (0, 0, 1, 0), (0, 1, 0, 0)],    # or the action only
-        [(0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 1)],    # sorted
+        [(1, 1, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)],    # both,
+        [(0, 0, 1, 1), (1, 1, 1, 0), (1, 0, 0, 0)],    # the step of a later id
+        [(0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 1)],    # or sorted
     ])
-    def test_reader_sorts_rows_out_of_order_in_any_field(self, tmp_path, rows):
+    def test_reader_sorts_rows_out_of_order(self, tmp_path, rows):
         assert_reads_like_dict_reader(tmp_path, rows)
+
+    @pytest.mark.parametrize("rows,message", [
+        # A repeated step, then a gap and a late start: the first is named.
+        ("0,0,0,1\n0,0,1,0\n0,5,0,1\n1,7,1,1\n", "t 0 in data row 2 of"),
+        ("0,0,0,1\n0,2,1,0\n", "t 2 in data row 2 of"),           # a gap
+        ("0,0,0,1\n1,7,1,1\n", "t 7 in data row 2 of"),           # a late start
+        ("0,-1,0,1\n0,0,1,0\n", "t -1 in data row 1 of"),         # a negative step
+        # Sorted by (id, t), the repeated step of id 0 is file row 3.
+        ("0,1,0,1\n0,0,1,0\n0,0,1,1\n", "t 0 in data row 3 of"),
+    ], ids=["repeat-then-gap", "gap", "late-start", "negative", "shuffled-repeat"])
+    def test_t_column_must_count_steps(self, tmp_path, capsys, rows, message):
+        path, out = tmp_path / "traj.csv", tmp_path / "est" / "est.json"
+        path.write_text("trajectory_id,t,state,action\n" + rows)
+        assert run(["estimate", "--model", "builtin:malware2",
+                    "--trajectories", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "its t column must count 0, 1, 2" in err
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["convergence"] == {"converged": False, "error": "ValidationError"}
+        assert not out.exists()
 
     def test_sorted_and_shuffled_files_read_alike(self, eq_file, tmp_path, monkeypatch):
         # simulate writes its rows sorted, which the reader takes as they
@@ -688,10 +705,9 @@ class TestSimulateEstimate:
         b = cli._read_trajectories(shuffled_csv, MALWARE2)
         assert sorts == [1]
         assert len(a) == len(b) == 30
-        for ta, tb in zip(a, b):
-            assert len(ta) == 25
-            np.testing.assert_array_equal(ta.states, tb.states)
-            np.testing.assert_array_equal(ta.actions, tb.actions)
+        for name in ("states", "actions", "lengths"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(a.lengths, 25)
 
     def test_roundtrip_digests(self, tmp_path):
         # simulate -> estimate on malware10 at 1,000 x 200, seed 1: the CSV
@@ -719,9 +735,10 @@ class TestSimulateEstimate:
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("trajectory_id,t,state,action\n0,0,1,0\n\n0,1,0,1\n\n")
-        (traj,) = cli._read_trajectories(path, MALWARE2)
-        np.testing.assert_array_equal(traj.states, [1, 0])
-        np.testing.assert_array_equal(traj.actions, [0, 1])
+        trajs = cli._read_trajectories(path, MALWARE2)
+        np.testing.assert_array_equal(trajs.lengths, [2])
+        np.testing.assert_array_equal(trajs.states, [1, 0])
+        np.testing.assert_array_equal(trajs.actions, [0, 1])
 
     @pytest.mark.parametrize("rows,message", [
         ("0,0,x,1\n", "bad trajectory row"),

@@ -10,6 +10,7 @@ from mfgsolver.errors import EmptyData, ValidationError
 from mfgsolver.model import transition_kernel
 
 from test_mdp import MU_STAR, PI_STAR
+from trajectory_rows import batch, per_trajectory
 
 
 class TestSimulate:
@@ -17,9 +18,8 @@ class TestSimulate:
         config = estimation.EstimatorConfig(n_trajectories=4, horizon=30, seed=42)
         a = estimation.simulate(malware2, PI_STAR, MU_STAR, MU_STAR, config)
         b = estimation.simulate(malware2, PI_STAR, MU_STAR, MU_STAR, config)
-        for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.states, tb.states)
-            np.testing.assert_array_equal(ta.actions, tb.actions)
+        for name in ("states", "actions", "lengths"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_substreams_order_independent(self, malware2):
         # Trajectory i of a batch of 5 equals trajectory i of a batch of 2.
@@ -31,9 +31,9 @@ class TestSimulate:
             malware2, PI_STAR, MU_STAR, MU_STAR,
             estimation.EstimatorConfig(n_trajectories=2, horizon=20, seed=1),
         )
-        for i in range(2):
-            np.testing.assert_array_equal(big[i].states, small[i].states)
-            np.testing.assert_array_equal(big[i].actions, small[i].actions)
+        for (xb, ab), (xs, as_) in zip(per_trajectory(big)[:2], per_trajectory(small)):
+            np.testing.assert_array_equal(xb, xs)
+            np.testing.assert_array_equal(ab, as_)
 
     def test_deterministic_dynamics(self, malware2):
         # Always repairing pins the chain at the healthy state.
@@ -42,9 +42,8 @@ class TestSimulate:
             malware2, pi, MU_STAR, np.array([1.0, 0.0]),
             estimation.EstimatorConfig(n_trajectories=2, horizon=25, seed=0),
         )
-        for t in trajs:
-            assert np.all(t.states == 0)
-            assert np.all(t.actions == 1)
+        assert np.all(trajs.states == 0)
+        assert np.all(trajs.actions == 1)
 
     @pytest.mark.parametrize("field,value", [
         ("n_trajectories", 0), ("horizon", 0),
@@ -76,9 +75,8 @@ class TestSimulate:
             for seed in (7, np.int64(7), np.uint8(7))
         ]
         for other in trajs[1:]:
-            for a, b in zip(trajs[0], other):
-                np.testing.assert_array_equal(a.states, b.states)
-                np.testing.assert_array_equal(a.actions, b.actions)
+            np.testing.assert_array_equal(trajs[0].states, other.states)
+            np.testing.assert_array_equal(trajs[0].actions, other.actions)
 
 
 class TestSubstreams:
@@ -160,10 +158,10 @@ def assert_same_as_reference(spec, pi, mu, config, force_paths=False):
                 mp.setattr(estimation, "TABLE_WORK", table_work)
             trajs = estimation.simulate(spec, pi, mu, mu, config)
         assert len(trajs) == config.n_trajectories
-        assert all(t.states.dtype == np.int64 and t.actions.dtype == np.int64
-                   for t in trajs)
-        assert np.array_equal(np.stack([t.states for t in trajs]), states)
-        assert np.array_equal(np.stack([t.actions for t in trajs]), actions)
+        assert trajs.states.dtype == np.int64 and trajs.actions.dtype == np.int64
+        np.testing.assert_array_equal(trajs.lengths, config.horizon)
+        assert np.array_equal(trajs.states.reshape(states.shape), states)
+        assert np.array_equal(trajs.actions.reshape(actions.shape), actions)
 
 
 class TestSimulateMatchesReference:
@@ -270,7 +268,7 @@ class TestBoundedMemory:
     Holding all the uniforms, or all the states end to end, breaks these
     bounds."""
 
-    # Measured peaks: 16.23, 10.92 and 1.63 MiB. (10, 10_000) is the CLI's
+    # Measured peaks: 16.23, 9.07 and 1.63 MiB. (10, 10_000) is the CLI's
     # --n-trajectories and --horizon default, where a chunk of draws weighs
     # about a third of the 1.53 MiB output.
     SIMULATE_MB = {(10, 100_000): 17.0, (10_000, 51): 12.0, (10, 10_000): 1.75}
@@ -321,23 +319,43 @@ class TestSimulateValidatesPolicy:
 def mixed_length_trajectories(spec):
     """Simulated trajectories of horizons 1, 7, 30 and 200, interleaved."""
     batches = [
-        estimation.simulate(spec, PI_STAR, MU_STAR, MU_STAR,
-                            estimation.EstimatorConfig(n_trajectories=d, horizon=T,
-                                                       seed=T))
+        per_trajectory(estimation.simulate(
+            spec, PI_STAR, MU_STAR, MU_STAR,
+            estimation.EstimatorConfig(n_trajectories=d, horizon=T, seed=T)))
         for d, T in ((3, 1), (5, 7), (4, 30), (2, 200))
     ]
-    return [t for group in zip(*batches) for t in group] + [
-        t for batch in batches for t in batch[2:]]
+    return batch([t for group in zip(*batches) for t in group] + [
+        t for rows in batches for t in rows[2:]])
+
+
+def loop_mean_field(trajs, n_states):
+    """The mean field of a loop that counts the states of one trajectory
+    at a time."""
+    counts, total = np.zeros(n_states), 0
+    for states, _ in per_trajectory(trajs):
+        counts += np.bincount(states, minlength=n_states)
+        total += len(states)
+    return counts / total
+
+
+def loop_feature_expectation(spec, trajs, mu_hat, beta):
+    """The feature expectation of a loop that adds the discounted feature
+    sum of one trajectory at a time to a zero total."""
+    f = model.feature_table(spec, mu_hat)
+    total = np.zeros(spec.feature_dim)
+    for states, actions in per_trajectory(trajs):
+        total += beta ** np.arange(len(states)) @ f[states, actions]
+    return total / len(trajs)
 
 
 def assert_feature_expectation_matches_loop(spec, trajs):
     mu_hat = estimation.estimate_mean_field(trajs, n_states=spec.n_states)
-    f = model.feature_table(spec, mu_hat)
-    total = np.zeros(spec.feature_dim)
-    for t in trajs:
-        total += spec.beta ** np.arange(len(t)) @ f[t.states, t.actions]
     est, _ = estimation.estimate_feature_expectation(spec, trajs, mu_hat, spec.beta)
-    np.testing.assert_array_equal(est, total / len(trajs))
+    np.testing.assert_array_equal(
+        est, loop_feature_expectation(spec, trajs, mu_hat, spec.beta))
+
+
+EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 class TestEstimatorsMatchLoops:
@@ -345,19 +363,9 @@ class TestEstimatorsMatchLoops:
 
     def test_mean_field(self, malware2):
         trajs = mixed_length_trajectories(malware2)
-        assert len({len(t) for t in trajs}) == 4
-        counts, total = np.zeros(2), 0
-        for t in trajs:
-            counts += np.bincount(t.states, minlength=2)
-            total += len(t)
+        assert len(set(trajs.lengths.tolist())) == 4
         np.testing.assert_array_equal(
-            estimation.estimate_mean_field(trajs, n_states=2), counts / total)
-        # 14 steps a chunk: trajectories of 7 steps or fewer are joined,
-        # the longer ones come alone.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimation, "_CHUNK_STEPS", 14)
-            np.testing.assert_array_equal(
-                estimation.estimate_mean_field(trajs, n_states=2), counts / total)
+            estimation.estimate_mean_field(trajs, n_states=2), loop_mean_field(trajs, 2))
 
     def test_feature_expectation(self, malware2):
         trajs = mixed_length_trajectories(malware2)
@@ -367,10 +375,9 @@ class TestEstimatorsMatchLoops:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimation, "_CHUNK_STEPS", 14)
             assert_feature_expectation_matches_loop(malware2, trajs)
-        empty = estimation.Trajectory(states=np.zeros(0, dtype=np.int64),
-                                      actions=np.zeros(0, dtype=np.int64), seed=0)
+        rows = per_trajectory(trajs)
         assert_feature_expectation_matches_loop(
-            malware2, [empty] + trajs[:5] + [empty] + trajs[5:])
+            malware2, batch([EMPTY] + rows[:5] + [EMPTY] + rows[5:]))
         # With one feature column np.add.reduce would sum pairwise.
         spec, pi, mu = random_chain(np.random.default_rng(3), 4, 3)
         assert_feature_expectation_matches_loop(spec, estimation.simulate(
@@ -394,29 +401,126 @@ class TestEstimatorsMatchLoops:
             assert peak_mb() > 4.0
 
 
+CODE_TYPES = (np.uint8, np.int8, np.uint16, np.int16, np.int32, np.uint32, np.int64)
+
+
+@st.composite
+def ragged_batches(draw):
+    """A model's state, action and feature counts, and a batch of
+    trajectories: its lengths, some of them zero or equal, their integer
+    type, the integer type of its codes, which holds every state and
+    action, a seed for the model and the codes, and a _CHUNK_STEPS. Up to
+    40 states and 8 actions, so a flat code x * A + a can exceed 255."""
+    X = draw(st.integers(1, 40))
+    A = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.one_of(st.integers(0, 60), st.sampled_from([0, 1, 17])),
+                            max_size=12))
+    length_type = draw(st.sampled_from([np.int64, np.int32, np.uint16, np.uint32]))
+    code_type = draw(st.sampled_from(
+        [t for t in CODE_TYPES if np.iinfo(t).max >= max(X, A) - 1]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    chunk = draw(st.integers(1, 64))
+    return X, A, k, lengths, length_type, code_type, seed, chunk
+
+
+def feature_model(rng, X, A, k):
+    """A model with a random constant kernel and random mu-dependent
+    features."""
+    P0 = rng.random((X, X, A))
+    return model.ModelSpec(
+        n_states=X, n_actions=A, feature_dim=k, beta=float(rng.uniform(0.5, 0.99)),
+        P0=P0 / P0.sum(axis=0), P1=np.zeros((X, X, A, X)),
+        F0=rng.random((X, A, k)), F1=rng.random((X, A, k, X)))
+
+
+class TestEstimatorsOnRandomBatches:
+    """Both estimators equal TestEstimatorsMatchLoops' loops bit for bit,
+    and the tail bound follows the shortest trajectory, on ragged batches
+    with empty trajectories and narrow codes, with _CHUNK_STEPS both small
+    and larger than any batch."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(ragged_batches())
+    # Flat codes up to 39 * 8 + 7 = 319, which would wrap in uint8.
+    @example((40, 8, 2, [60, 0, 3, 60, 1, 0], np.uint16, np.uint8, 0, 5))
+    @example((3, 2, 1, [0, 0], np.int64, np.int64, 1, 1))
+    @example((3, 2, 1, [], np.int64, np.int64, 1, 1))
+    def test_matches_loops(self, case):
+        X, A, k, lengths, length_type, code_type, seed, chunk = case
+        rng = np.random.default_rng(seed)
+        spec = feature_model(rng, X, A, k)
+        n = sum(lengths)
+        trajs = estimation.Trajectories(rng.integers(0, X, n).astype(code_type),
+                                        rng.integers(0, A, n).astype(code_type),
+                                        np.array(lengths, dtype=length_type))
+        mu = rng.random(X)
+        mu /= mu.sum()
+        if not n:
+            with pytest.raises(EmptyData):
+                estimation.estimate_mean_field(trajs, X)
+            with pytest.raises(EmptyData):
+                estimation.estimate_feature_expectation(spec, trajs, mu, spec.beta)
+            return
+        f_max = np.linalg.norm(model.feature_table(spec, mu), axis=2).max()
+        tail_bound = spec.beta ** min(lengths) * f_max / (1.0 - spec.beta)
+        for steps in (chunk, 1 << 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimation, "_CHUNK_STEPS", steps)
+                mu_hat = estimation.estimate_mean_field(trajs, X)
+                est, tail = estimation.estimate_feature_expectation(spec, trajs, mu,
+                                                                    spec.beta)
+            np.testing.assert_array_equal(mu_hat, loop_mean_field(trajs, X))
+            np.testing.assert_array_equal(
+                est, loop_feature_expectation(spec, trajs, mu, spec.beta))
+            assert tail == tail_bound
+
+
+class TestTrajectories:
+    def test_batch(self):
+        trajs = estimation.Trajectories([1, 0, 1], [0, 0, 1], [2, 0, 1])
+        assert len(trajs) == 3
+        np.testing.assert_array_equal(trajs.starts, [0, 2, 2])
+        assert len(estimation.Trajectories(*EMPTY, np.zeros(0, dtype=np.int64))) == 0
+
+    def test_arrays_are_taken_without_copy(self):
+        states, actions = np.arange(6), np.zeros(6, dtype=np.uint8)
+        trajs = estimation.Trajectories(states, actions, np.array([6]))
+        assert trajs.states is states and trajs.actions is actions
+
+    @pytest.mark.parametrize("states,actions,lengths,message", [
+        ([0, 1], [0], [2], "2 states but 1 actions"),
+        ([0, 1], [0, 1, 1], [2], "2 states but 3 actions"),
+        ([0, 1], [0, 1], [3, -1], "trajectory length -1 is negative"),
+        ([0, 1], [0, 1], [1], "the lengths sum to 1, not 2"),
+        ([0, 1], [0, 1], np.zeros(0, dtype=int), "the lengths sum to 0, not 2"),
+        ([[0, 1]], [[0, 1]], [2], r"states have dtype int64 and shape \(1, 2\), not 1-D"),
+        ([0, 1], [0, 1], [[2]], r"lengths have dtype int64 and shape \(1, 1\), not 1-D"),
+        ([0.0, 1.0], [0, 1], [2], "states have dtype float64 and shape"),
+        ([0, 1], [0.0, 1.0], [2], "actions have dtype float64 and shape"),
+        ([True, False], [0, 1], [2], "states have dtype bool and shape"),
+        ([0, 1], [0, 1], [2.0], "lengths have dtype float64 and shape"),
+        (np.array([0, 1], dtype=np.uint64), [0, 1], [2],
+         r"states have dtype uint64 and shape \(2,\), not 1-D integer codes"),
+    ])
+    def test_bad_batch_raises(self, states, actions, lengths, message):
+        with pytest.raises(ValidationError, match=message):
+            estimation.Trajectories(states, actions, lengths)
+
+
 class TestEstimateMeanField:
     def test_state_out_of_range_raises(self):
-        t = estimation.Trajectory(
-            states=np.array([0, 3, 1]), actions=np.zeros(3, dtype=int), seed=0
-        )
         with pytest.raises(ValidationError):
-            estimation.estimate_mean_field([t], n_states=2)
+            estimation.estimate_mean_field(batch([([0, 3, 1], [0, 0, 0])]), n_states=2)
 
     def test_dirac(self):
-        t = estimation.Trajectory(
-            states=np.full(50, 2), actions=np.zeros(50, dtype=int), seed=0
-        )
-        mu = estimation.estimate_mean_field([t], n_states=4)
+        mu = estimation.estimate_mean_field(batch([(np.full(50, 2), np.zeros(50))]),
+                                            n_states=4)
         np.testing.assert_allclose(mu, [0.0, 0.0, 1.0, 0.0])
 
     def test_two_pinned_trajectories(self):
-        a = estimation.Trajectory(
-            states=np.zeros(10, dtype=int), actions=np.zeros(10, dtype=int), seed=0
-        )
-        b = estimation.Trajectory(
-            states=np.ones(10, dtype=int), actions=np.zeros(10, dtype=int), seed=0
-        )
-        mu = estimation.estimate_mean_field([a, b], n_states=2)
+        trajs = batch([(np.zeros(10), np.zeros(10)), (np.ones(10), np.zeros(10))])
+        mu = estimation.estimate_mean_field(trajs, n_states=2)
         np.testing.assert_allclose(mu, [0.5, 0.5])
 
     def test_simplex_output(self, malware2):
@@ -429,39 +533,30 @@ class TestEstimateMeanField:
         assert mu.min() >= 0.0
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyData):
-            estimation.estimate_mean_field([], n_states=2)
+        with pytest.raises(EmptyData, match="no trajectories"):
+            estimation.estimate_mean_field(batch([]), n_states=2)
 
     def test_state_count_is_required(self):
-        t = estimation.Trajectory(states=np.array([0, 1]), actions=np.zeros(2, dtype=int),
-                                  seed=0)
         with pytest.raises(TypeError):
-            estimation.estimate_mean_field([t])
+            estimation.estimate_mean_field(batch([([0, 1], [0, 0])]))
 
     @pytest.mark.parametrize("n_states", [2])
     def test_no_steps_raises(self, n_states):
-        t = estimation.Trajectory(states=np.zeros(0, dtype=np.int64),
-                                  actions=np.zeros(0, dtype=np.int64), seed=0)
         with pytest.raises(EmptyData, match="no steps"):
-            estimation.estimate_mean_field([t, t], n_states=n_states)
+            estimation.estimate_mean_field(batch([EMPTY, EMPTY]), n_states=n_states)
 
     @pytest.mark.parametrize("n_states", [2])
     def test_negative_state_raises(self, n_states):
-        t = estimation.Trajectory(states=np.array([0, -1]), actions=np.zeros(2, dtype=int),
-                                  seed=0)
         with pytest.raises(ValidationError, match="state -1"):
-            estimation.estimate_mean_field([t], n_states=n_states)
+            estimation.estimate_mean_field(batch([([0, -1], [0, 0])]), n_states=n_states)
 
 
 class TestEstimateFeatureExpectation:
     def test_tiny_beta_reads_first_step(self, malware2):
         # With beta near 0 the discounted sum collapses to the first step.
-        t = estimation.Trajectory(
-            states=np.array([1, 0, 0]), actions=np.array([1, 0, 0]), seed=0
-        )
         mu_hat = np.array([0.5, 0.5])
         est, _ = estimation.estimate_feature_expectation(
-            malware2, [t], mu_hat, beta=1e-9
+            malware2, batch([([1, 0, 0], [1, 0, 0])]), mu_hat, beta=1e-9
         )
         np.testing.assert_allclose(est, [1.0, 0.5, 1.0], atol=1e-8)
 
@@ -469,20 +564,30 @@ class TestEstimateFeatureExpectation:
         # The action feature along an all-repair trajectory is identically
         # 1, so its discounted sum is the finite geometric series.
         T, beta = 40, 0.8
-        t = estimation.Trajectory(
-            states=np.zeros(T, dtype=int), actions=np.ones(T, dtype=int), seed=0
-        )
         est, tail = estimation.estimate_feature_expectation(
-            malware2, [t], np.array([0.5, 0.5]), beta=beta
+            malware2, batch([(np.zeros(T), np.ones(T))]), np.array([0.5, 0.5]), beta=beta
         )
         assert est[2] == pytest.approx((1.0 - beta**T) / (1.0 - beta), abs=1e-12)
         f_max = np.sqrt(1.0 + 0.25 + 1.0)
         assert tail == pytest.approx(beta**T * f_max / (1.0 - beta), rel=1e-12)
 
+    def test_tail_bound_follows_the_shortest_trajectory(self, malware2):
+        # Beyond its one step, a 1-step trajectory leaves out up to
+        # beta * f_max / (1 - beta) of its discounted sum, and the average
+        # with a 1,000-step trajectory up to half of that.
+        mu_hat, beta = np.array([0.5, 0.5]), 0.8
+        short, long = ([1], [1]), (np.zeros(1000), np.ones(1000))
+        tails = [estimation.estimate_feature_expectation(malware2, batch(rows), mu_hat,
+                                                         beta)[1]
+                 for rows in ([short], [short, long], [long, short], [long])]
+        f_max = np.sqrt(1.0 + 0.25 + 1.0)
+        assert tails[0] == tails[1] == tails[2] == pytest.approx(beta * f_max / (1 - beta))
+        assert tails[3] == pytest.approx(beta**1000 * f_max / (1 - beta))
+
     def test_empty_raises(self, malware2):
-        with pytest.raises(EmptyData):
+        with pytest.raises(EmptyData, match="no trajectories"):
             estimation.estimate_feature_expectation(
-                malware2, [], np.array([0.5, 0.5]), 0.8
+                malware2, batch([]), np.array([0.5, 0.5]), 0.8
             )
 
     @pytest.mark.parametrize("states,actions,message", [
@@ -490,37 +595,29 @@ class TestEstimateFeatureExpectation:
         ([0, 2], [0, 0], "state 2 is outside 0..1"),
         ([0, 1], [0, 2], "action 2 is outside 0..1"),     # would read state 1's row
         ([1, 0], [-1, 0], "action -1 is outside 0..1"),
-        ([0, 1], [0], "trajectory 1 has 2 states but 1 actions"),
-        ([0, 1], [0, 1, 1], "trajectory 1 has 2 states but 3 actions"),
     ])
     def test_bad_trajectory_raises(self, malware2, states, actions, message):
-        good = estimation.Trajectory(states=np.array([0, 1]), actions=np.array([1, 0]),
-                                     seed=0)
-        bad = estimation.Trajectory(states=np.array(states), actions=np.array(actions),
-                                    seed=0)
+        trajs = batch([([0, 1], [1, 0]), (states, actions)])
         with pytest.raises(ValidationError, match=message):
             estimation.estimate_feature_expectation(
-                malware2, [good, bad], np.array([0.5, 0.5]), 0.8)
+                malware2, trajs, np.array([0.5, 0.5]), 0.8)
 
     @pytest.mark.parametrize("mu_hat", [[0.5, 0.3, 0.2], [1.0]])
     def test_wrong_mean_field_length_raises(self, malware2, mu_hat):
-        t = estimation.Trajectory(states=np.array([0, 1]), actions=np.array([1, 0]), seed=0)
         with pytest.raises(ValidationError, match=r"mu has shape .*, expected \(2,\)"):
-            estimation.estimate_feature_expectation(malware2, [t], mu_hat, 0.8)
+            estimation.estimate_feature_expectation(
+                malware2, batch([([0, 1], [1, 0])]), mu_hat, 0.8)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.5, np.nan])
     def test_beta_outside_unit_interval_raises(self, malware2, beta):
-        t = estimation.Trajectory(states=np.array([0, 1]), actions=np.array([1, 0]), seed=0)
         with pytest.raises(ValidationError, match="beta must lie in \\(0,1\\)"):
-            estimation.estimate_feature_expectation(malware2, [t], np.array([0.5, 0.5]),
-                                                    beta)
+            estimation.estimate_feature_expectation(
+                malware2, batch([([0, 1], [1, 0])]), np.array([0.5, 0.5]), beta)
 
     def test_no_steps_raises(self, malware2):
-        t = estimation.Trajectory(states=np.zeros(0, dtype=np.int64),
-                                  actions=np.zeros(0, dtype=np.int64), seed=0)
         with pytest.raises(EmptyData, match="no steps"):
-            estimation.estimate_feature_expectation(malware2, [t, t], np.array([0.5, 0.5]),
-                                                    0.8)
+            estimation.estimate_feature_expectation(
+                malware2, batch([EMPTY, EMPTY]), np.array([0.5, 0.5]), 0.8)
 
     def test_narrow_codes_do_not_wrap(self):
         # 200 states and 2 actions: state * 2 + action wraps in uint8.
@@ -531,13 +628,10 @@ class TestEstimateFeatureExpectation:
             n_states=X, n_actions=A, feature_dim=1, beta=0.8,
             P0=P0 / P0.sum(axis=0), P1=np.zeros((X, X, A, X)),
             F0=rng.random((X, A, 1)), F1=np.zeros((X, A, 1, X)))
-        states, actions = rng.integers(0, X, size=50), rng.integers(0, A, size=50)
+        rows = [(rng.integers(0, X, size=50), rng.integers(0, A, size=50))]
         mu = np.full(X, 1.0 / X)
         wide, narrow = (
-            estimation.estimate_feature_expectation(
-                spec, [estimation.Trajectory(states=states.astype(dtype),
-                                             actions=actions.astype(dtype), seed=0)],
-                mu, 0.8)[0]
+            estimation.estimate_feature_expectation(spec, batch(rows, dtype), mu, 0.8)[0]
             for dtype in (np.int64, np.uint8))
         np.testing.assert_array_equal(narrow, wide)
 
@@ -562,17 +656,3 @@ class TestEstimateFeatureExpectation:
                 errs.append(np.abs(est - exact).max())
             errors.append(np.mean(errs))
         assert errors[0] > errors[1] > errors[2]
-
-
-@pytest.mark.parametrize("states,actions", [
-    ([0.0, 1.0], [0, 1]),
-    ([0, 1], [0.0, 1.0]),
-    ([True, False], [0, 1]),
-])
-def test_non_integer_codes_raise(malware2, states, actions):
-    t = estimation.Trajectory(states=np.array(states), actions=np.array(actions), seed=0)
-    with pytest.raises(ValidationError, match="not integer codes"):
-        estimation.estimate_feature_expectation(malware2, [t], np.array([0.5, 0.5]), 0.8)
-    if np.asarray(states).dtype != np.int64:
-        with pytest.raises(ValidationError, match="not integer codes"):
-            estimation.estimate_mean_field([t], n_states=2)
